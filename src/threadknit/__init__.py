@@ -54,6 +54,7 @@ from .pipeline import (
     compare_groups,
     correlate_tables,
     export_graphs,
+    iteration_digest,
     render_reports,
     run_pipeline,
 )

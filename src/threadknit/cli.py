@@ -6,7 +6,7 @@ into correlation reports, ``compare`` turns reports into the pairwise
 comparison matrix, and ``export`` renders per-subject graphs as DOT.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numeric degeneracy.
+3 numeric degeneracy (including any arithmetic failure in the statistics).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except DegeneracyError as err:
+    except (DegeneracyError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (DataError, OSError) as err:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -20,6 +21,86 @@ from .errors import DataError, DegeneracyError
 from .graph import ConversationGraph
 
 
+def _strong_labels(successors: Sequence[Sequence[int]]) -> list[int]:
+    """Strong component label of every node 0..n-1 (Tarjan, iterative).
+
+    Roots are taken in node order and children in list order; labels
+    number the components as they complete, which is reverse topological
+    order of the condensation.
+    """
+    count = len(successors)
+    index = [-1] * count
+    lowlink = [0] * count
+    label = [-1] * count
+    stack: list[int] = []
+    counter = labels = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if index[child] < 0:
+                    index[child] = lowlink[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    work.append((child, iter(successors[child])))
+                    break
+                # visited and not yet labelled means still on the stack
+                if label[child] < 0 and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    while True:
+                        top = stack.pop()
+                        label[top] = labels
+                        if top == node:
+                            break
+                    labels += 1
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+    return label
+
+
+def _weak_labels(count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Weak component label (a member node) of every node 0..n-1, by
+    union-find with path halving; edge direction is ignored."""
+    parent = list(range(count))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = node = parent[parent[node]]
+        return node
+
+    for source, target in edges:
+        parent[find(source)] = find(target)
+    return [find(node) for node in range(count)]
+
+
+def _component_counts(count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(strong, weak) component counts of a graph on nodes 0..count-1."""
+    successors: list[list[int]] = [[] for _ in range(count)]
+    for source, target in edges:
+        successors[source].append(target)
+    strong = len(set(_strong_labels(successors)))
+    weak = len(set(_weak_labels(count, edges)))
+    return strong, weak
+
+
+def _numbered(graph: ConversationGraph) -> tuple[list[str], list[tuple[int, int]]]:
+    """Sorted nodes, and the edges as (source, target) positions in it."""
+    order = sorted(graph.nodes)
+    number = {node: position for position, node in enumerate(order)}
+    return order, [(number[edge.source], number[edge.target]) for edge in graph.edges]
+
+
 def strong_components(graph: ConversationGraph) -> list[frozenset[str]]:
     """Strongly connected components via Tarjan's algorithm (iterative).
 
@@ -28,78 +109,15 @@ def strong_components(graph: ConversationGraph) -> list[frozenset[str]]:
     reverse topological order of the condensation, deterministically for a
     given graph.
     """
-    order = sorted(graph.nodes)
-    adjacency = graph.successors()
-    counter = 0
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    components: list[frozenset[str]] = []
-
-    for root in order:
-        if root in index:
-            continue
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            descended = False
-            for child in children:
-                if child not in index:
-                    index[child] = lowlink[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adjacency[child])))
-                    descended = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if descended:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                members = set()
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    members.add(top)
-                    if top == node:
-                        break
-                components.append(frozenset(members))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
-
-
-class _UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
-        self.size = {item: 1 for item in self.parent}
-
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    order, edges = _numbered(graph)
+    successors: list[set[int]] = [set() for _ in order]
+    for source, target in edges:
+        successors[source].add(target)
+    labels = _strong_labels([sorted(targets) for targets in successors])
+    members: list[set[str]] = [set() for _ in range(max(labels, default=-1) + 1)]
+    for node, label in zip(order, labels):
+        members[label].add(node)
+    return [frozenset(group) for group in members]
 
 
 def weak_components(graph: ConversationGraph) -> list[frozenset[str]]:
@@ -107,13 +125,11 @@ def weak_components(graph: ConversationGraph) -> list[frozenset[str]]:
 
     Returned in order of each component's smallest node.
     """
-    uf = _UnionFind(graph.nodes)
-    for edge in graph.edges:
-        uf.union(edge.source, edge.target)
-    groups: dict[str, set[str]] = {}
-    for node in graph.nodes:
-        groups.setdefault(uf.find(node), set()).add(node)
-    return [frozenset(members) for members in sorted(groups.values(), key=min)]
+    order, edges = _numbered(graph)
+    members: dict[int, set[str]] = {}
+    for node, label in zip(order, _weak_labels(len(order), edges)):
+        members.setdefault(label, set()).add(node)
+    return [frozenset(group) for group in members.values()]
 
 
 @dataclass(frozen=True)
@@ -134,10 +150,8 @@ class ComponentSummary:
 
 def component_summary(graph: ConversationGraph) -> ComponentSummary:
     """Count both kinds of component for one graph."""
-    return ComponentSummary(
-        strong_count=len(strong_components(graph)),
-        weak_count=len(weak_components(graph)),
-    )
+    order, edges = _numbered(graph)
+    return ComponentSummary(*_component_counts(len(order), edges))
 
 
 def round_half_away(value: float | Fraction | int) -> int:
@@ -261,18 +275,25 @@ def read_subject_table_csv(path: str | Path) -> list[SubjectSummary]:
             rows = []
             for lineno, record in enumerate(reader, start=2):
                 try:
+                    counts = ComponentSummary(
+                        int(record["strong_count"]), int(record["weak_count"])
+                    )
+                    beta = float(record["ratio_beta"])
+                    alpha = float(record["sentiment_alpha"])
+                    if not (math.isfinite(beta) and math.isfinite(alpha)):
+                        raise ValueError(f"non-finite beta {beta!r} or alpha {alpha!r}")
                     rows.append(
                         SubjectSummary(
                             subject=record["subject"],
-                            strong_count=int(record["strong_count"]),
-                            weak_count=int(record["weak_count"]),
-                            beta=float(record["ratio_beta"]),
-                            alpha=float(record["sentiment_alpha"]),
+                            strong_count=counts.strong_count,
+                            weak_count=counts.weak_count,
+                            beta=beta,
+                            alpha=alpha,
                         )
                     )
                 except (TypeError, ValueError) as err:
                     raise DataError(f"{path}:{lineno}: {err}") from err
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read table {path}: {err}") from err
     if not rows:
         raise DataError(f"{path}: table has no rows")

@@ -58,6 +58,17 @@ class ConversationGraph:
         return {node: tuple(sorted(targets)) for node, targets in adjacency.items()}
 
 
+def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
+    """The selected reference kinds; at least one, each in EDGE_KINDS."""
+    kindset = frozenset(kinds)
+    if not kindset:
+        raise ValueError("at least one edge kind is required")
+    unknown = kindset - set(EDGE_KINDS)
+    if unknown:
+        raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
+    return kindset
+
+
 def build_graph(
     batch: IterationBatch,
     kinds: Iterable[str] = EDGE_KINDS,
@@ -69,12 +80,7 @@ def build_graph(
     are always nodes; authors whose statuses produce no selected edge are
     nodes only when ``include_isolates`` is set.
     """
-    kindset = frozenset(kinds)
-    if not kindset:
-        raise ValueError("at least one edge kind is required")
-    unknown = kindset - set(EDGE_KINDS)
-    if unknown:
-        raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
+    kindset = edge_kind_set(kinds)
     nodes: set[str] = set()
     edges: list[Edge] = []
     for status in batch.statuses:

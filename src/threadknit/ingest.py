@@ -24,6 +24,8 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 _ITER_RE = re.compile(r"^iter_(\d{3,})$")
+# for str patterns \s matches exactly the characters str.isspace() accepts
+_SPACE_RE = re.compile(r"\s")
 
 
 def normalize_handle(raw: str) -> str:
@@ -36,7 +38,7 @@ def normalize_handle(raw: str) -> str:
     handle = raw.strip().lstrip("@").lower()
     if not handle:
         raise ValueError(f"empty user handle: {raw!r}")
-    if any(ch.isspace() for ch in handle) or "@" in handle:
+    if "@" in handle or _SPACE_RE.search(handle):
         raise ValueError(f"invalid user handle: {raw!r}")
     return handle
 
@@ -49,6 +51,12 @@ def subject_slug(subject: str) -> str:
     return slug
 
 
+def iteration_index(name: str) -> int | None:
+    """The NNN of an ``iter_NNN`` file name, or None for any other name."""
+    match = _ITER_RE.match(name)
+    return int(match.group(1)) if match else None
+
+
 def _parse_timestamp(value: Any) -> datetime:
     if value in (None, ""):
         return EPOCH
@@ -58,7 +66,10 @@ def _parse_timestamp(value: Any) -> datetime:
     moment = datetime.fromisoformat(text)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc)
+    try:
+        return moment.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"created_at out of range in UTC: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -98,14 +109,24 @@ class Status:
 
     def references(self) -> Iterator[tuple[str, str]]:
         """Yield (kind, target handle) pairs in a fixed order."""
-        if self.reply_to is not None:
-            yield "reply", self.reply_to
-        for mention in self.mentions:
-            yield "mention", mention
-        if self.retweet_of is not None:
-            yield "retweet", self.retweet_of
-        if self.quote_of is not None:
-            yield "quote", self.quote_of
+        yield from references(self.reply_to, self.mentions, self.retweet_of, self.quote_of)
+
+
+def references(
+    reply_to: str | None,
+    mentions: Sequence[str],
+    retweet_of: str | None,
+    quote_of: str | None,
+) -> list[tuple[str, str]]:
+    """(kind, target handle) pairs of one status's references, in a fixed
+    order: reply, mentions, retweet, quote."""
+    pairs = [] if reply_to is None else [("reply", reply_to)]
+    pairs.extend(("mention", mention) for mention in mentions)
+    if retweet_of is not None:
+        pairs.append(("retweet", retweet_of))
+    if quote_of is not None:
+        pairs.append(("quote", quote_of))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -203,22 +224,41 @@ class IterationBatch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statuses", tuple(self.statuses))
-        if not 0 <= self.index < self.spec.iterations:
-            raise ValueError(
-                f"iteration index {self.index} outside plan of {self.spec.iterations}"
-            )
-        if len(self.statuses) > self.spec.per_iteration_count:
-            raise ValueError(
-                "batch exceeds per_iteration_count: "
-                f"{len(self.statuses)} > {self.spec.per_iteration_count}"
-            )
+        _check_plan(self.spec, self.index, len(self.statuses))
+
+
+def _check_plan(spec: QuerySpec, index: int, count: int) -> None:
+    """A batch of ``count`` statuses at ``index`` must fit the spec's plan."""
+    if not 0 <= index < spec.iterations:
+        raise ValueError(f"iteration index {index} outside plan of {spec.iterations}")
+    if count > spec.per_iteration_count:
+        raise ValueError(
+            f"batch exceeds per_iteration_count: {count} > {spec.per_iteration_count}"
+        )
 
 
 _OPTIONAL_STRING_FIELDS = ("reply_to", "retweet_of", "quote_of")
 
 
-def _status_from_record(record: Mapping[str, Any]) -> Status:
-    if not isinstance(record, Mapping):
+# id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
+StatusFields = tuple[str, str, str, datetime, str | None, tuple[str, ...], str | None, str | None]
+
+
+def _normalized(raw: str, handles: dict[str, str]) -> str:
+    handle = handles.get(raw)
+    if handle is None:
+        handle = handles[raw] = normalize_handle(raw)
+    return handle
+
+
+def _record_fields(record: Any, handles: dict[str, str]) -> StatusFields:
+    """Check one decoded record; its Status fields in order, normalized.
+
+    Raises ValueError naming the first problem, in the order the Status
+    constructor would meet it.  ``handles`` memoises normalize_handle.
+    """
+    # exact types first: the ABC isinstance checks are slow
+    if type(record) is not dict and not isinstance(record, Mapping):
         raise ValueError("record is not an object")
     for name in ("id", "text", "author"):
         if name not in record:
@@ -226,27 +266,66 @@ def _status_from_record(record: Mapping[str, Any]) -> Status:
     text = record["text"]
     if not isinstance(text, str):
         raise ValueError("field 'text' must be a string")
-    mentions = record.get("mentions") or ()
-    if isinstance(mentions, str) or not isinstance(mentions, Sequence):
+    get = record.get
+    mentions = get("mentions") or ()
+    if type(mentions) not in (list, tuple) and (
+        isinstance(mentions, str) or not isinstance(mentions, Sequence)
+    ):
         raise ValueError("field 'mentions' must be a list of handles")
-    kwargs: dict[str, Any] = {}
-    for name in _OPTIONAL_STRING_FIELDS:
-        value = record.get(name)
+    optional = get("reply_to"), get("retweet_of"), get("quote_of")
+    for name, value in zip(_OPTIONAL_STRING_FIELDS, optional):
         if value is not None and not isinstance(value, str):
             raise ValueError(f"field {name!r} must be a string or null")
-        kwargs[name] = value
-    return Status(
-        id=str(record["id"]),
-        text=text,
-        author=str(record["author"]),
-        created_at=_parse_timestamp(record.get("created_at")),
-        mentions=tuple(str(m) for m in mentions),
-        **kwargs,
-    )
+    created_at = _parse_timestamp(get("created_at"))
+    status_id = str(record["id"])
+    if not status_id:
+        raise ValueError("status id must be nonempty")
+    author = _normalized(str(record["author"]), handles)
+    reply_to, retweet_of, quote_of = [
+        None if value is None else _normalized(value, handles) for value in optional
+    ]
+    mentions = tuple([_normalized(str(m), handles) for m in mentions])
+    return status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
+
+
+def _status_from_record(record: Mapping[str, Any]) -> Status:
+    return Status(*_record_fields(record, {}))
+
+
+def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[StatusFields]:
+    """Checked Status fields of every record in one iteration file.
+
+    Every problem is a FixtureError naming ``path`` and, for a bad record,
+    its line.  The records must fit the spec's plan at ``index``.
+    """
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise FixtureError(f"{path}: {err}") from err
+    handles: dict[str, str] = {}
+    records = []
+    # split on newlines only: JSON strings may legally contain other
+    # line-separator code points (e.g. U+2028), which str.splitlines cuts
+    for lineno, line in enumerate(raw.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise FixtureError(f"{path}:{lineno}: invalid JSON: {err.msg}") from err
+        try:
+            records.append(_record_fields(record, handles))
+        except ValueError as err:
+            raise FixtureError(f"{path}:{lineno}: {err}") from err
+    try:
+        _check_plan(spec, index, len(records))
+    except ValueError as err:
+        raise FixtureError(f"{path}: {err}") from err
+    return records
 
 
 def _default_spec_for(path: Path, index: int) -> QuerySpec:
-    if _ITER_RE.match(path.name) and path.parent.name:
+    if iteration_index(path.name) is not None and path.parent.name:
         subject = path.parent.name
     else:
         subject = path.stem or path.name
@@ -275,32 +354,11 @@ def parse_fixture(
     """
     path = Path(path)
     if index is None:
-        match = _ITER_RE.match(path.name)
-        index = int(match.group(1)) if match else 0
+        index = iteration_index(path.name) or 0
     if spec is None:
         spec = _default_spec_for(path, index)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise FixtureError(f"{path}: {err}") from err
-    statuses = []
-    # split on newlines only: JSON strings may legally contain other
-    # line-separator code points (e.g. U+2028), which str.splitlines cuts
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise FixtureError(f"{path}:{lineno}: invalid JSON: {err.msg}") from err
-        try:
-            statuses.append(_status_from_record(record))
-        except ValueError as err:
-            raise FixtureError(f"{path}:{lineno}: {err}") from err
-    try:
-        return IterationBatch(spec=spec, index=index, statuses=tuple(statuses))
-    except ValueError as err:
-        raise FixtureError(f"{path}: {err}") from err
+    statuses = tuple(Status(*fields) for fields in read_fixture(path, spec, index))
+    return IterationBatch(spec=spec, index=index, statuses=statuses)
 
 
 def write_fixture(batch: IterationBatch, path: str | Path) -> Path:
@@ -453,7 +511,7 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err

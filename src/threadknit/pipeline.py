@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -18,25 +17,33 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .components import (
+    ComponentSummary,
     SubjectSummary,
-    component_summary,
+    _component_counts,
     read_subject_table_csv,
     summarize_subject,
     write_subject_table_csv,
     write_subject_table_json,
 )
 from .errors import ConfigError, DataError, DegeneracyError
-from .graph import ConversationGraph, build_graph, export_dot
-from .ingest import QUERY_KINDS, RunConfig, parse_fixture, subject_slug
-from .sentiment import Lexicon, batch_alpha, bundled_lexicon, load_lexicon
+from .graph import ConversationGraph, build_graph, edge_kind_set, export_dot
+from .ingest import (
+    QUERY_KINDS,
+    QuerySpec,
+    RunConfig,
+    iteration_index,
+    parse_fixture,
+    read_fixture,
+    references,
+    subject_slug,
+)
+from .sentiment import Lexicon, bundled_lexicon, load_lexicon, mean_score, score_text
 from .stats import (
     ComparisonReport,
     CorrelationReport,
     compare_correlations,
     correlation_report,
 )
-
-_ITER_FILE_RE = re.compile(r"^iter_\d{3,}$")
 
 
 @dataclass(frozen=True)
@@ -54,14 +61,55 @@ def resolve_lexicon(config: RunConfig) -> Lexicon:
     return load_lexicon(config.lexicon_path)
 
 
-def iteration_files(config: RunConfig, kind: str, subject: str) -> list[Path]:
+def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[int, Path]]:
+    """A subject's ``iter_NNN`` files with their indices, in index order."""
     subject_dir = Path(config.fixtures_dir) / kind / subject_slug(subject)
     if not subject_dir.is_dir():
         raise DataError(f"no fixtures for {kind}/{subject} under {config.fixtures_dir}")
-    files = sorted(p for p in subject_dir.iterdir() if _ITER_FILE_RE.match(p.name))
+    files = sorted(
+        (index, path)
+        for path in subject_dir.iterdir()
+        if (index := iteration_index(path.name)) is not None
+    )
     if not files:
         raise DataError(f"subject {subject!r} ({kind}) has zero iterations")
     return files
+
+
+def iteration_digest(
+    path: Path,
+    spec: QuerySpec,
+    index: int,
+    kinds: Sequence[str],
+    include_isolates: bool,
+    lexicon: Lexicon,
+) -> tuple[ComponentSummary, float]:
+    """Component counts and alpha of one iteration file, in one pass.
+
+    Equal to ``component_summary(build_graph(parse_fixture(...)))`` and
+    ``batch_alpha`` of the same batch, with the same errors, but no Status,
+    Edge or graph objects: handles become node numbers as they are met.
+    """
+    kindset = edge_kind_set(kinds)
+    nodes: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    scores = []
+    for _, text, author, _, reply_to, mentions, retweet_of, quote_of in read_fixture(
+        path, spec, index
+    ):
+        scores.append(score_text(text, lexicon))
+        for kind, target in references(reply_to, mentions, retweet_of, quote_of):
+            if kind in kindset:
+                edges.append(
+                    (nodes.setdefault(author, len(nodes)), nodes.setdefault(target, len(nodes)))
+                )
+        if include_isolates:
+            nodes.setdefault(author, len(nodes))
+    summary = ComponentSummary(*_component_counts(len(nodes), edges))
+    try:
+        return summary, mean_score(scores, spec.subject, index)
+    except DegeneracyError as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 def analyze_subject(
@@ -69,27 +117,23 @@ def analyze_subject(
 ) -> SubjectSummary:
     """Average one subject's per-iteration component counts and sentiment."""
     spec = config.spec_for(kind, subject)
-    summaries = []
-    alphas = []
-    for path in iteration_files(config, kind, subject):
-        batch = parse_fixture(path, spec=spec)
-        graph = build_graph(
-            batch, kinds=config.edge_kinds, include_isolates=config.include_isolates
+    digests = [
+        iteration_digest(
+            path, spec, index, config.edge_kinds, config.include_isolates, lexicon
         )
-        summaries.append(component_summary(graph))
-        try:
-            alphas.append(batch_alpha(batch, lexicon))
-        except DegeneracyError as err:
-            raise DataError(f"{path}: {err}") from err
-    return summarize_subject(subject, summaries, alphas)
+        for index, path in iteration_files(config, kind, subject)
+    ]
+    return summarize_subject(
+        subject, [summary for summary, _ in digests], [alpha for _, alpha in digests]
+    )
 
 
 def final_iteration_graph(
     config: RunConfig, kind: str, subject: str
 ) -> ConversationGraph:
     """Graph of the last available iteration (the one worth picturing)."""
-    path = iteration_files(config, kind, subject)[-1]
-    batch = parse_fixture(path, spec=config.spec_for(kind, subject))
+    index, path = iteration_files(config, kind, subject)[-1]
+    batch = parse_fixture(path, spec=config.spec_for(kind, subject), index=index)
     return build_graph(
         batch, kinds=config.edge_kinds, include_isolates=config.include_isolates
     )
@@ -279,7 +323,7 @@ def read_correlations_json(path: str | Path) -> list[CorrelationReport]:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read correlations {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise DataError(f"{path}: invalid JSON: {err.msg}") from err

@@ -20,7 +20,18 @@ from .ingest import IterationBatch
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
-_LOOSE_APOSTROPHE_RE = re.compile(r"(?<![0-9a-z])'|'(?![0-9a-z])")
+# Runs of str.isalnum() characters ([^\W_] in a str pattern), joined by
+# apostrophes that have an ASCII letter or digit on both sides.
+_TOKEN_RE = re.compile(r"[^\W_]+(?:(?<=[0-9a-z])'(?=[0-9a-z])[^\W_]+)*")
+
+
+def _tokens(raw: str) -> list[str]:
+    # every URL match holds "://" or "www."; no character case-folds to
+    # ":", "/" or ".", so texts without them skip the substitution
+    text = _URL_RE.sub(" ", raw) if "." in raw or "://" in raw else raw
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    return _TOKEN_RE.findall(text.replace("’", "'").lower())
 
 
 def clean_text(raw: str) -> str:
@@ -31,12 +42,7 @@ def clean_text(raw: str) -> str:
     space except apostrophes inside a word; whitespace is collapsed.
     Idempotent.
     """
-    text = _URL_RE.sub(" ", raw)
-    text = _MENTION_RE.sub(" ", text)
-    text = text.replace("’", "'").lower()
-    chars = [ch if ch == "'" or ch.isalnum() else " " for ch in text]
-    text = _LOOSE_APOSTROPHE_RE.sub(" ", "".join(chars))
-    return " ".join(text.split())
+    return " ".join(_tokens(raw))
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise LexiconError(f"cannot read lexicon {path}: {err}") from err
     return parse_lexicon(raw, name=name or path.stem)
 
@@ -116,20 +122,23 @@ def score_text(text: str, lexicon: Lexicon) -> float:
     The score is additive over concatenation and zero for text with no
     lexicon tokens.
     """
-    cleaned = clean_text(text)
-    if not cleaned:
-        return 0.0
-    return fsum(lexicon.valence(token) for token in cleaned.split(" "))
+    entries = lexicon.entries
+    return fsum([entries.get(token, 0.0) for token in _tokens(text)])
 
 
 def batch_alpha(batch: IterationBatch, lexicon: Lexicon) -> float:
     """Mean per-status score for one iteration.  Undefined for an empty batch."""
-    if not batch.statuses:
+    scores = [score_text(status.text, lexicon) for status in batch.statuses]
+    return mean_score(scores, batch.spec.subject, batch.index)
+
+
+def mean_score(scores: Sequence[float], subject: str, index: int) -> float:
+    """Alpha of one iteration from its per-status scores."""
+    if not scores:
         raise DegeneracyError(
-            f"subject {batch.spec.subject!r} iteration {batch.index}: "
+            f"subject {subject!r} iteration {index}: "
             "sentiment undefined for an empty batch"
         )
-    scores = [score_text(status.text, lexicon) for status in batch.statuses]
     return fsum(scores) / len(scores)
 
 

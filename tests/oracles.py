@@ -2,7 +2,8 @@
 
 Each oracle takes a deliberately different route from the code under test:
 component counts come from a transitive-closure matrix instead of Tarjan
-or union-find, the Pearson coefficient is accumulated in exact rational
+or union-find, text is cleaned character by character instead of by one
+token regex, the Pearson coefficient is accumulated in exact rational
 arithmetic, the t-distribution tail is numerically integrated rather than
 evaluated through the incomplete beta function, and the interval formulas
 are recomputed in mpmath at high precision.
@@ -11,10 +12,36 @@ are recomputed in mpmath at high precision.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Sequence
+from math import fsum
+from typing import Mapping, Sequence
 
 import mpmath as mp
+
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_MENTION_RE = re.compile(r"@\w+")
+_LOOSE_APOSTROPHE_RE = re.compile(r"(?<![0-9a-z])'|'(?![0-9a-z])")
+
+
+def reference_clean_text(raw: str) -> str:
+    """Status text cleaned one character at a time: URLs and @-mentions
+    dropped, lowercased, every character that is neither alphanumeric nor
+    an apostrophe made a space, then apostrophes without an ASCII letter
+    or digit on both sides made spaces, whitespace collapsed."""
+    text = _URL_RE.sub(" ", raw)
+    text = _MENTION_RE.sub(" ", text)
+    text = text.replace("’", "'").lower()
+    chars = [ch if ch == "'" or ch.isalnum() else " " for ch in text]
+    text = _LOOSE_APOSTROPHE_RE.sub(" ", "".join(chars))
+    return " ".join(text.split())
+
+
+def reference_score_text(raw: str, entries: Mapping[str, float]) -> float:
+    cleaned = reference_clean_text(raw)
+    if not cleaned:
+        return 0.0
+    return fsum(entries.get(token, 0.0) for token in cleaned.split(" "))
 
 
 def closure_component_counts(

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import threadknit.cli
 from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
+
+SRC = Path(threadknit.cli.__file__).resolve().parent.parent
 
 CONFIG = """\
 [run]
@@ -31,6 +39,16 @@ def run_cli(*argv):
 
 def config_arg(workdir):
     return workdir / "run.ini"
+
+
+def run_cli_process(workdir, *argv):
+    """The CLI as its own process: (exit code, stderr lines)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "threadknit.cli", *map(str, argv)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stderr.splitlines()
 
 
 def tree_bytes(root):
@@ -128,6 +146,31 @@ class TestCorrelateCommand:
         assert run_cli("correlate", "--config", config_arg(workdir)) == 2
         assert "run analyze first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["Delta,9,4,0.4444444444,nan", "Delta,9,4,inf,0.1", "Delta,4,9,2.25,0.1"],
+    )
+    def test_bad_table_value_is_one_error_line_exit_2(self, workdir, bad_row):
+        tables = workdir / "out" / "tables"
+        tables.mkdir(parents=True)
+        header = "subject,strong_count,weak_count,ratio_beta,sentiment_alpha\n"
+        rows = ["Alpha,10,2,0.2,0.5", "Beta Co,10,5,0.5,0.2", "Gamma,10,8,0.8,-0.1"]
+        for kind, last in (("topical", bad_row), ("event", "Parade,9,3,0.3333333333,0.3")):
+            (tables / f"{kind}.csv").write_text(
+                header + "\n".join(rows + [last]) + "\n", encoding="utf-8"
+            )
+        code, err = run_cli_process(workdir, "correlate", "--config", "run.ini")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "topical.csv:5" in err[0]
+
+    def test_arithmetic_failure_exit_3(self, workdir, capsys, monkeypatch):
+        def diverge(tables):
+            raise ArithmeticError("incomplete beta failed to converge")
+
+        monkeypatch.setattr(threadknit.cli, "correlate_tables", diverge)
+        assert run_cli("correlate", "--bundled", "--out", workdir) == 3
+        assert capsys.readouterr().err == "error: incomplete beta failed to converge\n"
+
 
 class TestCompareCommand:
     def test_full_matrix(self, tmp_path, capsys):
@@ -197,6 +240,27 @@ class TestErrorHandling:
         run_cli("synth", "--config", ini)
         assert run_cli("analyze", "--config", ini) == 3
         assert "at least 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, command, code",
+        [
+            ("run.ini", "synth", 1),
+            ("lexicon.tsv", "synth", 2),
+            ("out/tables/topical.csv", "correlate", 2),
+            ("out/correlations.json", "compare", 2),
+        ],
+    )
+    def test_undecodable_input_is_one_error_line(self, workdir, capsys, target, command, code):
+        config = CONFIG.replace("[run]\n", "[run]\nlexicon = lexicon.tsv\n")
+        (workdir / "run.ini").write_text(config, encoding="utf-8")
+        inputs = ("lexicon.tsv", "out/tables/topical.csv", "out/tables/event.csv")
+        for name in inputs + ("out/correlations.json",):
+            (workdir / name).parent.mkdir(parents=True, exist_ok=True)
+            (workdir / name).write_bytes(b"placeholder\n")
+        (workdir / target).write_bytes(b"\xff\xfe bad bytes\n")
+        assert run_cli(command, "--config", config_arg(workdir)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "decode" in err
 
     def test_parser_raises_config_error_directly(self):
         parser = build_parser()

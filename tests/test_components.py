@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from threadknit.components import (
     ComponentSummary,
+    _component_counts,
     SubjectSummary,
     average_count,
     beta_ratio,
@@ -157,6 +158,30 @@ class TestComponents:
         assert strong_components(graph) == strong_components(graph)
         assert weak_components(graph) == weak_components(graph)
 
+    @given(digraphs)
+    def test_int_counts_match_the_closure_oracle(self, case):
+        n, pairs = case
+        assert _component_counts(n, pairs) == closure_component_counts(range(n), pairs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_counts_match_networkx_on_large_graphs(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        n = rng.randint(500, 2000)
+        # around one edge per node leaves many strong components of several
+        # nodes, and many weak ones
+        edge_count = int(n * rng.uniform(0.8, 1.4))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(edge_count)]
+        graph = nx.MultiDiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(pairs)
+        expected = (
+            nx.number_strongly_connected_components(graph),
+            nx.number_weakly_connected_components(graph),
+        )
+        assert _component_counts(n, pairs) == expected
+        assert n > expected[0] > expected[1] > 1
+
     def test_impossible_summary_rejected(self):
         with pytest.raises(ValueError):
             ComponentSummary(strong_count=1, weak_count=2)
@@ -293,3 +318,25 @@ class TestTables:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_subject_table_csv(tmp_path / "none.csv")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("A,10,4,nan,0.25", "non-finite"),
+            ("A,10,4,0.4,nan", "non-finite"),
+            ("A,10,4,inf,0.25", "non-finite"),
+            ("A,10,4,0.4,-inf", "non-finite"),
+            ("A,4,10,2.5,0.25", "impossible counts"),
+            ("A,10,-1,-0.1,0.25", "impossible counts"),
+            ("A,10,0,0.0,0.25", "zero together"),
+        ],
+    )
+    def test_non_finite_values_and_impossible_counts_rejected(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "subject,strong_count,weak_count,ratio_beta,sentiment_alpha\nB,5,2,0.4,0.1\n"
+            + row + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=f"t.csv:3: .*{message}"):
+            read_subject_table_csv(path)

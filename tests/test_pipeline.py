@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from threadknit.errors import ConfigError, DataError, DegeneracyError
+from threadknit.graph import build_graph, export_dot
 from threadknit.ingest import RunConfig, write_fixture, fixture_path
 from threadknit.pipeline import (
     COMPARISON_COLUMNS,
@@ -15,6 +16,7 @@ from threadknit.pipeline import (
     correlate_tables,
     export_graphs,
     final_iteration_graph,
+    iteration_files,
     read_correlations_json,
     render_reports,
     run_pipeline,
@@ -188,6 +190,31 @@ class TestRunPipeline:
         plan = default_plan(config)[0]
         graph = final_iteration_graph(config, "topical", "A")
         assert len(graph.nodes) >= plan.synth_spec.node_count
+
+
+class TestIterationOrder:
+    def write_chains(self, config, lengths):
+        spec = config.spec_for("topical", "A")
+        for index, length in lengths.items():
+            batch = chain_batch(index, length, "good", dict(subject="A", iterations=1001))
+            write_fixture(batch, fixture_path(config.fixtures_dir, spec, index))
+
+    def test_files_sorted_by_number_not_name(self, tmp_path):
+        config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=1001)
+        self.write_chains(config, {1000: 3, 999: 4, 998: 5, 10: 6})
+        files = iteration_files(config, "topical", "A")
+        assert [(index, path.name) for index, path in files] == [
+            (10, "iter_010"), (998, "iter_998"), (999, "iter_999"), (1000, "iter_1000")
+        ]
+
+    def test_export_draws_the_highest_iteration(self, tmp_path, mini_lexicon):
+        config = tiny_config(tmp_path, [("topical", ("A",))], iterations=1001)
+        self.write_chains(config, {998: 5, 999: 4, 1000: 3})
+        last = chain_batch(1000, 3, "good", dict(subject="A", iterations=1001))
+        (written,) = export_graphs(config)
+        assert written.read_text(encoding="utf-8") == export_dot(build_graph(last))
+        summary = analyze_subject(config, mini_lexicon, "topical", "A")
+        assert (summary.strong_count, summary.weak_count) == (4, 1)
 
 
 class TestSelectGroups:

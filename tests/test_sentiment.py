@@ -10,6 +10,7 @@ from threadknit.sentiment import (
     Lexicon,
     aggregate_alpha,
     batch_alpha,
+    bundled_lexicon,
     clean_text,
     load_lexicon,
     parse_lexicon,
@@ -17,6 +18,22 @@ from threadknit.sentiment import (
 )
 
 from conftest import HAND_SCORED_TEXTS, make_batch, make_status
+from oracles import reference_clean_text, reference_score_text
+
+# Pieces that stress the tokeniser: both apostrophes, underscores, '@',
+# URLs, characters whose lowercase or alphanumeric status is unusual
+# (dotted capital I, sharp s, Arabic-Indic digit, superscript two, Roman
+# numeral twelve) and combining marks.
+TRICKY_PIECES = [
+    "\u2019", "'", "_", "@", "#", " ", "\t", "\n", ".", "-",
+    "http://", "https://", "www.", "HTTPS://x.co/a", "wWw.b.c",
+    "İ", "ß", "٣", "²", "Ⅻ", "\u0301", "\u0307", "\u20dd",
+    "don't", "rock’n’roll", "o'", "'s", "@user_1", "good", "bad", "love",
+]
+tricky_text = st.lists(
+    st.one_of(st.sampled_from(TRICKY_PIECES), st.characters()), max_size=40
+).map("".join)
+bundled_tokens = st.sampled_from(sorted(bundled_lexicon().entries))
 
 
 class TestCleanText:
@@ -44,6 +61,10 @@ class TestCleanText:
     )
     def test_examples(self, raw, expected):
         assert clean_text(raw) == expected
+
+    @given(tricky_text)
+    def test_matches_the_per_character_oracle(self, raw):
+        assert clean_text(raw) == reference_clean_text(raw)
 
     @given(st.text(max_size=200))
     def test_idempotent(self, raw):
@@ -75,6 +96,10 @@ class TestScoreText:
 
     def test_unknown_tokens_are_zero(self, mini_lexicon):
         assert score_text("xyzzy plugh", mini_lexicon) == 0.0
+
+    @given(st.lists(st.one_of(tricky_text, bundled_tokens), max_size=8).map(" ".join))
+    def test_matches_the_per_character_oracle(self, lexicon, raw):
+        assert score_text(raw, lexicon) == reference_score_text(raw, lexicon.entries)
 
     @given(st.lists(st.sampled_from(sorted(HAND_SCORED_TEXTS)), max_size=6))
     def test_concatenation_adds(self, mini_lexicon, scored):
