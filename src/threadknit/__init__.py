@@ -1,8 +1,8 @@
 """Conversation-network structure versus lexicon sentiment.
 
-The library samples grouped search queries into per-iteration status
-batches, builds directed interaction graphs, counts strongly and weakly
-connected components, scores text sentiment against a valence lexicon, and
+The library reads per-iteration status batches of grouped subjects, builds
+directed interaction graphs, counts strongly and weakly connected
+components, scores text sentiment against a valence lexicon, and
 correlates the weak/strong component ratio (beta) with mean sentiment
 (alpha) within and across groups.
 """
@@ -18,28 +18,20 @@ from .components import (
     weak_components,
 )
 from .errors import (
-    AuthError,
     ConfigError,
     DataError,
     DegeneracyError,
     FixtureError,
     LexiconError,
-    NetworkError,
-    RateLimitError,
-    SearchClientError,
     SynthError,
     ThreadknitError,
 )
 from .graph import ConversationGraph, Edge, build_graph, export_dot, export_json
 from .ingest import (
-    Geocode,
     IterationBatch,
     QuerySpec,
     RunConfig,
-    SearchClient,
     Status,
-    build_query,
-    fetch_iteration,
     load_config,
     normalize_handle,
     parse_fixture,

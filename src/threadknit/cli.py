@@ -19,22 +19,20 @@ from pathlib import Path
 from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
 from .ingest import RunConfig, load_config, parse_bool
 from .pipeline import (
+    CORRELATIONS,
+    SUBJECT_TABLE,
     bundled_tables,
     compare_groups,
     correlate_tables,
     export_graphs,
-    read_correlations_json,
+    render_comparisons,
+    render_correlations,
     render_tables,
+    resolve_lexicon,
     run_pipeline,
     select_groups,
-    write_comparisons_csv,
-    write_comparisons_json,
-    write_correlations_csv,
-    write_correlations_json,
-    write_scatter_csv,
 )
-from .components import read_subject_table_csv
-from .pipeline import resolve_lexicon
+from .records import read_records
 from .synth import write_fixture_tree
 
 
@@ -124,9 +122,6 @@ def _cmd_analyze(args) -> int:
     )
     written = render_tables(results, out_dir)
     for result in results:
-        written.append(
-            write_scatter_csv(result, Path(out_dir) / "scatter" / f"{result.kind}.csv")
-        )
         print(f"{result.kind}: {len(result.subjects)} subjects")
     print(f"wrote {len(written)} table files under {out_dir}")
     return 0
@@ -135,28 +130,20 @@ def _cmd_analyze(args) -> int:
 def _cmd_correlate(args) -> int:
     out_dir = args.out if args.out is not None else Path("out")
     if args.bundled:
-        tables = bundled_tables()
-        if args.group:
-            known = {kind for kind, _ in tables}
-            unknown = sorted(set(args.group) - known)
-            if unknown:
-                raise ConfigError(f"unknown group(s): {', '.join(unknown)}")
-            tables = [(kind, rows) for kind, rows in tables if kind in set(args.group)]
+        tables = select_groups(bundled_tables(), args.group)
     else:
         if args.config is None:
             raise ConfigError("correlate needs --config (or --bundled)")
         config = _load(args)
         out_dir = args.out if args.out is not None else config.output_dir
         tables = []
-        for kind, _ in select_groups(config, args.group):
+        for kind, _ in select_groups(config.groups, args.group):
             table_path = Path(out_dir) / "tables" / f"{kind}.csv"
             if not table_path.is_file():
                 raise DataError(f"missing subject table {table_path}; run analyze first")
-            tables.append((kind, read_subject_table_csv(table_path)))
-    results = correlate_tables(tables)
-    reports = [result.correlation for result in results]
-    write_correlations_csv(reports, Path(out_dir) / "correlations.csv")
-    write_correlations_json(reports, Path(out_dir) / "correlations.json")
+            tables.append((kind, read_records(SUBJECT_TABLE, table_path)))
+    reports = [result.correlation for result in correlate_tables(tables)]
+    render_correlations(reports, out_dir)
     for rep in reports:
         print(
             f"{rep.group}: n={rep.n} r={rep.r:.6f} t={rep.t_stat:.6f} "
@@ -180,12 +167,10 @@ def _cmd_compare(args) -> int:
     source = Path(out_dir) / "correlations.json"
     if not source.is_file():
         raise DataError(f"missing {source}; run correlate first")
-    reports = read_correlations_json(source)
     comparisons = compare_groups(
-        reports, n_override=args.n_override, confidence=confidence
+        read_records(CORRELATIONS, source), n_override=args.n_override, confidence=confidence
     )
-    write_comparisons_csv(comparisons, Path(out_dir) / "comparisons.csv")
-    write_comparisons_json(comparisons, Path(out_dir) / "comparisons.json")
+    render_comparisons(comparisons, out_dir)
     for rep in comparisons:
         print(
             f"{rep.group_a} vs {rep.group_b}: z={rep.z_score:.6f} "
@@ -213,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegeneracyError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (DataError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ThreadknitError as err:
+    except (ThreadknitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,17 +8,13 @@ components; the division happens after rounding.
 
 from __future__ import annotations
 
-import csv
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError, DegeneracyError
+from .errors import DegeneracyError
 from .graph import ConversationGraph
+from .sentiment import aggregate_alpha
 
 
 def _strong_labels(successors: Sequence[Sequence[int]]) -> list[int]:
@@ -221,80 +217,5 @@ def summarize_subject(
         strong_count=strong,
         weak_count=weak,
         beta=beta_ratio(strong, weak),
-        alpha=fsum(alphas) / len(alphas),
+        alpha=aggregate_alpha(alphas),
     )
-
-
-TABLE_COLUMNS = ("subject", "strong_count", "weak_count", "ratio_beta", "sentiment_alpha")
-
-
-def write_subject_table_csv(rows: Sequence[SubjectSummary], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row.subject, row.strong_count, row.weak_count, repr(row.beta), repr(row.alpha)]
-            )
-    return path
-
-
-def write_subject_table_json(rows: Sequence[SubjectSummary], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [
-        {
-            "subject": row.subject,
-            "strong_count": row.strong_count,
-            "weak_count": row.weak_count,
-            "ratio_beta": row.beta,
-            "sentiment_alpha": row.alpha,
-        }
-        for row in rows
-    ]
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def read_subject_table_csv(path: str | Path) -> list[SubjectSummary]:
-    """Read a subject table back; inverse of write_subject_table_csv."""
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != TABLE_COLUMNS:
-                raise DataError(
-                    f"{path}: expected columns {', '.join(TABLE_COLUMNS)}, "
-                    f"got {reader.fieldnames}"
-                )
-            rows = []
-            for lineno, record in enumerate(reader, start=2):
-                try:
-                    counts = ComponentSummary(
-                        int(record["strong_count"]), int(record["weak_count"])
-                    )
-                    beta = float(record["ratio_beta"])
-                    alpha = float(record["sentiment_alpha"])
-                    if not (math.isfinite(beta) and math.isfinite(alpha)):
-                        raise ValueError(f"non-finite beta {beta!r} or alpha {alpha!r}")
-                    rows.append(
-                        SubjectSummary(
-                            subject=record["subject"],
-                            strong_count=counts.strong_count,
-                            weak_count=counts.weak_count,
-                            beta=beta,
-                            alpha=alpha,
-                        )
-                    )
-                except (TypeError, ValueError) as err:
-                    raise DataError(f"{path}:{lineno}: {err}") from err
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read table {path}: {err}") from err
-    if not rows:
-        raise DataError(f"{path}: table has no rows")
-    return rows

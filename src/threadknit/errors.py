@@ -36,23 +36,3 @@ class DegeneracyError(ThreadknitError, ValueError):
 class SynthError(ThreadknitError):
     """A synthetic-data request cannot be satisfied (e.g. unreachable
     sentiment target for the available lexicon)."""
-
-
-class SearchClientError(ThreadknitError):
-    """Base class for remote search failures."""
-
-
-class RateLimitError(SearchClientError):
-    """The remote endpoint refused the request due to rate limiting."""
-
-    def __init__(self, message: str = "rate limited", retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class AuthError(SearchClientError):
-    """Credentials were rejected by the remote endpoint."""
-
-
-class NetworkError(SearchClientError):
-    """The remote endpoint could not be reached."""

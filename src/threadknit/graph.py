@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .ingest import IterationBatch
 
@@ -49,13 +49,6 @@ class ConversationGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def successors(self) -> Mapping[str, tuple[str, ...]]:
-        """Sorted adjacency (deduplicated) for every node."""
-        adjacency: dict[str, set[str]] = {node: set() for node in self.nodes}
-        for edge in self.edges:
-            adjacency[edge.source].add(edge.target)
-        return {node: tuple(sorted(targets)) for node, targets in adjacency.items()}
 
 
 def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:

@@ -1,8 +1,8 @@
-"""Status records, fixture files, query construction, and run configuration.
+"""Status records, fixture files, and run configuration.
 
-A *status* is one short public message.  Statuses arrive either from a live
-search client or from fixture files: UTF-8 text, one JSON object per line,
-laid out on disk as ``<root>/<kind>/<subject-slug>/iter_NNN``.
+A *status* is one short public message.  Statuses arrive in fixture files:
+UTF-8 text, one JSON object per line, laid out on disk as
+``<root>/<kind>/<subject-slug>/iter_NNN``.
 """
 
 from __future__ import annotations
@@ -10,15 +10,15 @@ from __future__ import annotations
 import configparser
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, FixtureError
+from .records import write_atomic
 
 QUERY_KINDS = ("topical", "event", "geographic", "individual")
-RESULT_TYPES = ("mixed", "recent", "popular")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -130,37 +130,11 @@ def references(
 
 
 @dataclass(frozen=True)
-class Geocode:
-    """Circular search area: latitude, longitude, radius in kilometres."""
-
-    lat: float
-    lon: float
-    radius_km: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat!r}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon!r}")
-        if not self.radius_km > 0:
-            raise ValueError(f"radius must be positive: {self.radius_km!r}")
-
-    def render(self) -> str:
-        return "{},{},{}km".format(
-            format(self.lat, ".10g"), format(self.lon, ".10g"),
-            format(self.radius_km, ".10g"),
-        )
-
-
-@dataclass(frozen=True)
 class QuerySpec:
-    """Plan for sampling one subject: what to search for and how often."""
+    """Plan for sampling one subject: its group kind and how often."""
 
     kind: str
     subject: str
-    query_string: str
-    geocode: Geocode | None = None
-    result_type: str = "mixed"
     per_iteration_count: int = 950
     iterations: int = 100
 
@@ -169,54 +143,15 @@ class QuerySpec:
             raise ValueError(f"unknown query kind: {self.kind!r}")
         if not self.subject:
             raise ValueError("subject must be nonempty")
-        if self.result_type not in RESULT_TYPES:
-            raise ValueError(f"unknown result type: {self.result_type!r}")
         if self.per_iteration_count < 1:
             raise ValueError("per_iteration_count must be at least 1")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
-    @classmethod
-    def for_subject(
-        cls,
-        kind: str,
-        subject: str,
-        aliases: Sequence[str] = (),
-        geocode: Geocode | None = None,
-        **kwargs: Any,
-    ) -> "QuerySpec":
-        """Build a spec whose query is the OR-join of the subject's search
-        terms.  Aliases, when given, replace the display subject as the
-        search terms."""
-        terms = tuple(aliases) if aliases else (subject,)
-        return cls(
-            kind=kind,
-            subject=subject,
-            query_string=" OR ".join(terms),
-            geocode=geocode,
-            **kwargs,
-        )
-
-
-def build_query(spec: QuerySpec) -> str:
-    """Final query string for a spec, appending the geocode operator when set.
-
-    Deterministic; raises ValueError when the spec has neither search terms
-    nor a geocode.
-    """
-    if not spec.query_string and spec.geocode is None:
-        raise ValueError(f"subject {spec.subject!r}: empty query and no geocode")
-    parts = []
-    if spec.query_string:
-        parts.append(spec.query_string)
-    if spec.geocode is not None:
-        parts.append("geocode:" + spec.geocode.render())
-    return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class IterationBatch:
-    """Statuses returned by one iteration of a spec's query."""
+    """The statuses of one iteration of a subject's plan."""
 
     spec: QuerySpec
     index: int
@@ -288,10 +223,6 @@ def _record_fields(record: Any, handles: dict[str, str]) -> StatusFields:
     return status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
 
 
-def _status_from_record(record: Mapping[str, Any]) -> Status:
-    return Status(*_record_fields(record, {}))
-
-
 def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[StatusFields]:
     """Checked Status fields of every record in one iteration file.
 
@@ -332,12 +263,7 @@ def _default_spec_for(path: Path, index: int) -> QuerySpec:
     kind = path.parent.parent.name if path.parent.parent else ""
     if kind not in QUERY_KINDS:
         kind = "topical"
-    return QuerySpec(
-        kind=kind,
-        subject=subject,
-        query_string=subject,
-        iterations=max(100, index + 1),
-    )
+    return QuerySpec(kind=kind, subject=subject, iterations=max(100, index + 1))
 
 
 def parse_fixture(
@@ -367,8 +293,6 @@ def write_fixture(batch: IterationBatch, path: str | Path) -> Path:
     Optional fields are omitted when unset, so writing then parsing with
     the same spec and index reproduces the batch exactly.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for status in batch.statuses:
         record: dict[str, Any] = {
@@ -386,9 +310,8 @@ def write_fixture(batch: IterationBatch, path: str | Path) -> Path:
             record["retweet_of"] = status.retweet_of
         if status.quote_of is not None:
             record["quote_of"] = status.quote_of
-        lines.append(json.dumps(record, ensure_ascii=False))
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return path
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return write_atomic(path, lambda handle: handle.writelines(lines))
 
 
 def iteration_filename(index: int) -> str:
@@ -403,45 +326,6 @@ def fixture_path(root: str | Path, spec: QuerySpec, index: int) -> Path:
     return Path(root) / spec.kind / subject_slug(spec.subject) / iteration_filename(index)
 
 
-class SearchClient(Protocol):
-    """Anything that can run one remote search request.
-
-    Implementations raise RateLimitError, AuthError, or NetworkError on
-    failure; those propagate unchanged to the caller."""
-
-    def search(
-        self,
-        query: str,
-        count: int,
-        result_type: str,
-        geocode: str | None = None,
-    ) -> Sequence[Mapping[str, Any]]:
-        ...
-
-
-def fetch_iteration(client: SearchClient, spec: QuerySpec, index: int) -> IterationBatch:
-    """Run one iteration of a spec against a live client.
-
-    Results beyond ``spec.per_iteration_count`` are truncated; an empty
-    result is a valid empty batch.  Client errors propagate unchanged.
-    """
-    if not spec.query_string and spec.geocode is None:
-        raise ValueError(f"subject {spec.subject!r}: empty query and no geocode")
-    geocode = spec.geocode.render() if spec.geocode is not None else None
-    records = client.search(
-        spec.query_string, spec.per_iteration_count, spec.result_type, geocode
-    )
-    statuses = []
-    for position, record in enumerate(records):
-        if position >= spec.per_iteration_count:
-            break
-        try:
-            statuses.append(_status_from_record(record))
-        except ValueError as err:
-            raise FixtureError(f"search result {position}: {err}") from err
-    return IterationBatch(spec=spec, index=index, statuses=tuple(statuses))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a full run needs: directories, plan sizes, and groups.
@@ -454,27 +338,15 @@ class RunConfig:
     output_dir: Path
     groups: tuple[tuple[str, tuple[str, ...]], ...]
     lexicon_path: Path | None = None
-    aliases: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    geocodes: Mapping[str, Geocode] = field(default_factory=dict)
     per_iteration_count: int = 950
     iterations: int = 100
     seed: int = 0
     include_isolates: bool = True
     confidence: float = 0.95
-    result_type: str = "mixed"
     edge_kinds: tuple[str, ...] = ("reply", "mention", "retweet", "quote")
 
     def spec_for(self, kind: str, subject: str) -> QuerySpec:
-        key = subject.casefold()
-        return QuerySpec.for_subject(
-            kind,
-            subject,
-            aliases=self.aliases.get(key, ()),
-            geocode=self.geocodes.get(key),
-            result_type=self.result_type,
-            per_iteration_count=self.per_iteration_count,
-            iterations=self.iterations,
-        )
+        return QuerySpec(kind, subject, self.per_iteration_count, self.iterations)
 
     def subjects(self) -> Iterator[tuple[str, str]]:
         for kind, names in self.groups:
@@ -499,12 +371,19 @@ def parse_bool(value: str) -> bool:
         raise ValueError(f"not a boolean: {value!r}") from None
 
 
+# the [run] keys; any other key, or any section but [run] and [groups], is
+# a ConfigError, so a misspelt key cannot be silently ignored
+RUN_KEYS = (
+    "fixtures", "output", "lexicon", "per_iteration_count", "iterations", "seed",
+    "include_isolates", "confidence", "edge_kinds",
+)
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse an INI run configuration.
 
-    Sections: ``[run]`` for scalars, ``[groups]`` mapping query kind to a
-    comma-separated subject list, optional ``[aliases]`` and ``[geocodes]``
-    keyed by subject.
+    Sections: ``[run]`` for the scalars in RUN_KEYS, and ``[groups]``
+    mapping query kind to a comma-separated subject list.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -516,6 +395,9 @@ def load_config(path: str | Path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
 
+    for section in parser.sections():
+        if section not in ("run", "groups"):
+            raise ConfigError(f"{path}: unknown section [{section}]; expected [run] and [groups]")
     if not parser.has_section("groups"):
         raise ConfigError(f"{path}: missing [groups] section")
     groups = []
@@ -538,24 +420,21 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: no groups configured")
 
     run = parser["run"] if parser.has_section("run") else {}
+    for key in run:
+        if key not in RUN_KEYS:
+            raise ConfigError(
+                f"{path}: unknown [run] key {key!r}; expected one of {', '.join(RUN_KEYS)}"
+            )
 
-    def _get_int(key: str, default: int) -> int:
+    def _get_number(key: str, kind: type, default: float) -> Any:
         raw = run.get(key)
         if raw is None:
             return default
         try:
-            return int(str(raw).strip())
+            return kind(str(raw).strip())
         except ValueError:
-            raise ConfigError(f"{path}: {key} must be an integer, got {raw!r}") from None
-
-    def _get_float(key: str, default: float) -> float:
-        raw = run.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(str(raw).strip())
-        except ValueError:
-            raise ConfigError(f"{path}: {key} must be a number, got {raw!r}") from None
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{path}: {key} must be {what}, got {raw!r}") from None
 
     base = path.parent
 
@@ -573,10 +452,10 @@ def load_config(path: str | Path) -> RunConfig:
     output_dir = _get_path("output", "out")
     lexicon_path = _get_path("lexicon", None)
 
-    per_iteration_count = _get_int("per_iteration_count", 950)
-    iterations = _get_int("iterations", 100)
-    seed = _get_int("seed", 0)
-    confidence = _get_float("confidence", 0.95)
+    per_iteration_count = _get_number("per_iteration_count", int, 950)
+    iterations = _get_number("iterations", int, 100)
+    seed = _get_number("seed", int, 0)
+    confidence = _get_number("confidence", float, 0.95)
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"{path}: confidence must be strictly between 0 and 1")
     if per_iteration_count < 1 or iterations < 1:
@@ -589,10 +468,6 @@ def load_config(path: str | Path) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"{path}: {err}") from err
 
-    result_type = str(run.get("result_type", "mixed")).strip().lower()
-    if result_type not in RESULT_TYPES:
-        raise ConfigError(f"{path}: unknown result_type {result_type!r}")
-
     edge_kinds: tuple[str, ...] = ("reply", "mention", "retweet", "quote")
     if "edge_kinds" in run:
         edge_kinds = _split_csv(run["edge_kinds"])
@@ -600,41 +475,15 @@ def load_config(path: str | Path) -> RunConfig:
         if unknown or not edge_kinds:
             raise ConfigError(f"{path}: bad edge_kinds {run['edge_kinds']!r}")
 
-    aliases: dict[str, tuple[str, ...]] = {}
-    if parser.has_section("aliases"):
-        for subject in parser.options("aliases"):
-            terms = _split_csv(parser.get("aliases", subject))
-            if not terms:
-                raise ConfigError(f"{path}: aliases for {subject!r} are empty")
-            aliases[subject.casefold()] = terms
-
-    geocodes: dict[str, Geocode] = {}
-    if parser.has_section("geocodes"):
-        for subject in parser.options("geocodes"):
-            parts = _split_csv(parser.get("geocodes", subject))
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"{path}: geocode for {subject!r} must be 'lat, lon, radius_km'"
-                )
-            try:
-                geocodes[subject.casefold()] = Geocode(
-                    float(parts[0]), float(parts[1]), float(parts[2])
-                )
-            except ValueError as err:
-                raise ConfigError(f"{path}: geocode for {subject!r}: {err}") from err
-
     return RunConfig(
         fixtures_dir=fixtures_dir,
         output_dir=output_dir,
         groups=tuple((kind, tuple(names)) for kind, names in groups),
         lexicon_path=lexicon_path,
-        aliases=aliases,
-        geocodes=geocodes,
         per_iteration_count=per_iteration_count,
         iterations=iterations,
         seed=seed,
         include_isolates=include_isolates,
         confidence=confidence,
-        result_type=result_type,
         edge_kinds=edge_kinds,
     )

@@ -8,22 +8,17 @@ as deterministic CSV and JSON.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Sequence
 
 from .components import (
     ComponentSummary,
     SubjectSummary,
     _component_counts,
-    read_subject_table_csv,
     summarize_subject,
-    write_subject_table_csv,
-    write_subject_table_json,
 )
 from .errors import ConfigError, DataError, DegeneracyError
 from .graph import ConversationGraph, build_graph, edge_kind_set, export_dot
@@ -37,6 +32,7 @@ from .ingest import (
     references,
     subject_slug,
 )
+from .records import RecordSpec, read_records, write_atomic, write_csv, write_json
 from .sentiment import Lexicon, bundled_lexicon, load_lexicon, mean_score, score_text
 from .stats import (
     ComparisonReport,
@@ -140,19 +136,21 @@ def final_iteration_graph(
 
 
 def select_groups(
-    config: RunConfig, only: Sequence[str] | None = None
-) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    groups: Sequence[tuple[str, Any]], only: Sequence[str] | None = None
+) -> Sequence[tuple[str, Any]]:
+    """The ``(kind, ...)`` pairs whose kind is in ``only``, in their given
+    order; ``groups`` itself when ``only`` is empty."""
     if not only:
-        return config.groups
-    known = {kind for kind, _ in config.groups}
+        return groups
+    known = {kind for kind, _ in groups}
     unknown = [name for name in only if name not in known]
     if unknown:
         raise ConfigError(
-            f"unknown group(s) {', '.join(sorted(unknown))}; configured: "
+            f"unknown group(s) {', '.join(sorted(unknown))}; known: "
             f"{', '.join(sorted(known))}"
         )
     wanted = set(only)
-    return tuple((kind, names) for kind, names in config.groups if kind in wanted)
+    return tuple((kind, value) for kind, value in groups if kind in wanted)
 
 
 def run_pipeline(
@@ -170,7 +168,7 @@ def run_pipeline(
     if jobs < 1:
         raise ConfigError(f"jobs must be positive, got {jobs}")
     lexicon = lexicon if lexicon is not None else resolve_lexicon(config)
-    groups = select_groups(config, only_groups)
+    groups = select_groups(config.groups, only_groups)
     for kind, subjects in groups:
         if len(subjects) < 3:
             raise DegeneracyError(
@@ -192,14 +190,9 @@ def run_pipeline(
             }
             for key, future in futures.items():
                 rows[key] = future.result()
-    results = []
-    for kind, subjects in groups:
-        table = tuple(rows[(kind, subject)] for subject in subjects)
-        report = correlation_report(
-            kind, [row.beta for row in table], [row.alpha for row in table]
-        )
-        results.append(GroupResult(kind=kind, subjects=table, correlation=report))
-    return results
+    return correlate_tables(
+        [(kind, [rows[(kind, subject)] for subject in subjects]) for kind, subjects in groups]
+    )
 
 
 def correlate_tables(
@@ -223,7 +216,7 @@ def bundled_tables() -> list[tuple[str, list[SubjectSummary]]]:
     for kind in QUERY_KINDS:
         resource = base.joinpath(f"{kind}.csv")
         with resources.as_file(resource) as path:
-            tables.append((kind, read_subject_table_csv(path)))
+            tables.append((kind, read_records(SUBJECT_TABLE, path)))
     return tables
 
 
@@ -274,141 +267,71 @@ def compare_groups(
     return out
 
 
-CORRELATION_COLUMNS = ("group", "n", "r", "mean_x", "mean_y", "t_stat", "p_value")
-COMPARISON_COLUMNS = ("group_a", "group_b", "z_score", "p_value", "zou_low", "zou_high")
+SUBJECT_TABLE = RecordSpec(
+    "subject",
+    SubjectSummary,
+    (
+        ("subject", "subject", str),
+        ("strong_count", "strong_count", int),
+        ("weak_count", "weak_count", int),
+        ("ratio_beta", "beta", float),
+        ("sentiment_alpha", "alpha", float),
+    ),
+    # counts read back must be ones a graph can have
+    check=lambda row: ComponentSummary(row.strong_count, row.weak_count),
+)
+# the scatter CSV is the subject table without its counts
+SCATTER = RecordSpec(
+    "scatter", SubjectSummary, tuple(c for c in SUBJECT_TABLE.columns if c[2] is not int)
+)
+CORRELATIONS = RecordSpec(
+    "correlation",
+    CorrelationReport,
+    (
+        ("group", "group", str),
+        ("n", "n", int),
+        *((name, name, float) for name in ("r", "mean_x", "mean_y", "t_stat", "p_value")),
+    ),
+)
+COMPARISONS = RecordSpec(
+    "comparison",
+    ComparisonReport,
+    (
+        ("group_a", "group_a", str),
+        ("group_b", "group_b", str),
+        *((name, name, float) for name in ("z_score", "p_value", "zou_low", "zou_high")),
+    ),
+    json_only=(("confidence", "confidence", float),),
+)
 
 
-def write_correlations_csv(reports: Sequence[CorrelationReport], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CORRELATION_COLUMNS)
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.group,
-                    rep.n,
-                    repr(rep.r),
-                    repr(rep.mean_x),
-                    repr(rep.mean_y),
-                    repr(rep.t_stat),
-                    repr(rep.p_value),
-                ]
-            )
-    return path
-
-
-def write_correlations_json(reports: Sequence[CorrelationReport], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [
-        {
-            "group": rep.group,
-            "n": rep.n,
-            "r": rep.r,
-            "mean_x": rep.mean_x,
-            "mean_y": rep.mean_y,
-            "t_stat": rep.t_stat,
-            "p_value": rep.p_value,
-        }
-        for rep in reports
+def _write_both(spec: RecordSpec, records: Sequence, stem: Path) -> list[Path]:
+    return [
+        write_csv(spec, records, stem.with_suffix(".csv")),
+        write_json(spec, records, stem.with_suffix(".json")),
     ]
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def read_correlations_json(path: str | Path) -> list[CorrelationReport]:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as err:
-        raise DataError(f"cannot read correlations {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON: {err.msg}") from err
-    if not isinstance(payload, list):
-        raise DataError(f"{path}: expected a list of correlation records")
-    reports = []
-    for record in payload:
-        try:
-            reports.append(
-                CorrelationReport(
-                    group=record["group"],
-                    n=int(record["n"]),
-                    r=float(record["r"]),
-                    mean_x=float(record["mean_x"]),
-                    mean_y=float(record["mean_y"]),
-                    t_stat=float(record["t_stat"]),
-                    p_value=float(record["p_value"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise DataError(f"{path}: bad correlation record {record!r}: {err}") from err
-    return reports
-
-
-def write_comparisons_csv(reports: Sequence[ComparisonReport], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARISON_COLUMNS)
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.group_a,
-                    rep.group_b,
-                    repr(rep.z_score),
-                    repr(rep.p_value),
-                    repr(rep.zou_low),
-                    repr(rep.zou_high),
-                ]
-            )
-    return path
-
-
-def write_comparisons_json(reports: Sequence[ComparisonReport], path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [
-        {
-            "group_a": rep.group_a,
-            "group_b": rep.group_b,
-            "z_score": rep.z_score,
-            "p_value": rep.p_value,
-            "zou_low": rep.zou_low,
-            "zou_high": rep.zou_high,
-            "confidence": rep.confidence,
-        }
-        for rep in reports
-    ]
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def write_scatter_csv(result: GroupResult, path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("subject", "ratio_beta", "sentiment_alpha"))
-        for row in result.subjects:
-            writer.writerow([row.subject, repr(row.beta), repr(row.alpha)])
-    return path
 
 
 def render_tables(results: Sequence[GroupResult], out_dir: str | Path) -> list[Path]:
+    """Write each group's subject table (CSV and JSON) and scatter CSV."""
     out_dir = _checked_out_dir(out_dir)
     written = []
     for result in results:
+        written += _write_both(SUBJECT_TABLE, result.subjects, out_dir / "tables" / result.kind)
         written.append(
-            write_subject_table_csv(result.subjects, out_dir / "tables" / f"{result.kind}.csv")
-        )
-        written.append(
-            write_subject_table_json(result.subjects, out_dir / "tables" / f"{result.kind}.json")
+            write_csv(SCATTER, result.subjects, out_dir / "scatter" / f"{result.kind}.csv")
         )
     return written
+
+
+def render_correlations(reports: Sequence[CorrelationReport], out_dir: str | Path) -> list[Path]:
+    """Write ``correlations.csv`` and ``correlations.json``."""
+    return _write_both(CORRELATIONS, reports, _checked_out_dir(out_dir) / "correlations")
+
+
+def render_comparisons(comparisons: Sequence[ComparisonReport], out_dir: str | Path) -> list[Path]:
+    """Write ``comparisons.csv`` and ``comparisons.json``."""
+    return _write_both(COMPARISONS, comparisons, _checked_out_dir(out_dir) / "comparisons")
 
 
 def render_reports(
@@ -421,18 +344,10 @@ def render_reports(
     Same inputs, same bytes: rows follow the given order, floats are
     rendered with repr, and all text is UTF-8 with newline line endings.
     """
-    out_dir = _checked_out_dir(out_dir)
     written = render_tables(results, out_dir)
-    correlations = [result.correlation for result in results]
-    written.append(write_correlations_csv(correlations, out_dir / "correlations.csv"))
-    written.append(write_correlations_json(correlations, out_dir / "correlations.json"))
-    for result in results:
-        written.append(
-            write_scatter_csv(result, out_dir / "scatter" / f"{result.kind}.csv")
-        )
+    written += render_correlations([result.correlation for result in results], out_dir)
     if comparisons is not None:
-        written.append(write_comparisons_csv(comparisons, out_dir / "comparisons.csv"))
-        written.append(write_comparisons_json(comparisons, out_dir / "comparisons.json"))
+        written += render_comparisons(comparisons, out_dir)
     return written
 
 
@@ -444,13 +359,11 @@ def export_graphs(
     """Write the final-iteration graph of every subject as canonical DOT."""
     out_dir = _checked_out_dir(out_dir if out_dir is not None else config.output_dir)
     written = []
-    for kind, subjects in select_groups(config, only_groups):
+    for kind, subjects in select_groups(config.groups, only_groups):
         for subject in subjects:
             graph = final_iteration_graph(config, kind, subject)
             target = out_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(export_dot(graph), encoding="utf-8")
-            written.append(target)
+            written.append(write_atomic(target, lambda handle: handle.write(export_dot(graph))))
     return written
 
 

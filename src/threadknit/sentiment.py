@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from math import fsum
 from pathlib import Path
@@ -70,6 +71,16 @@ class Lexicon:
 
     def valence(self, token: str) -> float:
         return self.entries.get(token, 0.0)
+
+    @cached_property
+    def by_valence(self) -> list[tuple[float, list[str]]]:
+        """(valence, sorted tokens) for every nonzero valence, ascending;
+        built on first use and kept, so the lexicon is sorted once."""
+        groups: dict[float, list[str]] = {}
+        for token, valence in self.entries.items():
+            if valence != 0.0:
+                groups.setdefault(valence, []).append(token)
+        return sorted((v, sorted(tokens)) for v, tokens in groups.items())
 
 
 def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from math import fsum
 from typing import Iterator, Sequence
 
 from .errors import SynthError
@@ -123,14 +122,6 @@ def synth_graph(spec: SynthSpec) -> ConversationGraph:
     return ConversationGraph(nodes=frozenset(names), edges=edges)
 
 
-def _valence_index(lexicon: Lexicon) -> list[tuple[float, list[str]]]:
-    by_valence: dict[float, list[str]] = {}
-    for token, valence in lexicon.entries.items():
-        if valence != 0.0:
-            by_valence.setdefault(valence, []).append(token)
-    return sorted((v, sorted(tokens)) for v, tokens in by_valence.items())
-
-
 def _corpus_texts(
     count: int,
     target_mean: float,
@@ -145,7 +136,7 @@ def _corpus_texts(
     residual therefore never accumulates across texts.  Raises SynthError
     when the target cannot be approached with the available valences.
     """
-    valences = _valence_index(lexicon)
+    valences = lexicon.by_valence
     by_valence = dict(valences)
     filler = [w for w in FILLER_WORDS if w not in lexicon.entries]
     if not filler:
@@ -268,14 +259,6 @@ class SubjectPlan:
 
     query_spec: QuerySpec
     synth_spec: SynthSpec
-
-    @property
-    def beta(self) -> float:
-        return self.synth_spec.weak_count / self.synth_spec.strong_count
-
-    @property
-    def alpha(self) -> float:
-        return self.synth_spec.target_mean
 
 
 def default_plan(config: RunConfig) -> list[SubjectPlan]:

@@ -65,7 +65,7 @@ def mini_lexicon() -> Lexicon:
 
 
 def make_spec(**overrides) -> QuerySpec:
-    base = dict(kind="topical", subject="Subject", query_string="subject")
+    base = dict(kind="topical", subject="Subject")
     base.update(overrides)
     return QuerySpec(**base)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -185,6 +186,23 @@ class TestCompareCommand:
         assert (tmp_path / "comparisons.csv").is_file()
         assert (tmp_path / "comparisons.json").is_file()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", float("nan")), ("r", float("inf")), ("t_stat", float("-inf")), ("group", 7)],
+    )
+    def test_bad_correlation_record_is_one_error_line_exit_2(self, tmp_path, field, value):
+        run_cli("correlate", "--bundled", "--out", tmp_path)
+        source = tmp_path / "correlations.json"
+        records = json.loads(source.read_text(encoding="utf-8"))
+        records[0][field] = value
+        # json writes non-finite floats as NaN / Infinity, which json.loads accepts
+        source.write_text(json.dumps(records), encoding="utf-8")
+        code, err = run_cli_process(tmp_path, "compare", "--out", ".")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and "record 1" in err[0]
+        assert not (tmp_path / "comparisons.csv").exists()
+        assert not (tmp_path / "comparisons.json").exists()
+
     def test_before_correlate_exit_2(self, tmp_path, capsys):
         assert run_cli("compare", "--out", tmp_path) == 2
         assert "run correlate first" in capsys.readouterr().err
@@ -228,6 +246,21 @@ class TestErrorHandling:
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nfixtures = f\noutput = o\n", encoding="utf-8")
         assert run_cli("synth", "--config", bad) == 1
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            (CONFIG + "\n[aliases]\nAlpha = alpha, a\n", "[aliases]"),
+            (CONFIG.replace("per_iteration_count", "per_iteraton_count"), "'per_iteraton_count'"),
+        ],
+        ids=["aliases-section", "misspelt-run-key"],
+    )
+    def test_unknown_config_key_exit_1(self, workdir, capsys, config, named):
+        (workdir / "run.ini").write_text(config, encoding="utf-8")
+        assert run_cli("synth", "--config", config_arg(workdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (workdir / "fixtures").exists()
 
     def test_degenerate_group_exit_3(self, tmp_path, capsys):
         ini = tmp_path / "tiny.ini"

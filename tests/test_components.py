@@ -13,16 +13,15 @@ from threadknit.components import (
     average_count,
     beta_ratio,
     component_summary,
-    read_subject_table_csv,
     round_half_away,
     strong_components,
     summarize_subject,
     weak_components,
-    write_subject_table_csv,
-    write_subject_table_json,
 )
 from threadknit.errors import DataError, DegeneracyError
 from threadknit.graph import ConversationGraph, Edge
+from threadknit.pipeline import SUBJECT_TABLE
+from threadknit.records import read_records, write_csv, write_json
 
 from oracles import closure_component_counts
 
@@ -289,14 +288,14 @@ class TestTables:
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_subject_table_csv(self.rows(), path)
+        write_csv(SUBJECT_TABLE, self.rows(), path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "subject,strong_count,weak_count,ratio_beta,sentiment_alpha"
-        assert read_subject_table_csv(path) == self.rows()
+        assert read_records(SUBJECT_TABLE, path) == self.rows()
 
     def test_json_shape(self, tmp_path):
         path = tmp_path / "t.json"
-        write_subject_table_json(self.rows(), path)
+        write_json(SUBJECT_TABLE, self.rows(), path)
         text = path.read_text(encoding="utf-8")
         assert '"ratio_beta"' in text and '"San José"' in text
 
@@ -304,7 +303,7 @@ class TestTables:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(DataError, match="expected columns"):
-            read_subject_table_csv(path)
+            read_records(SUBJECT_TABLE, path)
 
     def test_empty_table_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -313,11 +312,11 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(DataError, match="no rows"):
-            read_subject_table_csv(path)
+            read_records(SUBJECT_TABLE, path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
-            read_subject_table_csv(tmp_path / "none.csv")
+            read_records(SUBJECT_TABLE, tmp_path / "none.csv")
 
     @pytest.mark.parametrize(
         "row, message",
@@ -339,4 +338,4 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(DataError, match=f"t.csv:3: .*{message}"):
-            read_subject_table_csv(path)
+            read_records(SUBJECT_TABLE, path)

@@ -6,21 +6,12 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from threadknit.errors import (
-    AuthError,
-    ConfigError,
-    FixtureError,
-    NetworkError,
-    RateLimitError,
-)
+from threadknit.errors import ConfigError, FixtureError
 from threadknit.ingest import (
     EPOCH,
-    Geocode,
     IterationBatch,
     QuerySpec,
     Status,
-    build_query,
-    fetch_iteration,
     fixture_path,
     iteration_filename,
     load_config,
@@ -113,53 +104,9 @@ class TestStatus:
 
 
 class TestQueryBuilding:
-    def test_plain_subject(self):
-        spec = QuerySpec.for_subject("topical", "HVAC")
-        assert build_query(spec) == "HVAC"
-
-    def test_aliases_become_or_join(self):
-        spec = QuerySpec.for_subject(
-            "individual", "Elon Musk", aliases=("elon musk", "musk")
-        )
-        assert spec.query_string == "elon musk OR musk"
-        assert build_query(spec) == "elon musk OR musk"
-
-    def test_geocode_operator_appended(self):
-        spec = QuerySpec.for_subject(
-            "geographic", "NYC", geocode=Geocode(40.7, -74.0, 10.0)
-        )
-        query = build_query(spec)
-        assert "40.7,-74,10km" in query
-        assert query.endswith("geocode:40.7,-74,10km")
-
-    def test_geocode_only_query(self):
-        spec = QuerySpec(
-            kind="geographic",
-            subject="Somewhere",
-            query_string="",
-            geocode=Geocode(1.5, 2.25, 5.0),
-        )
-        assert build_query(spec) == "geocode:1.5,2.25,5km"
-
-    def test_empty_query_without_geocode_rejected(self):
-        spec = QuerySpec(kind="topical", subject="x", query_string="")
-        with pytest.raises(ValueError):
-            build_query(spec)
-
-    def test_deterministic(self):
-        spec = QuerySpec.for_subject("topical", "A B", aliases=("a", "b"))
-        assert build_query(spec) == build_query(spec)
-
-    @pytest.mark.parametrize(
-        "lat,lon,radius", [(91.0, 0.0, 1.0), (0.0, 181.0, 1.0), (0.0, 0.0, 0.0)]
-    )
-    def test_geocode_validation(self, lat, lon, radius):
-        with pytest.raises(ValueError):
-            Geocode(lat, lon, radius)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            QuerySpec(kind="regional", subject="x", query_string="x")
+            QuerySpec(kind="regional", subject="x")
 
 
 class TestIterationBatch:
@@ -297,6 +244,16 @@ class TestWriteFixture:
         write_fixture(batch, path)
         assert parse_fixture(path, spec=batch.spec).statuses[0].text == weird
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "iter_000"
+        write_fixture(make_batch([make_status(1, "a")]), path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails midway
+        with pytest.raises(UnicodeEncodeError):
+            write_fixture(make_batch([make_status(2, "b", text="\ud800")]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["iter_000"]
+
     def test_layout_helpers(self):
         assert iteration_filename(7) == "iter_007"
         assert iteration_filename(123) == "iter_123"
@@ -313,63 +270,6 @@ class TestWriteFixture:
             subject_slug("---")
 
 
-class _StubClient:
-    def __init__(self, records=None, error=None):
-        self.records = records or []
-        self.error = error
-        self.calls = []
-
-    def search(self, query, count, result_type, geocode=None):
-        self.calls.append((query, count, result_type, geocode))
-        if self.error is not None:
-            raise self.error
-        return self.records
-
-
-class TestFetchIteration:
-    def _record(self, i):
-        return {"id": str(i), "text": f"t{i}", "author": f"a{i}"}
-
-    def test_truncates_to_plan_size(self):
-        spec = make_spec(per_iteration_count=3)
-        client = _StubClient(records=[self._record(i) for i in range(10)])
-        batch = fetch_iteration(client, spec, 0)
-        assert len(batch.statuses) == 3
-        assert client.calls == [("subject", 3, "mixed", None)]
-
-    def test_empty_result_is_valid(self):
-        batch = fetch_iteration(_StubClient(), make_spec(), 2)
-        assert batch.statuses == ()
-        assert batch.index == 2
-
-    def test_geocode_passed_through(self):
-        spec = make_spec(
-            kind="geographic", geocode=Geocode(40.7, -74.0, 10.0)
-        )
-        client = _StubClient()
-        fetch_iteration(client, spec, 0)
-        assert client.calls[0][3] == "40.7,-74,10km"
-
-    @pytest.mark.parametrize(
-        "error",
-        [RateLimitError("slow down", retry_after=12.5), AuthError("bad key"), NetworkError("down")],
-    )
-    def test_client_errors_propagate_unchanged(self, error):
-        client = _StubClient(error=error)
-        with pytest.raises(type(error)) as exc_info:
-            fetch_iteration(client, make_spec(), 0)
-        assert exc_info.value is error
-
-    def test_retry_after_carried(self):
-        err = RateLimitError("slow down", retry_after=30.0)
-        assert err.retry_after == 30.0
-
-    def test_bad_record_is_fixture_error(self):
-        client = _StubClient(records=[{"id": "1", "text": "x"}])
-        with pytest.raises(FixtureError):
-            fetch_iteration(client, make_spec(), 0)
-
-
 CONFIG_TEXT = """
 [run]
 fixtures = trees
@@ -384,12 +284,6 @@ edge_kinds = reply, mention
 [groups]
 topical = Christianity, NORAD, Duke Energy
 individual = Elon Musk, Kanye West, Stefon Diggs
-
-[aliases]
-Elon Musk = elon musk, musk
-
-[geocodes]
-NORAD = 38.7, -104.8, 25
 """
 
 
@@ -411,10 +305,7 @@ class TestLoadConfig:
             ("individual", ("Elon Musk", "Kanye West", "Stefon Diggs")),
         )
         spec = config.spec_for("individual", "Elon Musk")
-        assert spec.query_string == "elon musk OR musk"
         assert spec.per_iteration_count == 40
-        norad = config.spec_for("topical", "NORAD")
-        assert norad.geocode == Geocode(38.7, -104.8, 25.0)
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "run.ini"

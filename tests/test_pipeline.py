@@ -6,8 +6,8 @@ from threadknit.errors import ConfigError, DataError, DegeneracyError
 from threadknit.graph import build_graph, export_dot
 from threadknit.ingest import RunConfig, write_fixture, fixture_path
 from threadknit.pipeline import (
-    COMPARISON_COLUMNS,
-    CORRELATION_COLUMNS,
+    CORRELATIONS,
+    SCATTER,
     GroupResult,
     analyze_subject,
     bundled_tables,
@@ -17,14 +17,11 @@ from threadknit.pipeline import (
     export_graphs,
     final_iteration_graph,
     iteration_files,
-    read_correlations_json,
     render_reports,
     run_pipeline,
     select_groups,
-    write_correlations_csv,
-    write_correlations_json,
-    write_scatter_csv,
 )
+from threadknit.records import read_records, write_csv, write_json
 from threadknit.stats import compare_correlations, zou_interval
 from threadknit.synth import default_plan, write_fixture_tree
 
@@ -222,14 +219,14 @@ class TestSelectGroups:
         config = tiny_config(
             tmp_path, [("topical", ("A", "B", "C")), ("event", ("D", "E", "F"))]
         )
-        assert select_groups(config) == config.groups
-        assert select_groups(config, []) == config.groups
+        assert select_groups(config.groups) == config.groups
+        assert select_groups(config.groups, []) == config.groups
 
     def test_subset_preserves_config_order(self, tmp_path):
         config = tiny_config(
             tmp_path, [("topical", ("A", "B", "C")), ("event", ("D", "E", "F"))]
         )
-        picked = select_groups(config, ["event"])
+        picked = select_groups(config.groups, ["event"])
         assert picked == (("event", ("D", "E", "F")),)
 
 
@@ -327,19 +324,19 @@ class TestWriters:
 
     def test_correlations_json_round_trip(self, tmp_path):
         reports = [r.correlation for r in self.results()]
-        path = write_correlations_json(reports, tmp_path / "c.json")
-        assert read_correlations_json(path) == reports
+        path = write_json(CORRELATIONS, reports, tmp_path / "c.json")
+        assert read_records(CORRELATIONS, path) == reports
 
     def test_correlations_csv_header(self, tmp_path):
         reports = [r.correlation for r in self.results()]
-        path = write_correlations_csv(reports, tmp_path / "c.csv")
+        path = write_csv(CORRELATIONS, reports, tmp_path / "c.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == ",".join(CORRELATION_COLUMNS)
+        assert lines[0] == "group,n,r,mean_x,mean_y,t_stat,p_value"
         assert len(lines) == 1 + len(reports)
 
     def test_scatter_csv(self, tmp_path):
         result = self.results()[0]
-        path = write_scatter_csv(result, tmp_path / "s.csv")
+        path = write_csv(SCATTER, result.subjects, tmp_path / "s.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "subject,ratio_beta,sentiment_alpha"
         assert lines[1].startswith("Christianity,")
@@ -365,16 +362,16 @@ class TestWriters:
         assert (tmp_path / "tables" / "topical.csv").is_file()
         assert (tmp_path / "scatter" / "individual.csv").is_file()
         header = (tmp_path / "comparisons.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert header == ",".join(COMPARISON_COLUMNS)
+        assert header == "group_a,group_b,z_score,p_value,zou_low,zou_high"
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"not": "a list"}', encoding="utf-8")
         with pytest.raises(DataError, match="expected a list"):
-            read_correlations_json(path)
+            read_records(CORRELATIONS, path)
         path.write_text('[{"group": "x"}]', encoding="utf-8")
         with pytest.raises(DataError, match="bad correlation record"):
-            read_correlations_json(path)
+            read_records(CORRELATIONS, path)
 
 
 class TestExportGraphs:
@@ -387,6 +384,19 @@ class TestExportGraphs:
         text = written[0].read_text(encoding="utf-8")
         assert text.startswith("digraph {\n")
         assert "->" in text
+
+    def test_interrupted_export_keeps_previous_graphs(self, tmp_path, lexicon, monkeypatch):
+        config = planted_config(tmp_path, lexicon, groups=[("topical", ("A", "B", "C"))])
+        export_graphs(config)
+        graphs = config.output_dir / "graphs"
+        before = {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()}
+
+        # a lone surrogate cannot be encoded, so writing the DOT text fails
+        # after its file was opened
+        monkeypatch.setattr("threadknit.pipeline.export_dot", lambda graph: "digraph {\ud800}\n")
+        with pytest.raises(UnicodeEncodeError):
+            export_graphs(config)
+        assert {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()} == before
 
     def test_group_result_is_plain_data(self):
         result = self.make_result()
