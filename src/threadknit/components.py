@@ -201,7 +201,8 @@ def summarize_subject(
     """Aggregate per-iteration component counts and sentiment means.
 
     Counts are averaged and rounded to whole components before the beta
-    division; the sentiment mean is aggregated unrounded.
+    division; the sentiment mean is aggregated unrounded.  A subject whose
+    mean weak count rounds to 0 has no beta: DegeneracyError.
     """
     if not summaries or not alphas:
         raise DegeneracyError(f"subject {subject!r}: nothing to summarize")
@@ -212,6 +213,11 @@ def summarize_subject(
         )
     strong = average_count([s.strong_count for s in summaries])
     weak = average_count([s.weak_count for s in summaries])
+    if weak == 0:
+        raise DegeneracyError(
+            f"subject {subject!r}: mean counts round to {strong} strong and 0 weak "
+            "components; beta needs at least one of each"
+        )
     return SubjectSummary(
         subject=subject,
         strong_count=strong,

@@ -8,7 +8,7 @@ as deterministic CSV and JSON.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,7 +20,7 @@ from .components import (
     _component_counts,
     summarize_subject,
 )
-from .errors import ConfigError, DataError, DegeneracyError
+from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
 from .graph import ConversationGraph, build_graph, edge_kind_set, export_dot
 from .ingest import (
     QUERY_KINDS,
@@ -153,6 +153,25 @@ def select_groups(
     return tuple((kind, value) for kind, value in groups if kind in wanted)
 
 
+def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes for ``jobs`` over ``tasks`` subjects on ``cpus``
+    cores (``os.cpu_count()``, which may be None); 1 means in-process."""
+    return min(jobs, tasks, cpus or 1)
+
+
+# (config, lexicon) of a pool worker; set by _init_worker in workers only
+_worker_state: tuple[RunConfig, Lexicon] | None = None
+
+
+def _init_worker(config: RunConfig, lexicon: Lexicon) -> None:
+    global _worker_state
+    _worker_state = (config, lexicon)
+
+
+def _analyze_task(task: tuple[str, str]) -> SubjectSummary:
+    return analyze_subject(*_worker_state, *task)
+
+
 def run_pipeline(
     config: RunConfig,
     lexicon: Lexicon | None = None,
@@ -161,9 +180,11 @@ def run_pipeline(
 ) -> list[GroupResult]:
     """Analyze every configured subject and correlate within each group.
 
-    ``jobs`` > 1 analyzes subjects concurrently; results are keyed and
-    reassembled in configuration order, so the output does not depend on
-    scheduling.
+    ``jobs`` > 1 analyzes subjects in up to that many worker processes
+    (never more than subjects or cores); results are collected in
+    configuration order, so the output, and the first error raised, do not
+    depend on scheduling.  On platforms that start workers by spawning,
+    call this under ``if __name__ == "__main__":``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be positive, got {jobs}")
@@ -176,23 +197,23 @@ def run_pipeline(
                 "correlation needs at least 3"
             )
     tasks = [(kind, subject) for kind, subjects in groups for subject in subjects]
-    rows: dict[tuple[str, str], SubjectSummary] = {}
-    if jobs == 1 or len(tasks) <= 1:
-        for kind, subject in tasks:
-            rows[(kind, subject)] = analyze_subject(config, lexicon, kind, subject)
+    workers = worker_count(jobs, len(tasks), os.cpu_count())
+    if workers <= 1:
+        summaries = [analyze_subject(config, lexicon, *task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                (kind, subject): pool.submit(
-                    analyze_subject, config, lexicon, kind, subject
-                )
-                for kind, subject in tasks
-            }
-            for key, future in futures.items():
-                rows[key] = future.result()
-    return correlate_tables(
-        [(kind, [rows[(kind, subject)] for subject in subjects]) for kind, subjects in groups]
-    )
+        # imported here so that the other stages do not pay for it at start-up;
+        # default start method: fork on Linux up to Python 3.13, which re-imports nothing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config, lexicon))
+        try:
+            summaries = list(pool.map(_analyze_task, tasks))
+        except BrokenProcessPool as err:
+            raise ThreadknitError(f"a worker process died: {err}") from err
+        finally:
+            pool.shutdown(cancel_futures=True)
+    rows = iter(summaries)
+    return correlate_tables([(kind, [next(rows) for _ in subjects]) for kind, subjects in groups])
 
 
 def correlate_tables(

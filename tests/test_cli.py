@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import threadknit.cli
+import threadknit.pipeline
 from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
 
@@ -299,6 +301,140 @@ class TestErrorHandling:
         parser = build_parser()
         with pytest.raises(ConfigError):
             parser.parse_args(["synth"])
+
+
+# Subject B has one iteration with a 4-node mention chain (strong 4, weak 1)
+# and two with no edges, so no nodes under include_isolates = false: its mean
+# counts round to strong 1, weak 0.  A and C are well formed.
+DEGENERATE_CONFIG = """\
+[run]
+fixtures = fixtures
+output = out
+per_iteration_count = 10
+iterations = 3
+seed = 1
+include_isolates = false
+
+[groups]
+topical = A, B, C
+"""
+
+
+def status_line(author, text, mentions=()):
+    record = {
+        "id": f"t-{author}",
+        "text": text,
+        "author": author,
+        "created_at": "2022-12-25T00:00:01+00:00",
+    }
+    if mentions:
+        record["mentions"] = list(mentions)
+    return json.dumps(record) + "\n"
+
+
+def chain_lines(length, text, prefix="u"):
+    """A mention chain of ``length`` users: strong ``length``, weak 1."""
+    return "".join(
+        status_line(f"{prefix}{i}", text, [f"{prefix}{i + 1}"]) for i in range(1, length)
+    )
+
+
+def write_degenerate_tree(root):
+    (root / "run.ini").write_text(DEGENERATE_CONFIG, encoding="utf-8")
+    iterations = {
+        "a": [chain_lines(3, "good")] * 3,
+        "b": [chain_lines(4, "bad"), status_line("u1", "ok"), status_line("u1", "meh")],
+        "c": [chain_lines(3, "great") + chain_lines(4, "great", prefix="v")] * 3,
+    }
+    for slug, texts in iterations.items():
+        for index, text in enumerate(texts):
+            path = root / "fixtures" / "topical" / slug / f"iter_{index:03d}"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+
+
+_TEST_PID = os.getpid()
+
+
+def _exit_in_worker(task):
+    """Stand-in for the pool's task function: the worker dies at once."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("the task ran in the test process, not a worker")
+    os._exit(1)
+
+
+@pytest.fixture()
+def fork_start():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
+
+
+class TestJobs:
+    def analyze_processes(self, workdir):
+        """(exit code, stderr lines) of analyze under --jobs 1 and --jobs 2."""
+        return [
+            run_cli_process(workdir, "analyze", "--config", config_arg(workdir), "--jobs", jobs)
+            for jobs in (1, 2)
+        ]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_1(self, workdir, jobs):
+        code, err = run_cli_process(
+            workdir, "analyze", "--config", config_arg(workdir), "--jobs", jobs
+        )
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "jobs" in err[0]
+
+    def test_bad_fixture_line_same_error_for_any_jobs(self, workdir):
+        run_cli("synth", "--config", config_arg(workdir))
+        # a subject in the middle of the configuration and the last one; the
+        # middle one comes first in configuration order, so its error wins
+        for slug in ("topical/gamma", "event/parade"):
+            path = workdir / "fixtures" / slug / "iter_001"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1] = "{not json\n"
+            path.write_text("".join(lines), encoding="utf-8")
+        serial, pooled = self.analyze_processes(workdir)
+        assert serial == pooled
+        code, err = serial
+        assert code == 2 and len(err) == 1
+        assert err[0].startswith("error: ") and "gamma" in err[0] and "invalid JSON" in err[0]
+        assert not (workdir / "out").exists()
+
+    def test_weak_count_rounding_to_zero_exit_3_for_any_jobs(self, tmp_path):
+        write_degenerate_tree(tmp_path)
+        serial, pooled = self.analyze_processes(tmp_path)
+        assert serial == pooled
+        code, err = serial
+        assert code == 3 and len(err) == 1
+        assert err[0].startswith("error: subject 'B'") and "0 weak" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_worker_is_one_error_line_exit_2(self, workdir, capsys, monkeypatch, fork_start):
+        run_cli("synth", "--config", config_arg(workdir))
+        capsys.readouterr()
+        monkeypatch.setattr(threadknit.pipeline, "_analyze_task", _exit_in_worker)
+        # a pool even on a one-core machine, where the task would run in-process
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_cli("analyze", "--config", config_arg(workdir), "--jobs", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "worker" in err
+        assert not (workdir / "out").exists()
+
+    def test_cli_import_loads_no_process_pool(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = (
+            "import sys, threadknit.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0 and done.stdout.strip() == "[]"
 
 
 class TestFullChain:

@@ -278,6 +278,14 @@ class TestSummarize:
         with pytest.raises(DegeneracyError):
             summarize_subject("x", [], [])
 
+    @pytest.mark.parametrize(
+        "counts", [[(4, 1), (0, 0), (0, 0)], [(0, 0), (0, 0)]], ids=["weak-rounds-to-0", "all-empty"]
+    )
+    def test_no_weak_component_after_rounding_rejected(self, counts):
+        summaries = [ComponentSummary(*pair) for pair in counts]
+        with pytest.raises(DegeneracyError, match="subject 'x'.* 0 weak"):
+            summarize_subject("x", summaries, [0.0] * len(counts))
+
 
 class TestTables:
     def rows(self):

@@ -20,6 +20,7 @@ from threadknit.pipeline import (
     render_reports,
     run_pipeline,
     select_groups,
+    worker_count,
 )
 from threadknit.records import read_records, write_csv, write_json
 from threadknit.stats import compare_correlations, zou_interval
@@ -174,13 +175,22 @@ class TestRunPipeline:
             groups=[("event", ("E1", "E2", "E3")), ("topical", ("T1", "T2", "T3"))],
         )
         serial = run_pipeline(config, lexicon, jobs=1)
-        threaded = run_pipeline(config, lexicon, jobs=4)
-        assert serial == threaded
+        pooled = run_pipeline(config, lexicon, jobs=4)
+        assert serial == pooled
 
     def test_bad_jobs_rejected(self, tmp_path, lexicon):
         config = planted_config(tmp_path, lexicon)
         with pytest.raises(ConfigError, match="jobs"):
             run_pipeline(config, lexicon, jobs=0)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("tasks", [1, 3, 24])
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 10**6])
+    def test_worker_count_clamps_to_tasks_and_cores(self, jobs, tasks, cpus):
+        assert worker_count(jobs, tasks, cpus) == min(jobs, tasks, cpus)
+
+    def test_worker_count_unknown_cores_is_serial(self):
+        assert worker_count(4, 24, None) == 1
 
     def test_final_iteration_graph(self, tmp_path, lexicon):
         config = planted_config(tmp_path, lexicon)
