@@ -33,7 +33,6 @@ from .pipeline import (
     select_groups,
 )
 from .records import read_records
-from .synth import write_fixture_tree
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +106,9 @@ def _load(args) -> RunConfig:
 
 
 def _cmd_synth(args) -> int:
+    # only this stage needs the generator
+    from .synth import write_fixture_tree
+
     config = _load(args)
     root = args.out if args.out is not None else config.fixtures_dir
     files = write_fixture_tree(config, resolve_lexicon(config), root=root)

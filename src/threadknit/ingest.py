@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import configparser
 import json
+import json.encoder
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, FixtureError
 from .records import write_atomic
@@ -287,31 +288,41 @@ def parse_fixture(
     return IterationBatch(spec=spec, index=index, statuses=statuses)
 
 
-def write_fixture(batch: IterationBatch, path: str | Path) -> Path:
-    """Write a batch back to disk in the fixture format.
+# a str as a JSON string literal with non-ASCII characters kept: what
+# JSONEncoder(ensure_ascii=False) writes for a str, without building an
+# encoder for every line
+_QUOTE = json.encoder.encode_basestring
 
-    Optional fields are omitted when unset, so writing then parsing with
-    the same spec and index reproduces the batch exactly.
+
+def write_fixture_fields(path: str | Path, records: Iterable[StatusFields]) -> Path:
+    """Write Status fields as a fixture file, one JSON object per line; the
+    inverse of read_fixture.
+
+    Keys follow the StatusFields order; ``created_at`` is omitted when it
+    is EPOCH and the other optional fields when unset, so reading the file
+    back returns the same fields.
     """
     lines = []
-    for status in batch.statuses:
-        record: dict[str, Any] = {
-            "id": status.id,
-            "text": status.text,
-            "author": status.author,
-        }
-        if status.created_at != EPOCH:
-            record["created_at"] = status.created_at.isoformat()
-        if status.reply_to is not None:
-            record["reply_to"] = status.reply_to
-        if status.mentions:
-            record["mentions"] = list(status.mentions)
-        if status.retweet_of is not None:
-            record["retweet_of"] = status.retweet_of
-        if status.quote_of is not None:
-            record["quote_of"] = status.quote_of
-        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    for status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of in records:
+        line = f'{{"id": {_QUOTE(status_id)}, "text": {_QUOTE(text)}, "author": {_QUOTE(author)}'
+        if created_at != EPOCH:
+            line += f', "created_at": {_QUOTE(created_at.isoformat())}'
+        if reply_to is not None:
+            line += f', "reply_to": {_QUOTE(reply_to)}'
+        if mentions:
+            line += f', "mentions": [{", ".join(map(_QUOTE, mentions))}]'
+        if retweet_of is not None:
+            line += f', "retweet_of": {_QUOTE(retweet_of)}'
+        if quote_of is not None:
+            line += f', "quote_of": {_QUOTE(quote_of)}'
+        lines.append(line + "}\n")
     return write_atomic(path, lambda handle: handle.writelines(lines))
+
+
+def write_fixture(batch: IterationBatch, path: str | Path) -> Path:
+    """Write a batch back to disk in the fixture format; parsing the file
+    with the same spec and index reproduces the batch exactly."""
+    return write_fixture_fields(path, map(astuple, batch.statuses))
 
 
 def iteration_filename(index: int) -> str:
@@ -321,9 +332,14 @@ def iteration_filename(index: int) -> str:
     return f"iter_{index:03d}"
 
 
+def subject_dir(root: str | Path, kind: str, subject: str) -> Path:
+    """Directory of one subject's iteration files under a fixture tree root."""
+    return Path(root) / kind / subject_slug(subject)
+
+
 def fixture_path(root: str | Path, spec: QuerySpec, index: int) -> Path:
     """Location of one iteration file under a fixture tree root."""
-    return Path(root) / spec.kind / subject_slug(spec.subject) / iteration_filename(index)
+    return subject_dir(root, spec.kind, spec.subject) / iteration_filename(index)
 
 
 @dataclass(frozen=True)
@@ -411,7 +427,13 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: group {kind!r} lists no subjects")
         seen = set()
         for name in subjects:
-            slug = subject_slug(name)
+            try:
+                slug = subject_slug(name)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: group {kind!r} subject {name!r} has no ASCII letter or digit "
+                    "to name its fixture directory"
+                ) from None
             if slug in seen:
                 raise ConfigError(f"{path}: group {kind!r} repeats subject {name!r}")
             seen.add(slug)

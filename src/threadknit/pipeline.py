@@ -30,6 +30,7 @@ from .ingest import (
     parse_fixture,
     read_fixture,
     references,
+    subject_dir,
     subject_slug,
 )
 from .records import RecordSpec, read_records, write_atomic, write_csv, write_json
@@ -59,12 +60,12 @@ def resolve_lexicon(config: RunConfig) -> Lexicon:
 
 def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[int, Path]]:
     """A subject's ``iter_NNN`` files with their indices, in index order."""
-    subject_dir = Path(config.fixtures_dir) / kind / subject_slug(subject)
-    if not subject_dir.is_dir():
+    directory = subject_dir(config.fixtures_dir, kind, subject)
+    if not directory.is_dir():
         raise DataError(f"no fixtures for {kind}/{subject} under {config.fixtures_dir}")
     files = sorted(
         (index, path)
-        for path in subject_dir.iterdir()
+        for path in directory.iterdir()
         if (index := iteration_index(path.name)) is not None
     )
     if not files:

@@ -16,15 +16,20 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Sequence
 
-from .errors import SynthError
+from .errors import ConfigError, SynthError
 from .graph import ConversationGraph, Edge
 from .ingest import (
     IterationBatch,
     QuerySpec,
     RunConfig,
     Status,
-    fixture_path,
-    write_fixture,
+    StatusFields,
+    _check_plan,
+    _normalized,
+    iteration_filename,
+    iteration_index,
+    subject_dir,
+    write_fixture_fields,
 )
 from .sentiment import Lexicon
 
@@ -122,11 +127,41 @@ def synth_graph(spec: SynthSpec) -> ConversationGraph:
     return ConversationGraph(nodes=frozenset(names), edges=edges)
 
 
+# what corpus steering draws from a lexicon: (valence, tokens) pairs in
+# ascending order, tokens by valence, the positive valences whose negation
+# is present too, and the FILLER_WORDS the lexicon does not score
+_Palette = tuple[list[tuple[float, list[str]]], dict[float, list[str]], list[float], list[str]]
+
+
+def _palette(lexicon: Lexicon) -> _Palette:
+    valences = lexicon.by_valence
+    by_valence = dict(valences)
+    pairable = sorted(v for v in by_valence if v > 0 and -v in by_valence)
+    return valences, by_valence, pairable, [w for w in FILLER_WORDS if w not in lexicon.entries]
+
+
+def _closest_valence(remaining: float, valences: list) -> tuple[float, list[str]] | None:
+    """The first (valence, tokens) of the ascending ``valences`` to cut
+    ``abs(remaining - valence)`` by more than 1e-15 below the best gap yet,
+    starting from ``abs(remaining)``; None when no valence does."""
+    best = None
+    best_gap = abs(remaining)
+    for valence, tokens in valences:
+        gap = abs(remaining - valence)
+        if gap < best_gap - 1e-15:
+            best = (valence, tokens)
+            best_gap = gap
+        if valence > remaining:
+            # rounding is monotone, so no later valence has a smaller gap
+            break
+    return best
+
+
 def _corpus_texts(
     count: int,
     target_mean: float,
     jitter: float,
-    lexicon: Lexicon,
+    palette: _Palette,
     rng: random.Random,
 ) -> list[str]:
     """Texts whose mean lexicon score lands within jitter of the target.
@@ -136,12 +171,10 @@ def _corpus_texts(
     residual therefore never accumulates across texts.  Raises SynthError
     when the target cannot be approached with the available valences.
     """
-    valences = lexicon.by_valence
-    by_valence = dict(valences)
-    filler = [w for w in FILLER_WORDS if w not in lexicon.entries]
+    valences, by_valence, pairable, filler = palette
     if not filler:
         raise SynthError("lexicon swallowed every filler word")
-    pairable = sorted(v for v in by_valence if v > 0 and -v in by_valence)
+    choice = rng.choice
     texts: list[str] = []
     running = 0.0
     for i in range(count):
@@ -149,25 +182,19 @@ def _corpus_texts(
         words: list[str] = []
         achieved = 0.0
         for _ in range(_MAX_SENTIMENT_WORDS):
-            best = None
-            best_gap = abs(remaining)
-            for valence, tokens in valences:
-                gap = abs(remaining - valence)
-                if gap < best_gap - 1e-15:
-                    best = (valence, tokens)
-                    best_gap = gap
+            best = _closest_valence(remaining, valences)
             if best is None:
                 break
             valence, tokens = best
-            words.append(rng.choice(tokens))
+            words.append(choice(tokens))
             remaining -= valence
             achieved += valence
         if pairable and rng.random() < 0.35:
             # a canceling pair adds texture without moving the score
-            positive = rng.choice(pairable)
-            words.append(rng.choice(by_valence[positive]))
-            words.append(rng.choice(by_valence[-positive]))
-        words.extend(rng.choice(filler) for _ in range(rng.randint(3, 6)))
+            positive = choice(pairable)
+            words.append(choice(by_valence[positive]))
+            words.append(choice(by_valence[-positive]))
+        words += [choice(filler) for _ in range(rng.randint(3, 6))]
         rng.shuffle(words)
         texts.append(" ".join(words))
         running += achieved
@@ -185,7 +212,7 @@ def synth_corpus(spec: SynthSpec, lexicon: Lexicon) -> list[Status]:
     if spec.corpus_size < 1:
         raise SynthError("corpus_size must be at least 1")
     rng = random.Random(spec.seed)
-    texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, lexicon, rng)
+    texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, _palette(lexicon), rng)
     return [
         Status(
             id=f"c{i:05d}",
@@ -197,26 +224,22 @@ def synth_corpus(spec: SynthSpec, lexicon: Lexicon) -> list[Status]:
     ]
 
 
-def synth_batch(
-    spec: SynthSpec,
-    query_spec: QuerySpec,
-    index: int,
-    lexicon: Lexicon,
-) -> IterationBatch:
-    """One fixture-ready iteration combining planted structure and corpus.
+def _batch_fields(
+    spec: SynthSpec, query_spec: QuerySpec, index: int, palette: _Palette
+) -> list[StatusFields]:
+    """Status fields of one planted iteration, in file order.
 
     Every edge becomes a status by the edge's source mentioning its target;
     nodes with no incident edge get a reference-free status so they survive
     graph construction; leftover corpus texts are attributed to existing
-    nodes.  Rebuilding the graph from the batch therefore reproduces the
-    planted component counts exactly (with isolates included).
+    nodes.  Handles are checked as a fixture reader checks them, and the
+    batch must fit ``query_spec``'s plan at ``index``.
     """
     rng = random.Random(spec.seed * 1_000_003 + index)
     names, pairs = _planted_topology(spec, rng)
     incident = {node for pair in pairs for node in pair}
     lonely = [n for n in names if n not in incident]
-    needed = len(pairs) + len(lonely)
-    if spec.corpus_size < needed:
+    if spec.corpus_size < len(pairs) + len(lonely):
         raise SynthError(
             f"corpus_size {spec.corpus_size} cannot cover {len(pairs)} edges "
             f"and {len(lonely)} isolated nodes"
@@ -226,31 +249,46 @@ def synth_batch(
             f"corpus_size {spec.corpus_size} exceeds per_iteration_count "
             f"{query_spec.per_iteration_count}"
         )
-    texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, lexicon, rng)
-    drafts: list[tuple[str, str | None, str]] = []  # author, mention, text
-    cursor = 0
-    for src, dst in pairs:
-        drafts.append((src, dst, texts[cursor]))
-        cursor += 1
-    for node in lonely:
-        drafts.append((node, None, texts[cursor]))
-        cursor += 1
+    texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, palette, rng)
+    # (author, mention, text)
+    drafts = [(src, dst, text) for (src, dst), text in zip(pairs, texts)]
+    drafts += [(node, None, text) for node, text in zip(lonely, texts[len(pairs) :])]
     anchors = sorted(names)
-    for k, text in enumerate(texts[cursor:]):
-        author = anchors[k % len(anchors)] if anchors else f"w{k:05d}"
-        drafts.append((author, None, text))
+    drafts += [
+        (anchors[k % len(anchors)] if anchors else f"w{k:05d}", None, text)
+        for k, text in enumerate(texts[len(drafts) :])
+    ]
     rng.shuffle(drafts)
-    statuses = tuple(
-        Status(
-            id=f"t{index:03d}{k:05d}",
-            text=text,
-            author=author,
-            created_at=_BASE_TIME + timedelta(minutes=index, seconds=k),
-            mentions=(mention,) if mention else (),
+    handles: dict[str, str] = {}
+    start = _BASE_TIME + timedelta(minutes=index)
+    fields = [
+        (
+            f"t{index:03d}{k:05d}",
+            text,
+            _normalized(author, handles),
+            start + timedelta(seconds=k),
+            None,
+            (_normalized(mention, handles),) if mention else (),
+            None,
+            None,
         )
         for k, (author, mention, text) in enumerate(drafts)
-    )
-    return IterationBatch(spec=query_spec, index=index, statuses=statuses)
+    ]
+    _check_plan(query_spec, index, len(fields))
+    return fields
+
+
+def synth_batch(
+    spec: SynthSpec, query_spec: QuerySpec, index: int, lexicon: Lexicon
+) -> IterationBatch:
+    """One fixture-ready iteration combining planted structure and corpus.
+
+    Rebuilding the graph from the batch reproduces the planted component
+    counts exactly (with isolates included), and the batch equals
+    ``parse_fixture`` of the file ``write_fixture_tree`` writes for it.
+    """
+    fields = _batch_fields(spec, query_spec, index, _palette(lexicon))
+    return IterationBatch(query_spec, index, tuple(Status(*f) for f in fields))
 
 
 @dataclass(frozen=True)
@@ -336,19 +374,42 @@ def iter_planned_batches(
         yield synth_batch(plan.synth_spec, plan.query_spec, index, lexicon)
 
 
+def _refuse_stale_files(root, plans: Sequence[SubjectPlan], iterations: int) -> None:
+    """ConfigError naming the first ``iter_NNN`` file in a planned subject
+    directory that the plan will not overwrite: analyze would read it."""
+    planned = {iteration_filename(index) for index in range(iterations)}
+    for plan in plans:
+        directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
+        if not directory.is_dir():
+            continue
+        for entry in sorted(directory.iterdir()):
+            if iteration_index(entry.name) is not None and entry.name not in planned:
+                raise ConfigError(
+                    f"{entry}: stale iteration file outside this plan's "
+                    f"{iterations} iterations; remove it or write the tree elsewhere"
+                )
+
+
 def write_fixture_tree(
     config: RunConfig,
     lexicon: Lexicon,
     plans: Sequence[SubjectPlan] | None = None,
     root=None,
 ) -> list:
-    """Materialize a full fixture tree; returns the files written."""
+    """Materialize a full fixture tree; returns the files written.
+
+    Nothing is written when a planned subject directory already holds an
+    iteration file the plan would leave behind (a ConfigError).
+    """
     if plans is None:
         plans = default_plan(config)
     root = root if root is not None else config.fixtures_dir
+    _refuse_stale_files(root, plans, config.iterations)
+    palette = _palette(lexicon)
     written = []
     for plan in plans:
-        for batch in iter_planned_batches(plan, config.iterations, lexicon):
-            target = fixture_path(root, plan.query_spec, batch.index)
-            written.append(write_fixture(batch, target))
+        directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
+        for index in range(config.iterations):
+            fields = _batch_fields(plan.synth_spec, plan.query_spec, index, palette)
+            written.append(write_fixture_fields(directory / iteration_filename(index), fields))
     return written

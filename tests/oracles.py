@@ -3,7 +3,9 @@
 Each oracle takes a deliberately different route from the code under test:
 component counts come from a transitive-closure matrix instead of Tarjan
 or union-find, text is cleaned character by character instead of by one
-token regex, the Pearson coefficient is accumulated in exact rational
+token regex, the synth valence pick scans every valence instead of
+stopping early, fixture lines come from json.dumps of a record dict instead
+of quoting each field, the Pearson coefficient is accumulated in exact rational
 arithmetic, the t-distribution tail is numerically integrated rather than
 evaluated through the incomplete beta function, and the interval formulas
 are recomputed in mpmath at high precision.
@@ -11,8 +13,10 @@ are recomputed in mpmath at high precision.
 
 from __future__ import annotations
 
+import json
 import math
 import re
+from datetime import datetime, timezone
 from fractions import Fraction
 from math import fsum
 from typing import Mapping, Sequence
@@ -88,6 +92,41 @@ def closure_component_counts(
             if both[i][j]:
                 weak_seen.add(j)
     return strong, weak
+
+
+def reference_fixture_line(fields: Sequence) -> str:
+    """One fixture line for a status's fields (in Status field order): a
+    record dict through json.dumps, created_at left out at the Unix epoch
+    and the other optional fields when unset."""
+    status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of = fields
+    record = {"id": status_id, "text": text, "author": author}
+    if created_at != datetime(1970, 1, 1, tzinfo=timezone.utc):
+        record["created_at"] = created_at.isoformat()
+    if reply_to is not None:
+        record["reply_to"] = reply_to
+    if mentions:
+        record["mentions"] = list(mentions)
+    if retweet_of is not None:
+        record["retweet_of"] = retweet_of
+    if quote_of is not None:
+        record["quote_of"] = quote_of
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def reference_closest_valence(
+    remaining: float, valences: Sequence[tuple[float, list[str]]]
+) -> tuple[float, list[str]] | None:
+    """The synth corpus steering's greedy pick, scanning every valence: the
+    first (valence, tokens) to cut the gap to ``remaining`` by more than
+    1e-15 below the best so far, starting from ``abs(remaining)``."""
+    best = None
+    best_gap = abs(remaining)
+    for valence, tokens in valences:
+        gap = abs(remaining - valence)
+        if gap < best_gap - 1e-15:
+            best = (valence, tokens)
+            best_gap = gap
+    return best
 
 
 def rational_pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -297,6 +297,31 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "decode" in err
 
+    @pytest.mark.parametrize("subject", ["東京", "!!!"])
+    def test_subject_without_slug_is_one_error_line(self, tmp_path, subject):
+        (tmp_path / "run.ini").write_text(
+            CONFIG + f"geographic = {subject}, NYC, London\n", encoding="utf-8"
+        )
+        code, err = run_cli_process(tmp_path, "synth", "--config", "run.ini")
+        assert code == 1 and len(err) == 1
+        assert err[0].startswith("error: ") and "run.ini" in err[0]
+        assert "'geographic'" in err[0] and repr(subject) in err[0]
+        assert not (tmp_path / "fixtures").exists()
+
+    def test_stale_iteration_files_stop_synth(self, workdir, capsys):
+        assert run_cli("synth", "--config", config_arg(workdir)) == 0
+        fixtures = workdir / "fixtures"
+        before = tree_bytes(fixtures)
+        (workdir / "run.ini").write_text(
+            CONFIG.replace("iterations = 3", "iterations = 2"), encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert run_cli("synth", "--config", config_arg(workdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(fixtures / "topical" / "alpha" / "iter_002") in err
+        assert tree_bytes(fixtures) == before
+
     def test_parser_raises_config_error_directly(self):
         parser = build_parser()
         with pytest.raises(ConfigError):
@@ -429,7 +454,7 @@ class TestJobs:
         env = dict(os.environ, PYTHONPATH=str(SRC))
         code = (
             "import sys, threadknit.cli; "
-            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'threadknit.synth') if m in sys.modules])"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

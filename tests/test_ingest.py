@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -22,6 +23,7 @@ from threadknit.ingest import (
 )
 
 from conftest import make_batch, make_spec, make_status
+from oracles import reference_fixture_line
 
 handles = st.from_regex(r"[a-z0-9_]{1,12}", fullmatch=True)
 
@@ -236,6 +238,13 @@ class TestWriteFixture:
         write_fixture(batch, path)
         again = parse_fixture(path, spec=batch.spec, index=batch.index)
         assert again == batch
+
+    @given(st.lists(statuses_strategy, max_size=12))
+    def test_lines_match_json_dumps_of_each_record(self, tmp_path_factory, statuses):
+        path = tmp_path_factory.mktemp("lines") / "iter_000"
+        write_fixture(make_batch(statuses), path)
+        expected = "".join(reference_fixture_line(astuple(s)) for s in statuses)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_unicode_text_survives(self, tmp_path):
         weird = "San José   line sep \n".replace("\n", " ")

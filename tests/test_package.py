@@ -1,0 +1,56 @@
+from __future__ import annotations
+
+import sys
+from importlib import import_module
+from types import ModuleType
+
+import pytest
+
+import threadknit
+
+SUBMODULES = (
+    "components", "errors", "graph", "ingest", "pipeline", "records", "sentiment", "stats", "synth",
+)
+
+EXPORTED = (
+    "ComparisonReport", "ComponentSummary", "ConfigError", "ConversationGraph",
+    "CorrelationReport", "DataError", "DegeneracyError", "Edge", "FixtureError", "GroupResult",
+    "IterationBatch", "Lexicon", "LexiconError", "QuerySpec", "RunConfig", "Status",
+    "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError", "aggregate_alpha",
+    "analyze_subject", "batch_alpha", "beta_ratio", "build_graph", "bundled_lexicon",
+    "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations", "compare_groups",
+    "component_summary", "correlate_tables", "correlation_report", "correlation_significance",
+    "export_dot", "export_graphs", "export_json", "fisher_z", "indep_groups_z_test",
+    "infer_group_n", "iteration_digest", "load_config", "load_lexicon", "normal_cdf",
+    "normal_quantile", "normalize_handle", "parse_fixture", "pearson_r", "render_reports",
+    "round_half_away", "run_pipeline", "score_text", "strong_components", "subject_slug",
+    "summarize_subject", "synth_batch", "synth_corpus", "synth_graph", "t_cdf",
+    "weak_components", "write_fixture", "write_fixture_tree", "zou_interval",
+)
+
+
+def test_all_lists_the_exported_names_and_submodules():
+    assert threadknit.__all__ == sorted(EXPORTED + SUBMODULES)
+    assert set(threadknit.__all__) <= set(dir(threadknit))
+
+
+def test_every_exported_name_is_its_submodules_object():
+    for name in threadknit.__all__:
+        value = getattr(threadknit, name)
+        if name in SUBMODULES:
+            assert isinstance(value, ModuleType)
+            assert value is import_module(f"threadknit.{name}")
+        else:
+            assert value.__module__.startswith("threadknit.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from threadknit import *", namespace)
+    assert set(threadknit.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        threadknit.no_such_name

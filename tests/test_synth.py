@@ -1,19 +1,31 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from statistics import fmean
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import threadknit.ingest as ingest_module
+import threadknit.synth as synth_module
 from threadknit.components import component_summary
-from threadknit.errors import SynthError
+from threadknit.errors import ConfigError, SynthError
 from threadknit.graph import build_graph
-from threadknit.ingest import RunConfig
+from threadknit.ingest import (
+    RunConfig,
+    iteration_filename,
+    parse_fixture,
+    read_fixture,
+    write_fixture_fields,
+)
 from threadknit.sentiment import score_text
 from threadknit.synth import (
     SubjectPlan,
     SynthSpec,
+    _batch_fields,
+    _closest_valence,
+    _palette,
     default_plan,
     iter_planned_batches,
     synth_batch,
@@ -23,6 +35,7 @@ from threadknit.synth import (
 )
 
 from conftest import make_spec
+from oracles import reference_closest_valence
 
 size_lists = st.lists(
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
@@ -251,3 +264,154 @@ class TestWriteFixtureTree:
             summary = component_summary(build_graph(batch, ("mention",)))
             assert summary.strong_count == plan.synth_spec.strong_count
             assert summary.weak_count == plan.synth_spec.weak_count
+
+    def test_tree_builds_no_status_objects(self, tmp_path, lexicon, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("write_fixture_tree built a Status object")
+
+        for module in (synth_module, ingest_module):
+            monkeypatch.setattr(module, "Status", refuse)
+            monkeypatch.setattr(module, "IterationBatch", refuse)
+        config = _tiny_config(tmp_path, [("event", ("Alpha",))], iterations=2)
+        assert len(write_fixture_tree(config, lexicon)) == 2
+
+    def test_stale_iteration_file_stops_the_tree_before_any_write(self, tmp_path, lexicon):
+        config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co"))], iterations=2)
+        subject = tmp_path / "fixtures" / "topical" / "beta-co"
+        subject.mkdir(parents=True)
+        (subject / "notes.txt").write_text("not an iteration file\n", encoding="utf-8")
+        # analyze would read iter_0001 as a second iteration 1
+        (subject / "iter_0001").write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match="iter_0001"):
+            write_fixture_tree(config, lexicon)
+        files = sorted(p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file())
+        assert files == ["iter_0001", "notes.txt"]
+        (subject / "iter_0001").unlink()
+        assert len(write_fixture_tree(config, lexicon)) == 4
+
+
+def _needed_statuses(sizes) -> int:
+    """Statuses a planted structure needs: one per edge, one per lonely node."""
+    edges = sum(s for group in sizes for s in group if s > 1)
+    edges += sum(len(group) - 1 for group in sizes)
+    return edges + sum(1 for group in sizes if group == [1])
+
+
+synth_specs = st.builds(
+    lambda seed, sizes, extra, target: SynthSpec(
+        seed=seed,
+        weak_component_sizes=sizes,
+        corpus_size=_needed_statuses(sizes) + extra,
+        target_mean=target,
+        jitter=max(0.01, 0.3 / (_needed_statuses(sizes) + extra)),
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    size_lists,
+    st.integers(min_value=10, max_value=20),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+class TestFixtureFields:
+    @settings(max_examples=40)
+    @given(spec=synth_specs, index=st.integers(min_value=0, max_value=4))
+    def test_written_file_reads_back_as_generated(self, tmp_path_factory, lexicon, spec, index):
+        qspec = make_spec(per_iteration_count=200, iterations=5)
+        fields = _batch_fields(spec, qspec, index, _palette(lexicon))
+        path = tmp_path_factory.mktemp("fields") / iteration_filename(index)
+        write_fixture_fields(path, fields)
+        assert read_fixture(path, qspec, index) == fields
+        assert parse_fixture(path, qspec, index) == synth_batch(spec, qspec, index, lexicon)
+
+    def test_index_outside_plan_is_rejected(self, lexicon):
+        spec = SynthSpec(seed=1, weak_component_sizes=[[1]], corpus_size=10)
+        with pytest.raises(ValueError, match="outside plan"):
+            _batch_fields(spec, make_spec(iterations=2), 2, _palette(lexicon))
+
+
+@st.composite
+def valence_scans(draw):
+    """(remaining, ascending (valence, tokens) pairs) with exact ties and
+    1e-15 near-ties between the gaps."""
+    nonzero = st.floats(min_value=-4.0, max_value=4.0).filter(bool)
+    values = set(draw(st.lists(nonzero, min_size=1, max_size=12)))
+    for value in draw(st.lists(st.sampled_from(sorted(values)), max_size=4)):
+        values.add(draw(st.sampled_from([value + 1e-15, value - 1e-15, value + 2e-15, -value])))
+    ordered = sorted(values - {0.0})
+    low, high = draw(st.sampled_from(ordered)), draw(st.sampled_from(ordered))
+    middle = (low + high) / 2
+    remaining = draw(
+        st.floats(min_value=-9.0, max_value=9.0)
+        | st.sampled_from([0.0, low, low + 5e-16, middle, middle + 1e-15, middle - 1e-15])
+    )
+    return remaining, [(value, [f"w{i}"]) for i, value in enumerate(ordered)]
+
+
+class TestClosestValence:
+    @settings(max_examples=500)
+    @given(valence_scans())
+    def test_early_exit_matches_full_scan(self, case):
+        remaining, valences = case
+        assert _closest_valence(remaining, valences) == reference_closest_valence(
+            remaining, valences
+        )
+
+    @pytest.mark.parametrize(
+        "remaining, expected",
+        [(1.0, 0.5), (0.0, None), (1e-16, None), (2.9, 3.0), (-0.76, -1.0), (9.0, 3.0)],
+    )
+    def test_ties_go_to_the_lower_valence(self, remaining, expected):
+        valences = [(v, [str(v)]) for v in (-3.0, -1.0, -0.5, 0.5, 1.5, 3.0)]
+        best = _closest_valence(remaining, valences)
+        assert (None if best is None else best[0]) == expected
+        assert best == reference_closest_valence(remaining, valences)
+
+
+PERFBENCH_GROUPS = (
+    ("topical", ("Christianity", "NORAD", "Duke Energy", "Climate", "Vaccines", "Bitcoin")),
+    ("event", ("Christmas", "Hanukkah", "Fortnite", "World Cup", "Super Bowl", "Kwanzaa")),
+    ("geographic", ("NYC", "London", "Tokyo", "Lagos", "Sao Paulo", "Mumbai")),
+    (
+        "individual",
+        (
+            "Ada Lovelace", "Alan Turing", "Grace Hopper", "Katherine Johnson",
+            "Tim Berners-Lee", "Linus Torvalds",
+        ),
+    ),
+)
+CLI_GROUPS = (
+    ("topical", ("Alpha", "Beta Co", "Gamma", "Delta")),
+    ("event", ("Game One", "Festival", "Launch", "Parade")),
+)
+
+
+def _tree_digest(root) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    for path in files:
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return len(files), digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "groups, per_iteration_count, iterations, seed, files, digest",
+    [
+        (PERFBENCH_GROUPS, 950, 25, 0, 600,
+         "74d661723d3dc9854ba2377bf11750146f90e091c42cce598111d1101629feff"),
+        (PERFBENCH_GROUPS, 950, 25, 77, 600,
+         "d8c1153317d01b0978e127689ebfa945b6f3a2661b10ac3d744e46622e051a0e"),
+        (CLI_GROUPS, 40, 3, 11, 24,
+         "7af84aa9823439baed752356e025a4dc943368999310f688f5c768d3186b3bb9"),
+    ],
+    ids=["perfbench-seed-0", "perfbench-seed-77", "cli-config"],
+)
+def test_tree_bytes_are_pinned(
+    tmp_path, lexicon, groups, per_iteration_count, iterations, seed, files, digest
+):
+    """The fixture bytes are the generator's contract: analyze's results
+    and every stored digest depend on them."""
+    config = _tiny_config(
+        tmp_path, groups, iterations=iterations, per_iteration_count=per_iteration_count, seed=seed
+    )
+    write_fixture_tree(config, lexicon)
+    assert _tree_digest(tmp_path / "fixtures") == (files, digest)
