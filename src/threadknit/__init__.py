@@ -15,21 +15,21 @@ from importlib import import_module
 # submodule -> the names it exports
 _EXPORTS = {
     "components": "ComponentSummary SubjectSummary beta_ratio component_summary round_half_away "
-    "strong_components summarize_subject weak_components",
+    "summarize_subject",
     "errors": "ConfigError DataError DegeneracyError FixtureError LexiconError SynthError "
     "ThreadknitError",
-    "graph": "ConversationGraph Edge build_graph export_dot export_json",
+    "graph": "ConversationGraph Edge build_graph export_dot",
     "ingest": "IterationBatch QuerySpec RunConfig Status load_config normalize_handle "
-    "parse_fixture subject_slug write_fixture",
+    "parse_fixture subject_slug write_fixture_fields",
     "pipeline": "GroupResult analyze_subject bundled_tables canonical_pairs compare_groups "
-    "correlate_tables export_graphs iteration_digest render_reports run_pipeline",
+    "correlate_tables export_graphs read_iteration render_reports run_pipeline",
     "records": "",
     "sentiment": "Lexicon aggregate_alpha batch_alpha bundled_lexicon clean_text load_lexicon "
     "score_text",
     "stats": "ComparisonReport CorrelationReport compare_correlations correlation_report "
     "correlation_significance fisher_z indep_groups_z_test infer_group_n normal_cdf "
     "normal_quantile pearson_r t_cdf zou_interval",
-    "synth": "SynthSpec synth_batch synth_corpus synth_graph write_fixture_tree",
+    "synth": "SynthSpec synth_graph write_fixture_tree",
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -65,9 +65,10 @@ def _strong_labels(successors: Sequence[Sequence[int]]) -> list[int]:
     return label
 
 
-def _weak_labels(count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+def _weak_labels(count: int, edges: Iterable[Sequence[int]]) -> list[int]:
     """Weak component label (a member node) of every node 0..n-1, by
-    union-find with path halving; edge direction is ignored."""
+    union-find with path halving; edge direction is ignored.  ``edges``
+    are (source, target, ...) tuples."""
     parent = list(range(count))
 
     def find(node: int) -> int:
@@ -75,57 +76,20 @@ def _weak_labels(count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
             parent[node] = node = parent[parent[node]]
         return node
 
-    for source, target in edges:
-        parent[find(source)] = find(target)
+    for edge in edges:
+        parent[find(edge[0])] = find(edge[1])
     return [find(node) for node in range(count)]
 
 
-def _component_counts(count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """(strong, weak) component counts of a graph on nodes 0..count-1."""
+def _component_counts(count: int, edges: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(strong, weak) component counts of a graph on nodes 0..count-1 with
+    (source, target, ...) ``edges``."""
     successors: list[list[int]] = [[] for _ in range(count)]
-    for source, target in edges:
-        successors[source].append(target)
+    for edge in edges:
+        successors[edge[0]].append(edge[1])
     strong = len(set(_strong_labels(successors)))
     weak = len(set(_weak_labels(count, edges)))
     return strong, weak
-
-
-def _numbered(graph: ConversationGraph) -> tuple[list[str], list[tuple[int, int]]]:
-    """Sorted nodes, and the edges as (source, target) positions in it."""
-    order = sorted(graph.nodes)
-    number = {node: position for position, node in enumerate(order)}
-    return order, [(number[edge.source], number[edge.target]) for edge in graph.edges]
-
-
-def strong_components(graph: ConversationGraph) -> list[frozenset[str]]:
-    """Strongly connected components via Tarjan's algorithm (iterative).
-
-    Every node belongs to exactly one component; a single node with no
-    cycle through it forms its own component.  Components come out in
-    reverse topological order of the condensation, deterministically for a
-    given graph.
-    """
-    order, edges = _numbered(graph)
-    successors: list[set[int]] = [set() for _ in order]
-    for source, target in edges:
-        successors[source].add(target)
-    labels = _strong_labels([sorted(targets) for targets in successors])
-    members: list[set[str]] = [set() for _ in range(max(labels, default=-1) + 1)]
-    for node, label in zip(order, labels):
-        members[label].add(node)
-    return [frozenset(group) for group in members]
-
-
-def weak_components(graph: ConversationGraph) -> list[frozenset[str]]:
-    """Weakly connected components (edge direction ignored), via union-find.
-
-    Returned in order of each component's smallest node.
-    """
-    order, edges = _numbered(graph)
-    members: dict[int, set[str]] = {}
-    for node, label in zip(order, _weak_labels(len(order), edges)):
-        members.setdefault(label, set()).add(node)
-    return [frozenset(group) for group in members.values()]
 
 
 @dataclass(frozen=True)
@@ -146,8 +110,9 @@ class ComponentSummary:
 
 def component_summary(graph: ConversationGraph) -> ComponentSummary:
     """Count both kinds of component for one graph."""
-    order, edges = _numbered(graph)
-    return ComponentSummary(*_component_counts(len(order), edges))
+    number = {node: position for position, node in enumerate(sorted(graph.nodes))}
+    edges = [(number[edge.source], number[edge.target]) for edge in graph.edges]
+    return ComponentSummary(*_component_counts(len(number), edges))
 
 
 def round_half_away(value: float | Fraction | int) -> int:

@@ -7,10 +7,9 @@ referenced user, so the graph is a multigraph and may contain self-loops.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import IterationBatch
 
@@ -94,37 +93,19 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: ConversationGraph) -> str:
-    """Render the graph in DOT, canonically ordered.
+def export_dot(nodes: Iterable[str], edges: Iterable[Sequence[str]]) -> str:
+    """Render a graph in DOT, canonically ordered.
 
-    Nodes appear sorted, then edges sorted by (source, target, kind,
-    status id), so two graphs that are equal up to edge order render to
-    identical bytes.
+    ``edges`` are (source, target, kind, ...) tuples, such as a
+    ConversationGraph's Edges; nothing past the kind is printed.  Nodes
+    appear sorted, then edges sorted, so two graphs that are equal up to
+    edge order render to identical bytes.
     """
     lines = ["digraph {"]
-    for node in sorted(graph.nodes):
-        lines.append(f"  {_dot_id(node)};")
-    for edge in sorted(graph.edges):
-        lines.append(
-            f"  {_dot_id(edge.source)} -> {_dot_id(edge.target)}"
-            f' [label={_dot_id(edge.kind)}];'
-        )
+    lines += [f"  {_dot_id(node)};" for node in sorted(nodes)]
+    lines += [
+        f"  {_dot_id(source)} -> {_dot_id(target)} [label={_dot_id(kind)}];"
+        for source, target, kind, *_ in sorted(edges)
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_json(graph: ConversationGraph) -> str:
-    """Render the graph as canonical JSON (sorted nodes and edges)."""
-    payload = {
-        "nodes": sorted(graph.nodes),
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "kind": e.kind,
-                "status_id": e.status_id,
-            }
-            for e in sorted(graph.edges)
-        ],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ import configparser
 import json
 import json.encoder
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -208,19 +208,29 @@ def _record_fields(record: Any, handles: dict[str, str]) -> StatusFields:
         isinstance(mentions, str) or not isinstance(mentions, Sequence)
     ):
         raise ValueError("field 'mentions' must be a list of handles")
+    for mention in mentions:
+        if not isinstance(mention, str):
+            raise ValueError("field 'mentions' must be a list of handles")
     optional = get("reply_to"), get("retweet_of"), get("quote_of")
     for name, value in zip(_OPTIONAL_STRING_FIELDS, optional):
         if value is not None and not isinstance(value, str):
             raise ValueError(f"field {name!r} must be a string or null")
     created_at = _parse_timestamp(get("created_at"))
-    status_id = str(record["id"])
+    status_id = record["id"]
+    if not isinstance(status_id, str):
+        if not isinstance(status_id, int) or isinstance(status_id, bool):
+            raise ValueError("field 'id' must be a string or an integer")
+        status_id = str(status_id)
     if not status_id:
         raise ValueError("status id must be nonempty")
-    author = _normalized(str(record["author"]), handles)
+    author = record["author"]
+    if not isinstance(author, str):
+        raise ValueError("field 'author' must be a string")
+    author = _normalized(author, handles)
     reply_to, retweet_of, quote_of = [
         None if value is None else _normalized(value, handles) for value in optional
     ]
-    mentions = tuple([_normalized(str(m), handles) for m in mentions])
+    mentions = tuple([_normalized(m, handles) for m in mentions])
     return status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
 
 
@@ -243,8 +253,10 @@ def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[StatusFields]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise FixtureError(f"{path}:{lineno}: invalid JSON: {err.msg}") from err
+        except (ValueError, RecursionError) as err:
+            # besides JSONDecodeError: an integer too long to convert, or nesting too deep
+            message = getattr(err, "msg", err)
+            raise FixtureError(f"{path}:{lineno}: invalid JSON: {message}") from err
         try:
             records.append(_record_fields(record, handles))
         except ValueError as err:
@@ -317,12 +329,6 @@ def write_fixture_fields(path: str | Path, records: Iterable[StatusFields]) -> P
             line += f', "quote_of": {_QUOTE(quote_of)}'
         lines.append(line + "}\n")
     return write_atomic(path, lambda handle: handle.writelines(lines))
-
-
-def write_fixture(batch: IterationBatch, path: str | Path) -> Path:
-    """Write a batch back to disk in the fixture format; parsing the file
-    with the same spec and index reproduces the batch exactly."""
-    return write_fixture_fields(path, map(astuple, batch.statuses))
 
 
 def iteration_filename(index: int) -> str:

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .components import (
     ComponentSummary,
@@ -21,13 +21,12 @@ from .components import (
     summarize_subject,
 )
 from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
-from .graph import ConversationGraph, build_graph, edge_kind_set, export_dot
+from .graph import edge_kind_set, export_dot
 from .ingest import (
     QUERY_KINDS,
     QuerySpec,
     RunConfig,
     iteration_index,
-    parse_fixture,
     read_fixture,
     references,
     subject_dir,
@@ -59,7 +58,11 @@ def resolve_lexicon(config: RunConfig) -> Lexicon:
 
 
 def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[int, Path]]:
-    """A subject's ``iter_NNN`` files with their indices, in index order."""
+    """A subject's ``iter_NNN`` files with their indices, in index order.
+
+    Two files with one index (``iter_000`` and ``iter_0000``) are a
+    DataError naming both.
+    """
     directory = subject_dir(config.fixtures_dir, kind, subject)
     if not directory.is_dir():
         raise DataError(f"no fixtures for {kind}/{subject} under {config.fixtures_dir}")
@@ -70,43 +73,46 @@ def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[in
     )
     if not files:
         raise DataError(f"subject {subject!r} ({kind}) has zero iterations")
+    for (index, first), (next_index, second) in zip(files, files[1:]):
+        if index == next_index:
+            raise DataError(f"{first} and {second} are both iteration {index}; remove one")
     return files
 
 
-def iteration_digest(
-    path: Path,
-    spec: QuerySpec,
-    index: int,
-    kinds: Sequence[str],
-    include_isolates: bool,
-    lexicon: Lexicon,
-) -> tuple[ComponentSummary, float]:
-    """Component counts and alpha of one iteration file, in one pass.
+class IterationRow(NamedTuple):
+    """One iteration file as the stages read it."""
 
-    Equal to ``component_summary(build_graph(parse_fixture(...)))`` and
-    ``batch_alpha`` of the same batch, with the same errors, but no Status,
-    Edge or graph objects: handles become node numbers as they are met.
+    texts: list[str]
+    # node names; a node's number is its position here
+    nodes: list[str]
+    # (source, target, kind) by node number, in file order
+    edges: list[tuple[int, int, str]]
+
+
+def read_iteration(
+    path: Path, spec: QuerySpec, index: int, kinds: Sequence[str], include_isolates: bool
+) -> IterationRow:
+    """The texts and interaction graph of one iteration file, in one pass.
+
+    The graph is ``build_graph(parse_fixture(...), kinds, include_isolates)``
+    with the same errors, but no Status, Edge or graph objects: handles
+    become node numbers as they are met.
     """
     kindset = edge_kind_set(kinds)
-    nodes: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    scores = []
+    numbers: dict[str, int] = {}
+    edges: list[tuple[int, int, str]] = []
+    texts = []
     for _, text, author, _, reply_to, mentions, retweet_of, quote_of in read_fixture(
         path, spec, index
     ):
-        scores.append(score_text(text, lexicon))
+        texts.append(text)
         for kind, target in references(reply_to, mentions, retweet_of, quote_of):
             if kind in kindset:
-                edges.append(
-                    (nodes.setdefault(author, len(nodes)), nodes.setdefault(target, len(nodes)))
-                )
+                source = numbers.setdefault(author, len(numbers))
+                edges.append((source, numbers.setdefault(target, len(numbers)), kind))
         if include_isolates:
-            nodes.setdefault(author, len(nodes))
-    summary = ComponentSummary(*_component_counts(len(nodes), edges))
-    try:
-        return summary, mean_score(scores, spec.subject, index)
-    except DegeneracyError as err:
-        raise DataError(f"{path}: {err}") from err
+            numbers.setdefault(author, len(numbers))
+    return IterationRow(texts, list(numbers), edges)
 
 
 def analyze_subject(
@@ -114,26 +120,17 @@ def analyze_subject(
 ) -> SubjectSummary:
     """Average one subject's per-iteration component counts and sentiment."""
     spec = config.spec_for(kind, subject)
-    digests = [
-        iteration_digest(
-            path, spec, index, config.edge_kinds, config.include_isolates, lexicon
-        )
-        for index, path in iteration_files(config, kind, subject)
-    ]
-    return summarize_subject(
-        subject, [summary for summary, _ in digests], [alpha for _, alpha in digests]
-    )
-
-
-def final_iteration_graph(
-    config: RunConfig, kind: str, subject: str
-) -> ConversationGraph:
-    """Graph of the last available iteration (the one worth picturing)."""
-    index, path = iteration_files(config, kind, subject)[-1]
-    batch = parse_fixture(path, spec=config.spec_for(kind, subject), index=index)
-    return build_graph(
-        batch, kinds=config.edge_kinds, include_isolates=config.include_isolates
-    )
+    summaries, alphas = [], []
+    for index, path in iteration_files(config, kind, subject):
+        row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
+        summaries.append(ComponentSummary(*_component_counts(len(row.nodes), row.edges)))
+        try:
+            alphas.append(
+                mean_score([score_text(text, lexicon) for text in row.texts], subject, index)
+            )
+        except DegeneracyError as err:
+            raise DataError(f"{path}: {err}") from err
+    return summarize_subject(subject, summaries, alphas)
 
 
 def select_groups(
@@ -378,14 +375,22 @@ def export_graphs(
     only_groups: Sequence[str] | None = None,
     out_dir: str | Path | None = None,
 ) -> list[Path]:
-    """Write the final-iteration graph of every subject as canonical DOT."""
+    """Write the final-iteration graph of every subject as canonical DOT.
+
+    Reads each file through read_iteration, as analyze does, and scores no
+    text.
+    """
     out_dir = _checked_out_dir(out_dir if out_dir is not None else config.output_dir)
     written = []
     for kind, subjects in select_groups(config.groups, only_groups):
         for subject in subjects:
-            graph = final_iteration_graph(config, kind, subject)
+            index, path = iteration_files(config, kind, subject)[-1]
+            spec = config.spec_for(kind, subject)
+            row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
+            names = row.nodes
+            dot = export_dot(names, [(names[s], names[t], label) for s, t, label in row.edges])
             target = out_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
-            written.append(write_atomic(target, lambda handle: handle.write(export_dot(graph))))
+            written.append(write_atomic(target, lambda handle: handle.write(dot)))
     return written
 
 

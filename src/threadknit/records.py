@@ -105,8 +105,9 @@ def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
             rows, first, where = list(reader), 2, f"{path}:"
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {spec.noun} records {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise DataError(f"{path}: invalid JSON: {err.msg}") from err
+    except (ValueError, RecursionError) as err:
+        # besides JSONDecodeError: an integer too long to convert, or nesting too deep
+        raise DataError(f"{path}: invalid JSON: {getattr(err, 'msg', err)}") from err
     except csv.Error as err:
         raise DataError(f"{path}: malformed CSV: {err}") from err
     records = []

@@ -14,15 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, SynthError
 from .graph import ConversationGraph, Edge
 from .ingest import (
-    IterationBatch,
     QuerySpec,
     RunConfig,
-    Status,
     StatusFields,
     _check_plan,
     _normalized,
@@ -169,9 +167,12 @@ def _corpus_texts(
     Each text corrects the running total toward ``target_mean * (i + 1)``,
     greedily adding the lexicon word that best shrinks the residual; the
     residual therefore never accumulates across texts.  Raises SynthError
-    when the target cannot be approached with the available valences.
+    for no texts (analyze cannot score an empty iteration) and when the
+    target cannot be approached with the available valences.
     """
     valences, by_valence, pairable, filler = palette
+    if count < 1:
+        raise SynthError("corpus_size must be at least 1")
     if not filler:
         raise SynthError("lexicon swallowed every filler word")
     choice = rng.choice
@@ -198,30 +199,13 @@ def _corpus_texts(
         rng.shuffle(words)
         texts.append(" ".join(words))
         running += achieved
-    mean = running / count if count else 0.0
+    mean = running / count
     if abs(mean - target_mean) > jitter + 1e-12:
         raise SynthError(
             f"target mean {target_mean} unreachable with this lexicon: "
             f"achieved {mean:.6f} over {count} texts (jitter {jitter})"
         )
     return texts
-
-
-def synth_corpus(spec: SynthSpec, lexicon: Lexicon) -> list[Status]:
-    """Reference-free statuses whose mean score tracks the spec's target."""
-    if spec.corpus_size < 1:
-        raise SynthError("corpus_size must be at least 1")
-    rng = random.Random(spec.seed)
-    texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, _palette(lexicon), rng)
-    return [
-        Status(
-            id=f"c{i:05d}",
-            text=text,
-            author=f"w{i:05d}",
-            created_at=_BASE_TIME + timedelta(seconds=i),
-        )
-        for i, text in enumerate(texts)
-    ]
 
 
 def _batch_fields(
@@ -276,19 +260,6 @@ def _batch_fields(
     ]
     _check_plan(query_spec, index, len(fields))
     return fields
-
-
-def synth_batch(
-    spec: SynthSpec, query_spec: QuerySpec, index: int, lexicon: Lexicon
-) -> IterationBatch:
-    """One fixture-ready iteration combining planted structure and corpus.
-
-    Rebuilding the graph from the batch reproduces the planted component
-    counts exactly (with isolates included), and the batch equals
-    ``parse_fixture`` of the file ``write_fixture_tree`` writes for it.
-    """
-    fields = _batch_fields(spec, query_spec, index, _palette(lexicon))
-    return IterationBatch(query_spec, index, tuple(Status(*f) for f in fields))
 
 
 @dataclass(frozen=True)
@@ -365,13 +336,6 @@ def _plan_corpus_size(
             f"only {per_iteration_count} per iteration"
         )
     return min(wanted, 50, per_iteration_count)
-
-
-def iter_planned_batches(
-    plan: SubjectPlan, iterations: int, lexicon: Lexicon
-) -> Iterator[IterationBatch]:
-    for index in range(iterations):
-        yield synth_batch(plan.synth_spec, plan.query_spec, index, lexicon)
 
 
 def _refuse_stale_files(root, plans: Sequence[SubjectPlan], iterations: int) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import settings
 
@@ -76,3 +78,31 @@ def make_batch(statuses, index=0, **spec_overrides) -> IterationBatch:
 
 def make_status(i, author, text="hello", **kwargs) -> Status:
     return Status(id=f"s{i}", text=text, author=author, **kwargs)
+
+
+# the groups of perfbench's 4x6 synth config and of tests/test_cli.py's config
+PERFBENCH_GROUPS = (
+    ("topical", ("Christianity", "NORAD", "Duke Energy", "Climate", "Vaccines", "Bitcoin")),
+    ("event", ("Christmas", "Hanukkah", "Fortnite", "World Cup", "Super Bowl", "Kwanzaa")),
+    ("geographic", ("NYC", "London", "Tokyo", "Lagos", "Sao Paulo", "Mumbai")),
+    (
+        "individual",
+        (
+            "Ada Lovelace", "Alan Turing", "Grace Hopper", "Katherine Johnson",
+            "Tim Berners-Lee", "Linus Torvalds",
+        ),
+    ),
+)
+CLI_GROUPS = (
+    ("topical", ("Alpha", "Beta Co", "Gamma", "Delta")),
+    ("event", ("Game One", "Festival", "Launch", "Parade")),
+)
+
+
+def tree_digest(root) -> tuple[int, str]:
+    """(file count, sha256 over every file's relative path and bytes)."""
+    digest = hashlib.sha256()
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    for path in files:
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return len(files), digest.hexdigest()

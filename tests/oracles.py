@@ -48,10 +48,12 @@ def reference_score_text(raw: str, entries: Mapping[str, float]) -> float:
     return fsum(entries.get(token, 0.0) for token in cleaned.split(" "))
 
 
-def closure_component_counts(
-    nodes: Sequence[str], pairs: Sequence[tuple[str, str]]
-) -> tuple[int, int]:
-    """(strong, weak) component counts via Floyd-Warshall reachability."""
+def closure_relations(
+    nodes: Sequence, pairs: Sequence[tuple]
+) -> tuple[list, list[list[bool]], list[list[bool]]]:
+    """(sorted nodes, same_strong, same_weak) via Floyd-Warshall reachability:
+    ``same_strong[i][j]`` when nodes i and j reach each other, ``same_weak[i][j]``
+    when they are joined with edge direction ignored."""
     order = sorted(set(nodes))
     ix = {node: i for i, node in enumerate(order)}
     n = len(order)
@@ -73,25 +75,26 @@ def closure_component_counts(
                     for j in range(n):
                         if row_k[j]:
                             row_i[j] = True
-    strong_seen: set[int] = set()
-    strong = 0
-    for i in range(n):
-        if i in strong_seen:
-            continue
-        strong += 1
-        for j in range(n):
-            if reach[i][j] and reach[j][i]:
-                strong_seen.add(j)
-    weak_seen: set[int] = set()
-    weak = 0
-    for i in range(n):
-        if i in weak_seen:
-            continue
-        weak += 1
-        for j in range(n):
-            if both[i][j]:
-                weak_seen.add(j)
-    return strong, weak
+    same_strong = [[reach[i][j] and reach[j][i] for j in range(n)] for i in range(n)]
+    return order, same_strong, both
+
+
+def closure_component_counts(
+    nodes: Sequence[str], pairs: Sequence[tuple[str, str]]
+) -> tuple[int, int]:
+    """(strong, weak) component counts from closure_relations."""
+    order, same_strong, same_weak = closure_relations(nodes, pairs)
+    counts = []
+    for same in (same_strong, same_weak):
+        seen: set[int] = set()
+        count = 0
+        for i in range(len(order)):
+            if i in seen:
+                continue
+            count += 1
+            seen.update(j for j in range(len(order)) if same[i][j])
+        counts.append(count)
+    return counts[0], counts[1]
 
 
 def reference_fixture_line(fields: Sequence) -> str:

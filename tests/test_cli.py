@@ -205,6 +205,16 @@ class TestCompareCommand:
         assert not (tmp_path / "comparisons.csv").exists()
         assert not (tmp_path / "comparisons.json").exists()
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '[{"n": 1' + "0" * 5000 + "}]"],
+        ids=["nesting too deep", "integer too long"],
+    )
+    def test_json_the_decoder_cannot_hold_is_one_error_line_exit_2(self, tmp_path, text):
+        (tmp_path / "correlations.json").write_text(text, encoding="utf-8")
+        code, err = run_cli_process(tmp_path, "compare", "--out", ".")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: correlations.json: invalid JSON: ")
+
     def test_before_correlate_exit_2(self, tmp_path, capsys):
         assert run_cli("compare", "--out", tmp_path) == 2
         assert "run correlate first" in capsys.readouterr().err
@@ -230,6 +240,19 @@ class TestExportCommand:
 
     def test_export_without_fixtures_exit_2(self, workdir):
         assert run_cli("export", "--config", config_arg(workdir)) == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    def test_duplicate_iteration_index_is_one_error_line_exit_2(self, workdir, command):
+        run_cli("synth", "--config", config_arg(workdir))
+        subject = workdir / "fixtures" / "topical" / "alpha"
+        # iter_000 and iter_0000 are both iteration 0
+        (subject / "iter_0000").write_bytes((subject / "iter_001").read_bytes())
+        code, err = run_cli_process(workdir, command, "--config", "run.ini")
+        assert code == 2 and len(err) == 1
+        first, second = Path("fixtures/topical/alpha/iter_000"), subject / "iter_0000"
+        second = second.relative_to(workdir)
+        assert err[0] == f"error: {first} and {second} are both iteration 0; remove one"
+        assert not (workdir / "out").exists()
 
 
 class TestErrorHandling:

@@ -9,21 +9,21 @@ from hypothesis import given, strategies as st
 from threadknit.components import (
     ComponentSummary,
     _component_counts,
+    _strong_labels,
+    _weak_labels,
     SubjectSummary,
     average_count,
     beta_ratio,
     component_summary,
     round_half_away,
-    strong_components,
     summarize_subject,
-    weak_components,
 )
 from threadknit.errors import DataError, DegeneracyError
 from threadknit.graph import ConversationGraph, Edge
 from threadknit.pipeline import SUBJECT_TABLE
 from threadknit.records import read_records, write_csv, write_json
 
-from oracles import closure_component_counts
+from oracles import closure_component_counts, closure_relations
 
 
 def graph_from_pairs(node_count, pairs):
@@ -32,6 +32,13 @@ def graph_from_pairs(node_count, pairs):
         Edge(f"n{a}", f"n{b}", "mention", f"s{k}") for k, (a, b) in enumerate(pairs)
     )
     return ConversationGraph(nodes, edges)
+
+
+def strong_labels(node_count, pairs):
+    successors = [[] for _ in range(node_count)]
+    for source, target in pairs:
+        successors[source].append(target)
+    return _strong_labels(successors)
 
 
 digraphs = st.integers(min_value=0, max_value=10).flatmap(
@@ -53,13 +60,11 @@ digraphs = st.integers(min_value=0, max_value=10).flatmap(
 class TestComponents:
     def test_single_directed_edge(self):
         graph = graph_from_pairs(2, [(0, 1)])
-        assert len(strong_components(graph)) == 2
-        assert len(weak_components(graph)) == 1
+        assert component_summary(graph) == ComponentSummary(2, 1)
 
     def test_two_cycle_is_one_strong_component(self):
         graph = graph_from_pairs(2, [(0, 1), (1, 0)])
-        assert len(strong_components(graph)) == 1
-        assert len(weak_components(graph)) == 1
+        assert component_summary(graph) == ComponentSummary(1, 1)
 
     def test_empty_graph(self):
         graph = graph_from_pairs(0, [])
@@ -72,14 +77,12 @@ class TestComponents:
     def test_long_cycle_with_tail(self):
         # 0 -> 1 -> 2 -> 0 plus 2 -> 3
         graph = graph_from_pairs(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-        assert len(strong_components(graph)) == 2
-        assert len(weak_components(graph)) == 1
+        assert component_summary(graph) == ComponentSummary(2, 1)
 
     def test_deep_chain_does_not_recurse(self):
         n = 5000
         graph = graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
-        assert len(strong_components(graph)) == n
-        assert len(weak_components(graph)) == 1
+        assert component_summary(graph) == ComponentSummary(n, 1)
 
     @given(digraphs)
     def test_matches_reachability_oracle(self, case):
@@ -94,12 +97,17 @@ class TestComponents:
 
     @given(digraphs)
     def test_components_partition_nodes(self, case):
+        # two nodes share a label exactly when the closure says they should
         n, pairs = case
-        graph = graph_from_pairs(n, pairs)
-        for parts in (strong_components(graph), weak_components(graph)):
-            seen = [node for part in parts for node in part]
-            assert len(seen) == len(set(seen)) == len(graph.nodes)
-            assert set(seen) == set(graph.nodes)
+        _, same_strong, same_weak = closure_relations(range(n), pairs)
+        for labels, same in (
+            (strong_labels(n, pairs), same_strong),
+            (_weak_labels(n, pairs), same_weak),
+        ):
+            assert len(labels) == n
+            for i in range(n):
+                for j in range(n):
+                    assert (labels[i] == labels[j]) == same[i][j], (i, j)
 
     @given(digraphs)
     def test_strong_count_at_least_weak_count(self, case):
@@ -110,12 +118,10 @@ class TestComponents:
     @given(digraphs)
     def test_condensation_is_acyclic(self, case):
         n, pairs = case
-        graph = graph_from_pairs(n, pairs)
-        parts = strong_components(graph)
-        owner = {node: i for i, part in enumerate(parts) for node in part}
-        meta = {i: set() for i in range(len(parts))}
-        for edge in graph.edges:
-            a, b = owner[edge.source], owner[edge.target]
+        owner = strong_labels(n, pairs)
+        meta = {label: set() for label in owner}
+        for source, target in pairs:
+            a, b = owner[source], owner[target]
             if a != b:
                 meta[a].add(b)
         # Kahn's algorithm must consume every meta-node
@@ -132,7 +138,7 @@ class TestComponents:
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     queue.append(t)
-        assert seen == len(parts)
+        assert seen == len(meta)
 
     @given(
         digraphs,
@@ -153,9 +159,8 @@ class TestComponents:
     def test_deterministic_component_order(self):
         rng = random.Random(3)
         pairs = [(rng.randrange(8), rng.randrange(8)) for _ in range(12)]
-        graph = graph_from_pairs(8, pairs)
-        assert strong_components(graph) == strong_components(graph)
-        assert weak_components(graph) == weak_components(graph)
+        assert strong_labels(8, pairs) == strong_labels(8, pairs)
+        assert _weak_labels(8, pairs) == _weak_labels(8, pairs)
 
     @given(digraphs)
     def test_int_counts_match_the_closure_oracle(self, case):

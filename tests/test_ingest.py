@@ -19,7 +19,7 @@ from threadknit.ingest import (
     normalize_handle,
     parse_fixture,
     subject_slug,
-    write_fixture,
+    write_fixture_fields,
 )
 
 from conftest import make_batch, make_spec, make_status
@@ -144,6 +144,11 @@ class TestParseFixture:
         assert batch.statuses[0].mentions == ("bob",)
         assert batch.index == 0
 
+    def test_integer_id_is_kept_as_text(self, tmp_path):
+        path = tmp_path / "iter_000"
+        path.write_text(json.dumps({"id": 7, "text": "x", "author": "a"}), encoding="utf-8")
+        assert parse_fixture(path, spec=make_spec()).statuses[0].id == "7"
+
     def test_index_comes_from_filename(self, tmp_path):
         path = tmp_path / "iter_017"
         path.write_text("", encoding="utf-8")
@@ -235,14 +240,14 @@ class TestWriteFixture:
     def test_round_trip_identity(self, tmp_path_factory, statuses):
         batch = make_batch(statuses)
         path = tmp_path_factory.mktemp("rt") / "iter_000"
-        write_fixture(batch, path)
+        write_fixture_fields(path, map(astuple, batch.statuses))
         again = parse_fixture(path, spec=batch.spec, index=batch.index)
         assert again == batch
 
     @given(st.lists(statuses_strategy, max_size=12))
     def test_lines_match_json_dumps_of_each_record(self, tmp_path_factory, statuses):
         path = tmp_path_factory.mktemp("lines") / "iter_000"
-        write_fixture(make_batch(statuses), path)
+        write_fixture_fields(path, map(astuple, statuses))
         expected = "".join(reference_fixture_line(astuple(s)) for s in statuses)
         assert path.read_bytes() == expected.encode("utf-8")
 
@@ -250,16 +255,16 @@ class TestWriteFixture:
         weird = "San José   line sep \n".replace("\n", " ")
         batch = make_batch([make_status(1, "a", text=weird)])
         path = tmp_path / "iter_000"
-        write_fixture(batch, path)
+        write_fixture_fields(path, map(astuple, batch.statuses))
         assert parse_fixture(path, spec=batch.spec).statuses[0].text == weird
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "iter_000"
-        write_fixture(make_batch([make_status(1, "a")]), path)
+        write_fixture_fields(path, [astuple(make_status(1, "a"))])
         before = path.read_bytes()
         # a lone surrogate cannot be encoded, so the write fails midway
         with pytest.raises(UnicodeEncodeError):
-            write_fixture(make_batch([make_status(2, "b", text="\ud800")]), path)
+            write_fixture_fields(path, [astuple(make_status(2, "b", text="\ud800"))])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["iter_000"]
 

@@ -1,9 +1,11 @@
-"""The streaming per-iteration kernel against the object path.
+"""The one iteration reader against the object path.
 
-``iteration_digest`` must give, for every iteration file, exactly the
-counts and alpha of ``component_summary(build_graph(parse_fixture(...)))``
-and ``batch_alpha``, under every edge-kind selection, and must fail on a
-malformed file with the same ``error:`` line and exit code as before.
+What analyze and export take from ``read_iteration``'s row must equal, for
+every iteration file, the counts, alpha and DOT of
+``build_graph(parse_fixture(...))`` with ``component_summary``,
+``batch_alpha`` and ``export_dot``, under every edge-kind selection with
+isolates on and off.  A malformed file must fail with the same ``error:``
+line and exit code as before, and export must build none of the objects.
 """
 
 from __future__ import annotations
@@ -11,15 +13,23 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+import threadknit.graph as graph_module
+import threadknit.ingest as ingest_module
+import threadknit.pipeline as pipeline_module
+import threadknit.sentiment as sentiment_module
 from threadknit.cli import main
-from threadknit.components import component_summary
-from threadknit.graph import EDGE_KINDS, build_graph
-from threadknit.ingest import load_config, parse_fixture
-from threadknit.pipeline import iteration_digest, iteration_files
-from threadknit.sentiment import batch_alpha
+from threadknit.components import ComponentSummary, _component_counts, component_summary
+from threadknit.graph import EDGE_KINDS, build_graph, export_dot
+from threadknit.ingest import RunConfig, load_config, parse_fixture
+from threadknit.pipeline import export_graphs, iteration_files, read_iteration
+from threadknit.sentiment import batch_alpha, mean_score, score_text
+from threadknit.synth import write_fixture_tree
+
+from conftest import CLI_GROUPS, PERFBENCH_GROUPS, tree_digest
 
 CONFIG = """\
 [run]
@@ -90,6 +100,16 @@ def object_path(path, spec, index, kinds, include_isolates, lexicon):
     return component_summary(graph), batch_alpha(batch, lexicon)
 
 
+def row_path(path, spec, index, kinds, include_isolates, lexicon):
+    """What analyze takes from the row: counts and alpha."""
+    row = read_iteration(path, spec, index, kinds, include_isolates)
+    scores = [score_text(text, lexicon) for text in row.texts]
+    return (
+        ComponentSummary(*_component_counts(len(row.nodes), row.edges)),
+        mean_score(scores, spec.subject, index),
+    )
+
+
 class TestAgreesWithTheObjectPath:
     def test_every_synth_iteration_and_kind_selection(self, tree, lexicon):
         config = load_config(tree / "run.ini")
@@ -99,7 +119,7 @@ class TestAgreesWithTheObjectPath:
             for index, path in iteration_files(config, kind, subject):
                 for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
                     expected = object_path(path, spec, index, kinds, isolates, lexicon)
-                    got = iteration_digest(path, spec, index, kinds, isolates, lexicon)
+                    got = row_path(path, spec, index, kinds, isolates, lexicon)
                     assert got == expected, (path, kinds, isolates)
                     checked += 1
         assert checked == 3 * 3 * len(KIND_SUBSETS) * 2
@@ -112,7 +132,70 @@ class TestAgreesWithTheObjectPath:
         write_lines(path, mixed_records(seed, 40))
         for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
             expected = object_path(path, spec, index, kinds, isolates, lexicon)
-            assert iteration_digest(path, spec, index, kinds, isolates, lexicon) == expected
+            assert row_path(path, spec, index, kinds, isolates, lexicon) == expected
+
+
+class TestExportAgreesWithTheObjectPath:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_reference_kind_mixed(self, tree, seed):
+        config = load_config(tree / "run.ini")
+        spec = config.spec_for("topical", "Alpha")
+        index, path = iteration_files(config, "topical", "Alpha")[-1]
+        write_lines(path, mixed_records(seed, 40))
+        written = tree / "out" / "graphs" / "topical" / "alpha.dot"
+        for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
+            export_graphs(replace(config, edge_kinds=kinds, include_isolates=isolates))
+            batch = parse_fixture(path, spec=spec, index=index)
+            graph = build_graph(batch, kinds=kinds, include_isolates=isolates)
+            expected = export_dot(graph.nodes, graph.edges)
+            assert written.read_text(encoding="utf-8") == expected, (kinds, isolates)
+
+    def test_export_builds_no_objects_and_scores_no_text(self, tree, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("export built a status or graph object, or scored text")
+
+        for module, name in [
+            (ingest_module, "Status"),
+            (ingest_module, "IterationBatch"),
+            (graph_module, "Edge"),
+            (graph_module, "ConversationGraph"),
+            (sentiment_module, "score_text"),
+            (sentiment_module, "batch_alpha"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+            # stubbed in pipeline too, in case it imports one by name
+            monkeypatch.setattr(pipeline_module, name, refuse, raising=False)
+        write_lines(tree / "fixtures" / "topical" / "alpha" / "iter_002", mixed_records(1, 40))
+        assert main(["export", "--config", str(tree / "run.ini")]) == 0
+        assert len(list((tree / "out" / "graphs" / "topical").iterdir())) == 3
+
+
+@pytest.mark.parametrize(
+    "groups, per_iteration_count, iterations, seed, files, digest",
+    [
+        (PERFBENCH_GROUPS, 950, 25, 0, 24,
+         "bf0e5830bf908ac3ab3893073a0135d3c0797a13fe2694d15cc7b982d9ab1195"),
+        (CLI_GROUPS, 40, 3, 11, 8,
+         "0f806cc38914c21516862ccdea48ff7ee5025b48563e5a630a5ead75f172a152"),
+    ],
+    ids=["perfbench-seed-0", "cli-config"],
+)
+def test_export_bytes_are_pinned(
+    tmp_path, lexicon, groups, per_iteration_count, iterations, seed, files, digest
+):
+    """export's graphs/ tree for two of the synth trees that
+    tests/test_synth.py pins; digests taken from the object path."""
+    config = RunConfig(
+        fixtures_dir=tmp_path / "fixtures",
+        output_dir=tmp_path / "out",
+        groups=groups,
+        per_iteration_count=per_iteration_count,
+        iterations=iterations,
+        seed=seed,
+    )
+    write_fixture_tree(config, lexicon)
+    export_graphs(config)
+    assert tree_digest(tmp_path / "out" / "graphs") == (files, digest)
 
 
 GOOD = {"id": "z1", "text": "fine", "author": "zed"}
@@ -121,6 +204,9 @@ GOOD = {"id": "z1", "text": "fine", "author": "zed"}
 def record(**fields):
     return {"id": "z2", "text": "hi", **fields}
 
+
+MENTIONS_ERROR = ":2: field 'mentions' must be a list of handles"
+ID_ERROR = ":2: field 'id' must be a string or an integer"
 
 # (name, replacement file content, expected error after "<path>")
 MALFORMED = [
@@ -143,6 +229,15 @@ MALFORMED = [
         [GOOD, record(author="a", created_at="0001-01-01T00:00:00+01:00")],
         ":2: created_at out of range in UTC: '0001-01-01T00:00:00+01:00'",
     ),
+    # handles must be strings, not stringified into nodes such as 'none'
+    ("null mention", [GOOD, record(author="a", mentions=[None])], MENTIONS_ERROR),
+    ("numeric mention", [GOOD, record(author="a", mentions=["b", 5])], MENTIONS_ERROR),
+    ("list mention", [GOOD, record(author="a", mentions=[["b"]])], MENTIONS_ERROR),
+    ("null author", [GOOD, record(author=None)], ":2: field 'author' must be a string"),
+    ("numeric author", [GOOD, record(author=5)], ":2: field 'author' must be a string"),
+    ("null id", [GOOD, record(author="a", id=None)], ID_ERROR),
+    ("boolean id", [GOOD, record(author="a", id=True)], ID_ERROR),
+    ("float id", [GOOD, record(author="a", id=1.5)], ID_ERROR),
 ]
 
 
@@ -156,6 +251,19 @@ class TestMalformedFixtures:
         capsys.readouterr()
         assert main(["analyze", "--config", str(tree / "run.ini")]) == 2
         assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id": 1' + "0" * 5000 + ', "text": "hi", "author": "a"}', "[" * 100_000],
+        ids=["integer too long", "nesting too deep"],
+    )
+    def test_json_the_decoder_cannot_hold(self, tree, capsys, line):
+        path = tree / "fixtures" / "topical" / "alpha" / "iter_001"
+        write_lines(path, [GOOD, line])
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(tree / "run.ini")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: invalid JSON: ") and err.count("\n") == 1
 
     def test_undecodable_bytes(self, tree, capsys):
         path = tree / "fixtures" / "topical" / "alpha" / "iter_001"

@@ -20,12 +20,11 @@ EXPORTED = (
     "analyze_subject", "batch_alpha", "beta_ratio", "build_graph", "bundled_lexicon",
     "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations", "compare_groups",
     "component_summary", "correlate_tables", "correlation_report", "correlation_significance",
-    "export_dot", "export_graphs", "export_json", "fisher_z", "indep_groups_z_test",
-    "infer_group_n", "iteration_digest", "load_config", "load_lexicon", "normal_cdf",
-    "normal_quantile", "normalize_handle", "parse_fixture", "pearson_r", "render_reports",
-    "round_half_away", "run_pipeline", "score_text", "strong_components", "subject_slug",
-    "summarize_subject", "synth_batch", "synth_corpus", "synth_graph", "t_cdf",
-    "weak_components", "write_fixture", "write_fixture_tree", "zou_interval",
+    "export_dot", "export_graphs", "fisher_z", "indep_groups_z_test", "infer_group_n",
+    "load_config", "load_lexicon", "normal_cdf", "normal_quantile", "normalize_handle",
+    "parse_fixture", "pearson_r", "read_iteration", "render_reports", "round_half_away",
+    "run_pipeline", "score_text", "subject_slug", "summarize_subject", "synth_graph", "t_cdf",
+    "write_fixture_fields", "write_fixture_tree", "zou_interval",
 )
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 from threadknit.errors import ConfigError, DataError, DegeneracyError
 from threadknit.graph import build_graph, export_dot
-from threadknit.ingest import RunConfig, write_fixture, fixture_path
+from threadknit.ingest import RunConfig, fixture_path, write_fixture_fields
 from threadknit.pipeline import (
     CORRELATIONS,
     SCATTER,
@@ -15,8 +17,8 @@ from threadknit.pipeline import (
     compare_groups,
     correlate_tables,
     export_graphs,
-    final_iteration_graph,
     iteration_files,
+    read_iteration,
     render_reports,
     run_pipeline,
     select_groups,
@@ -60,6 +62,13 @@ def planted_config(tmp_path, lexicon, groups=None, **overrides):
     return config
 
 
+def write_batch(batch, config):
+    """A batch's Status fields through the fixture writer, at its place
+    in ``config``'s fixture tree."""
+    path = fixture_path(config.fixtures_dir, batch.spec, batch.index)
+    write_fixture_fields(path, map(astuple, batch.statuses))
+
+
 def chain_batch(index, length, alpha_word, spec):
     # a directed chain a0 -> a1 -> ... of mentions; every status scores the
     # same word so the batch mean is that word's valence
@@ -78,10 +87,8 @@ def chain_batch(index, length, alpha_word, spec):
 class TestAnalyzeSubject:
     def test_chain_counts_and_alpha(self, tmp_path, mini_lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=2)
-        spec = config.spec_for("topical", "A")
         for index in range(2):
-            batch = chain_batch(index, 4, "great", dict(subject="A"))
-            write_fixture(batch, fixture_path(config.fixtures_dir, spec, index))
+            write_batch(chain_batch(index, 4, "great", dict(subject="A")), config)
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (4, 1)
         assert summary.beta == 0.25
@@ -89,17 +96,10 @@ class TestAnalyzeSubject:
 
     def test_counts_averaged_with_rounding(self, tmp_path, mini_lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=2)
-        spec = config.spec_for("topical", "A")
         # iteration 0: chain of 4 (strong 4, weak 1); iteration 1: chain of
         # 5 (strong 5, weak 1).  Mean strong 4.5 rounds away from zero to 5.
-        write_fixture(
-            chain_batch(0, 4, "good", dict(subject="A")),
-            fixture_path(config.fixtures_dir, spec, 0),
-        )
-        write_fixture(
-            chain_batch(1, 5, "ok", dict(subject="A")),
-            fixture_path(config.fixtures_dir, spec, 1),
-        )
+        write_batch(chain_batch(0, 4, "good", dict(subject="A")), config)
+        write_batch(chain_batch(1, 5, "ok", dict(subject="A")), config)
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (5, 1)
         assert summary.beta == 0.2
@@ -195,16 +195,19 @@ class TestRunPipeline:
     def test_final_iteration_graph(self, tmp_path, lexicon):
         config = planted_config(tmp_path, lexicon)
         plan = default_plan(config)[0]
-        graph = final_iteration_graph(config, "topical", "A")
-        assert len(graph.nodes) >= plan.synth_spec.node_count
+        index, path = iteration_files(config, "topical", "A")[-1]
+        row = read_iteration(
+            path, plan.query_spec, index, config.edge_kinds, config.include_isolates
+        )
+        assert index == config.iterations - 1
+        assert len(row.nodes) >= plan.synth_spec.node_count
 
 
 class TestIterationOrder:
     def write_chains(self, config, lengths):
-        spec = config.spec_for("topical", "A")
         for index, length in lengths.items():
             batch = chain_batch(index, length, "good", dict(subject="A", iterations=1001))
-            write_fixture(batch, fixture_path(config.fixtures_dir, spec, index))
+            write_batch(batch, config)
 
     def test_files_sorted_by_number_not_name(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=1001)
@@ -219,7 +222,8 @@ class TestIterationOrder:
         self.write_chains(config, {998: 5, 999: 4, 1000: 3})
         last = chain_batch(1000, 3, "good", dict(subject="A", iterations=1001))
         (written,) = export_graphs(config)
-        assert written.read_text(encoding="utf-8") == export_dot(build_graph(last))
+        graph = build_graph(last)
+        assert written.read_text(encoding="utf-8") == export_dot(graph.nodes, graph.edges)
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (4, 1)
 
@@ -403,7 +407,7 @@ class TestExportGraphs:
 
         # a lone surrogate cannot be encoded, so writing the DOT text fails
         # after its file was opened
-        monkeypatch.setattr("threadknit.pipeline.export_dot", lambda graph: "digraph {\ud800}\n")
+        monkeypatch.setattr("threadknit.pipeline.export_dot", lambda *graph: "digraph {\ud800}\n")
         with pytest.raises(UnicodeEncodeError):
             export_graphs(config)
         assert {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()} == before

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import hashlib
 import math
+import random
 from statistics import fmean
 
 import pytest
@@ -13,10 +13,13 @@ from threadknit.components import component_summary
 from threadknit.errors import ConfigError, SynthError
 from threadknit.graph import build_graph
 from threadknit.ingest import (
+    IterationBatch,
     RunConfig,
+    Status,
     iteration_filename,
     parse_fixture,
     read_fixture,
+    references,
     write_fixture_fields,
 )
 from threadknit.sentiment import score_text
@@ -25,17 +28,29 @@ from threadknit.synth import (
     SynthSpec,
     _batch_fields,
     _closest_valence,
+    _corpus_texts,
     _palette,
     default_plan,
-    iter_planned_batches,
-    synth_batch,
-    synth_corpus,
     synth_graph,
     write_fixture_tree,
 )
 
-from conftest import make_spec
+from conftest import CLI_GROUPS, PERFBENCH_GROUPS, make_spec, tree_digest
 from oracles import reference_closest_valence
+
+
+def corpus_texts(spec, lexicon):
+    """The texts steered toward ``spec``'s target mean, alone."""
+    rng = random.Random(spec.seed)
+    return _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, _palette(lexicon), rng)
+
+
+def planted_batch(spec, query_spec, index, lexicon):
+    """One planted iteration's fields as an IterationBatch, for checks
+    through the object path."""
+    fields = _batch_fields(spec, query_spec, index, _palette(lexicon))
+    return IterationBatch(query_spec, index, tuple(Status(*f) for f in fields))
+
 
 size_lists = st.lists(
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
@@ -92,15 +107,15 @@ class TestSynthGraph:
 class TestSynthCorpus:
     def test_exact_zero_mean_with_zero_jitter(self, lexicon):
         spec = SynthSpec(seed=3, corpus_size=40, target_mean=0.0, jitter=0.0)
-        statuses = synth_corpus(spec, lexicon)
-        assert len(statuses) == 40
-        scores = [score_text(s.text, lexicon) for s in statuses]
+        texts = corpus_texts(spec, lexicon)
+        assert len(texts) == 40
+        scores = [score_text(text, lexicon) for text in texts]
         assert fmean(scores) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("target", [0.5, -0.8, 1.1844, 0.0429])
     def test_target_within_jitter(self, lexicon, target):
         spec = SynthSpec(seed=4, corpus_size=60, target_mean=target, jitter=0.05)
-        scores = [score_text(s.text, lexicon) for s in synth_corpus(spec, lexicon)]
+        scores = [score_text(text, lexicon) for text in corpus_texts(spec, lexicon)]
         assert abs(fmean(scores) - target) <= 0.05 + 1e-9
 
     def test_unreachable_target_rejected(self, lexicon):
@@ -109,22 +124,24 @@ class TestSynthCorpus:
             seed=5, corpus_size=10, target_mean=max_valence * 12 + 5, jitter=0.01
         )
         with pytest.raises(SynthError):
-            synth_corpus(too_high, lexicon)
+            corpus_texts(too_high, lexicon)
 
     def test_empty_corpus_rejected(self, lexicon):
-        with pytest.raises(SynthError):
-            synth_corpus(SynthSpec(seed=5, corpus_size=0), lexicon)
+        # analyze cannot score an iteration without statuses
+        spec = SynthSpec(seed=5, corpus_size=0)
+        with pytest.raises(SynthError, match="corpus_size must be at least 1"):
+            _batch_fields(spec, make_spec(per_iteration_count=50), 0, _palette(lexicon))
 
     def test_deterministic(self, lexicon):
         spec = SynthSpec(seed=11, corpus_size=25, target_mean=0.3, jitter=0.02)
-        first = [s.text for s in synth_corpus(spec, lexicon)]
-        second = [s.text for s in synth_corpus(spec, lexicon)]
-        assert first == second
+        assert corpus_texts(spec, lexicon) == corpus_texts(spec, lexicon)
 
     def test_statuses_have_no_references(self, lexicon):
         spec = SynthSpec(seed=6, corpus_size=15, target_mean=0.2, jitter=0.05)
-        for status in synth_corpus(spec, lexicon):
-            assert list(status.references()) == []
+        fields = _batch_fields(spec, make_spec(per_iteration_count=50), 0, _palette(lexicon))
+        assert len(fields) == 15
+        for _, _, _, _, reply_to, mentions, retweet_of, quote_of in fields:
+            assert references(reply_to, mentions, retweet_of, quote_of) == []
 
 
 class TestSynthBatch:
@@ -139,23 +156,23 @@ class TestSynthBatch:
 
     def test_graph_counts_recovered(self, lexicon):
         spec = self.batch_spec()
-        batch = synth_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
         summary = component_summary(build_graph(batch, ("mention",)))
         assert (summary.strong_count, summary.weak_count) == (3, 2)
 
     def test_batch_size_is_corpus_size(self, lexicon):
-        batch = synth_batch(self.batch_spec(), make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(self.batch_spec(), make_spec(per_iteration_count=50), 0, lexicon)
         assert len(batch.statuses) == 30
 
     def test_mean_score_near_target(self, lexicon):
-        batch = synth_batch(self.batch_spec(), make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(self.batch_spec(), make_spec(per_iteration_count=50), 0, lexicon)
         scores = [score_text(s.text, lexicon) for s in batch.statuses]
         assert abs(fmean(scores) - 0.25) <= 0.02 + 1e-9
 
     def test_iterations_differ_but_counts_hold(self, lexicon):
         spec = self.batch_spec()
         qspec = make_spec(per_iteration_count=50)
-        batches = [synth_batch(spec, qspec, i, lexicon) for i in range(3)]
+        batches = [planted_batch(spec, qspec, i, lexicon) for i in range(3)]
         texts = [tuple(s.text for s in b.statuses) for b in batches]
         assert len(set(texts)) == 3
         for batch in batches:
@@ -165,23 +182,23 @@ class TestSynthBatch:
     def test_deterministic_per_index(self, lexicon):
         spec = self.batch_spec()
         qspec = make_spec(per_iteration_count=50)
-        assert synth_batch(spec, qspec, 4, lexicon) == synth_batch(spec, qspec, 4, lexicon)
+        assert planted_batch(spec, qspec, 4, lexicon) == planted_batch(spec, qspec, 4, lexicon)
 
     def test_corpus_too_small_for_structure(self, lexicon):
         spec = SynthSpec(
             seed=1, weak_component_sizes=[[4, 4], [4]], corpus_size=5
         )
         with pytest.raises(SynthError, match="cannot cover"):
-            synth_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+            planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
 
     def test_corpus_exceeding_iteration_budget(self, lexicon):
         spec = SynthSpec(seed=1, weak_component_sizes=[[1]], corpus_size=60)
         with pytest.raises(SynthError, match="per_iteration_count"):
-            synth_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+            planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
 
     def test_structureless_batch(self, lexicon):
         spec = SynthSpec(seed=2, corpus_size=10, target_mean=0.0, jitter=0.0)
-        batch = synth_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
         assert len(batch.statuses) == 10
 
 
@@ -258,9 +275,10 @@ class TestWriteFixtureTree:
     def test_batches_follow_plan(self, tmp_path, lexicon):
         config = _tiny_config(tmp_path, [("individual", ("Solo",))], iterations=2)
         (plan,) = default_plan(config)
-        batches = list(iter_planned_batches(plan, config.iterations, lexicon))
-        assert [b.index for b in batches] == [0, 1]
-        for batch in batches:
+        written = write_fixture_tree(config, lexicon)
+        assert [path.name for path in written] == ["iter_000", "iter_001"]
+        for index, path in enumerate(written):
+            batch = parse_fixture(path, plan.query_spec, index)
             summary = component_summary(build_graph(batch, ("mention",)))
             assert summary.strong_count == plan.synth_spec.strong_count
             assert summary.weak_count == plan.synth_spec.weak_count
@@ -269,9 +287,10 @@ class TestWriteFixtureTree:
         def refuse(*args, **kwargs):
             raise AssertionError("write_fixture_tree built a Status object")
 
+        # synth imports neither name; a stub there still catches a new import
         for module in (synth_module, ingest_module):
-            monkeypatch.setattr(module, "Status", refuse)
-            monkeypatch.setattr(module, "IterationBatch", refuse)
+            monkeypatch.setattr(module, "Status", refuse, raising=False)
+            monkeypatch.setattr(module, "IterationBatch", refuse, raising=False)
         config = _tiny_config(tmp_path, [("event", ("Alpha",))], iterations=2)
         assert len(write_fixture_tree(config, lexicon)) == 2
 
@@ -321,7 +340,7 @@ class TestFixtureFields:
         path = tmp_path_factory.mktemp("fields") / iteration_filename(index)
         write_fixture_fields(path, fields)
         assert read_fixture(path, qspec, index) == fields
-        assert parse_fixture(path, qspec, index) == synth_batch(spec, qspec, index, lexicon)
+        assert parse_fixture(path, qspec, index) == planted_batch(spec, qspec, index, lexicon)
 
     def test_index_outside_plan_is_rejected(self, lexicon):
         spec = SynthSpec(seed=1, weak_component_sizes=[[1]], corpus_size=10)
@@ -367,32 +386,6 @@ class TestClosestValence:
         assert best == reference_closest_valence(remaining, valences)
 
 
-PERFBENCH_GROUPS = (
-    ("topical", ("Christianity", "NORAD", "Duke Energy", "Climate", "Vaccines", "Bitcoin")),
-    ("event", ("Christmas", "Hanukkah", "Fortnite", "World Cup", "Super Bowl", "Kwanzaa")),
-    ("geographic", ("NYC", "London", "Tokyo", "Lagos", "Sao Paulo", "Mumbai")),
-    (
-        "individual",
-        (
-            "Ada Lovelace", "Alan Turing", "Grace Hopper", "Katherine Johnson",
-            "Tim Berners-Lee", "Linus Torvalds",
-        ),
-    ),
-)
-CLI_GROUPS = (
-    ("topical", ("Alpha", "Beta Co", "Gamma", "Delta")),
-    ("event", ("Game One", "Festival", "Launch", "Parade")),
-)
-
-
-def _tree_digest(root) -> tuple[int, str]:
-    digest = hashlib.sha256()
-    files = sorted(p for p in root.rglob("*") if p.is_file())
-    for path in files:
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
-    return len(files), digest.hexdigest()
-
-
 @pytest.mark.parametrize(
     "groups, per_iteration_count, iterations, seed, files, digest",
     [
@@ -414,4 +407,4 @@ def test_tree_bytes_are_pinned(
         tmp_path, groups, iterations=iterations, per_iteration_count=per_iteration_count, seed=seed
     )
     write_fixture_tree(config, lexicon)
-    assert _tree_digest(tmp_path / "fixtures") == (files, digest)
+    assert tree_digest(tmp_path / "fixtures") == (files, digest)
