@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
-from .ingest import RunConfig, load_config, parse_bool
+from .ingest import RunConfig, load_config, nonempty_path
 from .pipeline import (
     CORRELATIONS,
     SUBJECT_TABLE,
@@ -33,6 +33,7 @@ from .pipeline import (
     select_groups,
 )
 from .records import read_records
+from .stats import check_confidence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,13 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _bool_flag(value: str) -> bool:
-    try:
-        return parse_bool(value)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="threadknit", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -57,21 +51,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = commands.add_parser("synth", help="generate a synthetic fixture tree")
     synth.add_argument("--config", required=True, type=Path)
-    synth.add_argument("--out", type=Path, help="fixture root (default: config fixtures)")
+    synth.add_argument("--out", help="fixture root (default: config fixtures)")
     synth.add_argument("--seed", type=int, help="override the configured seed")
     synth.set_defaults(func=_cmd_synth)
 
     analyze = commands.add_parser("analyze", help="build subject tables from fixtures")
     analyze.add_argument("--config", required=True, type=Path)
-    analyze.add_argument("--out", type=Path, help="output root (default: config output)")
+    analyze.add_argument("--out", help="output root (default: config output)")
     analyze.add_argument("--group", action="append", help="restrict to this group (repeatable)")
-    analyze.add_argument("--include-isolates", type=_bool_flag, metavar="BOOL")
     analyze.add_argument("--jobs", type=int, default=1, help="concurrent subject analyses")
     analyze.set_defaults(func=_cmd_analyze)
 
     correlate = commands.add_parser("correlate", help="correlate beta against alpha per group")
     correlate.add_argument("--config", type=Path)
-    correlate.add_argument("--out", type=Path)
+    correlate.add_argument("--out")
     correlate.add_argument("--group", action="append")
     correlate.add_argument(
         "--bundled", action="store_true", help="use the packaged reference tables"
@@ -80,67 +73,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = commands.add_parser("compare", help="pairwise z tests and intervals")
     compare.add_argument("--config", type=Path)
-    compare.add_argument("--out", type=Path)
+    compare.add_argument("--out")
     compare.add_argument("--n-override", type=int, metavar="N")
     compare.add_argument("--confidence", type=float)
     compare.set_defaults(func=_cmd_compare)
 
     export = commands.add_parser("export", help="write final-iteration graphs as DOT")
     export.add_argument("--config", required=True, type=Path)
-    export.add_argument("--out", type=Path)
+    export.add_argument("--out")
     export.add_argument("--group", action="append")
     export.set_defaults(func=_cmd_export)
 
     return parser
 
 
-def _load(args) -> RunConfig:
+def _load(args, **flags) -> RunConfig:
+    """The configured run with the flags given on the command line applied:
+    RunConfig checks each flag as it checks the config key it replaces."""
     config = load_config(args.config)
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    isolates = getattr(args, "include_isolates", None)
-    if isolates is not None:
-        config = replace(config, include_isolates=isolates)
-    return config
+    return replace(config, **{field: value for field, value in flags.items() if value is not None})
+
+
+def _bare_out_dir(args) -> Path:
+    """--out of a stage run without --config; ``out`` by default."""
+    return nonempty_path("out" if args.out is None else args.out, "output directory")
 
 
 def _cmd_synth(args) -> int:
     # only this stage needs the generator
     from .synth import write_fixture_tree
 
-    config = _load(args)
-    root = args.out if args.out is not None else config.fixtures_dir
-    files = write_fixture_tree(config, resolve_lexicon(config), root=root)
-    print(f"wrote {len(files)} fixture files under {root}")
+    config = _load(args, seed=args.seed, fixtures_dir=args.out)
+    files = write_fixture_tree(config, resolve_lexicon(config))
+    print(f"wrote {len(files)} fixture files under {config.fixtures_dir}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    config = _load(args)
-    out_dir = args.out if args.out is not None else config.output_dir
-    results = run_pipeline(
-        config, only_groups=args.group, jobs=args.jobs
-    )
-    written = render_tables(results, out_dir)
+    config = _load(args, output_dir=args.out)
+    results = run_pipeline(config, only_groups=args.group, jobs=args.jobs)
+    written = render_tables(results, config.output_dir)
     for result in results:
         print(f"{result.kind}: {len(result.subjects)} subjects")
-    print(f"wrote {len(written)} table files under {out_dir}")
+    print(f"wrote {len(written)} table files under {config.output_dir}")
     return 0
 
 
 def _cmd_correlate(args) -> int:
-    out_dir = args.out if args.out is not None else Path("out")
     if args.bundled:
+        out_dir = _bare_out_dir(args)
         tables = select_groups(bundled_tables(), args.group)
     else:
         if args.config is None:
             raise ConfigError("correlate needs --config (or --bundled)")
-        config = _load(args)
-        out_dir = args.out if args.out is not None else config.output_dir
+        config = _load(args, output_dir=args.out)
+        out_dir = config.output_dir
         tables = []
         for kind, _ in select_groups(config.groups, args.group):
-            table_path = Path(out_dir) / "tables" / f"{kind}.csv"
+            table_path = out_dir / "tables" / f"{kind}.csv"
             if not table_path.is_file():
                 raise DataError(f"missing subject table {table_path}; run analyze first")
             tables.append((kind, read_records(SUBJECT_TABLE, table_path)))
@@ -155,18 +145,15 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    confidence = args.confidence
-    out_dir = args.out if args.out is not None else Path("out")
     if args.config is not None:
-        config = _load(args)
-        out_dir = args.out if args.out is not None else config.output_dir
-        if confidence is None:
-            confidence = config.confidence
-    if confidence is None:
-        confidence = 0.95
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError(f"confidence must be strictly between 0 and 1, got {confidence}")
-    source = Path(out_dir) / "correlations.json"
+        config = _load(args, output_dir=args.out, confidence=args.confidence)
+        out_dir, confidence = config.output_dir, config.confidence
+    else:
+        out_dir = _bare_out_dir(args)
+        confidence = check_confidence(
+            RunConfig.confidence if args.confidence is None else args.confidence
+        )
+    source = out_dir / "correlations.json"
     if not source.is_file():
         raise DataError(f"missing {source}; run correlate first")
     comparisons = compare_groups(
@@ -182,10 +169,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    config = _load(args)
-    out_dir = args.out if args.out is not None else config.output_dir
-    files = export_graphs(config, only_groups=args.group, out_dir=out_dir)
-    print(f"wrote {len(files)} graph files under {Path(out_dir) / 'graphs'}")
+    config = _load(args, output_dir=args.out)
+    files = export_graphs(config, only_groups=args.group)
+    print(f"wrote {len(files)} graph files under {config.output_dir / 'graphs'}")
     return 0
 
 

@@ -11,8 +11,10 @@ class ThreadknitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ConfigError(ThreadknitError):
-    """Bad or missing configuration: unknown keys, invalid values, absent files."""
+class ConfigError(ThreadknitError, ValueError):
+    """Bad or missing configuration: unknown keys, invalid values, absent files.
+    Subclasses ValueError, as DegeneracyError does, so a library caller
+    passing a bad setting meets the error it would expect."""
 
 
 class DataError(ThreadknitError):

@@ -11,9 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .ingest import IterationBatch
-
-EDGE_KINDS = ("reply", "mention", "retweet", "quote")
+from .ingest import EDGE_KINDS, IterationBatch, edge_kind_set
 
 _BARE_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -48,17 +46,6 @@ class ConversationGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
-    """The selected reference kinds; at least one, each in EDGE_KINDS."""
-    kindset = frozenset(kinds)
-    if not kindset:
-        raise ValueError("at least one edge kind is required")
-    unknown = kindset - set(EDGE_KINDS)
-    if unknown:
-        raise ValueError(f"unknown edge kinds: {sorted(unknown)}")
-    return kindset
 
 
 def build_graph(

@@ -13,11 +13,13 @@ import json.encoder
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, FixtureError
 from .records import write_atomic
+from .stats import check_confidence
 
 QUERY_KINDS = ("topical", "event", "geographic", "individual")
 
@@ -58,10 +60,9 @@ def iteration_index(name: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
-def _parse_timestamp(value: Any) -> datetime:
-    if value in (None, ""):
+def _parse_timestamp(text: str | None) -> datetime:
+    if not text:
         return EPOCH
-    text = str(value)
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     moment = datetime.fromisoformat(text)
@@ -70,7 +71,7 @@ def _parse_timestamp(value: Any) -> datetime:
     try:
         return moment.astimezone(timezone.utc)
     except OverflowError:
-        raise ValueError(f"created_at out of range in UTC: {value!r}") from None
+        raise ValueError(f"created_at out of range in UTC: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,10 @@ class Status:
         yield from references(self.reply_to, self.mentions, self.retweet_of, self.quote_of)
 
 
+# the reference kinds, in the order references() yields them
+EDGE_KINDS = ("reply", "mention", "retweet", "quote")
+
+
 def references(
     reply_to: str | None,
     mentions: Sequence[str],
@@ -130,6 +135,17 @@ def references(
     return pairs
 
 
+def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
+    """The selected reference kinds; at least one, each in EDGE_KINDS."""
+    kindset = frozenset(kinds)
+    if not kindset or not kindset <= set(EDGE_KINDS):
+        raise ConfigError(
+            f"bad edge_kinds {', '.join(sorted(kindset))!r}; "
+            f"expected one or more of {', '.join(EDGE_KINDS)}"
+        )
+    return kindset
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """Plan for sampling one subject: its group kind and how often."""
@@ -141,13 +157,15 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind: {self.kind!r}")
+            raise ConfigError(
+                f"unknown group kind {self.kind!r}; expected one of {', '.join(QUERY_KINDS)}"
+            )
         if not self.subject:
-            raise ValueError("subject must be nonempty")
+            raise ConfigError("subject must be nonempty")
         if self.per_iteration_count < 1:
-            raise ValueError("per_iteration_count must be at least 1")
+            raise ConfigError("per_iteration_count must be at least 1")
         if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+            raise ConfigError("iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -215,7 +233,10 @@ def _record_fields(record: Any, handles: dict[str, str]) -> StatusFields:
     for name, value in zip(_OPTIONAL_STRING_FIELDS, optional):
         if value is not None and not isinstance(value, str):
             raise ValueError(f"field {name!r} must be a string or null")
-    created_at = _parse_timestamp(get("created_at"))
+    created_at = get("created_at")
+    if created_at is not None and not isinstance(created_at, str):
+        raise ValueError("field 'created_at' must be a string or null")
+    created_at = _parse_timestamp(created_at)
     status_id = record["id"]
     if not isinstance(status_id, str):
         if not isinstance(status_id, int) or isinstance(status_id, bool):
@@ -348,12 +369,22 @@ def fixture_path(root: str | Path, spec: QuerySpec, index: int) -> Path:
     return subject_dir(root, spec.kind, spec.subject) / iteration_filename(index)
 
 
+def nonempty_path(value: str | Path, name: str) -> Path:
+    """``value`` as a Path; ConfigError when it is blank text, which Path
+    would take for the current directory."""
+    if not str(value).strip():
+        raise ConfigError(f"{name} must be a nonempty path")
+    return Path(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a full run needs: directories, plan sizes, and groups.
 
-    ``groups`` preserves the order in which kinds appear in the config
-    file; every kind is one of QUERY_KINDS.
+    Every run setting is checked here, whether it comes from a config file,
+    a command-line flag or a library caller; a bad one is a ConfigError.
+    Paths may be given as text.  ``groups`` keeps the order in which kinds
+    appear in the config file.
     """
 
     fixtures_dir: Path
@@ -365,7 +396,37 @@ class RunConfig:
     seed: int = 0
     include_isolates: bool = True
     confidence: float = 0.95
-    edge_kinds: tuple[str, ...] = ("reply", "mention", "retweet", "quote")
+    edge_kinds: tuple[str, ...] = EDGE_KINDS
+
+    def __post_init__(self) -> None:
+        set_field = partial(object.__setattr__, self)
+        set_field("fixtures_dir", nonempty_path(self.fixtures_dir, "fixture directory"))
+        set_field("output_dir", nonempty_path(self.output_dir, "output directory"))
+        if self.lexicon_path is not None:
+            set_field("lexicon_path", nonempty_path(self.lexicon_path, "lexicon"))
+        set_field("groups", tuple((kind, tuple(names)) for kind, names in self.groups))
+        if not self.groups:
+            raise ConfigError("no groups configured")
+        for kind, names in self.groups:
+            if not names:
+                raise ConfigError(f"group {kind!r} lists no subjects")
+            slugs = set()
+            for name in names:
+                # a known kind, a nonempty subject and positive plan sizes
+                self.spec_for(kind, name)
+                try:
+                    slug = subject_slug(name)
+                except ValueError:
+                    raise ConfigError(
+                        f"group {kind!r} subject {name!r} has no ASCII letter or digit "
+                        "to name its fixture directory"
+                    ) from None
+                if slug in slugs:
+                    raise ConfigError(f"group {kind!r} repeats subject {name!r}")
+                slugs.add(slug)
+        check_confidence(self.confidence)
+        set_field("edge_kinds", tuple(self.edge_kinds))
+        edge_kind_set(self.edge_kinds)
 
     def spec_for(self, kind: str, subject: str) -> QuerySpec:
         return QuerySpec(kind, subject, self.per_iteration_count, self.iterations)
@@ -385,27 +446,63 @@ _BOOL_VALUES = {
     "0": False, "false": False, "no": False, "off": False,
 }
 
-
-def parse_bool(value: str) -> bool:
-    try:
-        return _BOOL_VALUES[value.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {value!r}") from None
-
-
 # the [run] keys; any other key, or any section but [run] and [groups], is
 # a ConfigError, so a misspelt key cannot be silently ignored
 RUN_KEYS = (
     "fixtures", "output", "lexicon", "per_iteration_count", "iterations", "seed",
     "include_isolates", "confidence", "edge_kinds",
 )
+# the path keys and the RunConfig field each sets; every other key sets the
+# field of its own name
+_PATH_FIELDS = {"fixtures": "fixtures_dir", "output": "output_dir", "lexicon": "lexicon_path"}
+
+
+def _run_value(key: str, raw: str, base: Path) -> Any:
+    """The RunConfig value that one [run] key's text stands for."""
+    raw = raw.strip()
+    if key in _PATH_FIELDS:
+        return base / nonempty_path(raw, key)
+    if key == "edge_kinds":
+        return _split_csv(raw)
+    if key == "include_isolates":
+        if raw.lower() not in _BOOL_VALUES:
+            raise ConfigError(f"not a boolean: {raw!r}")
+        return _BOOL_VALUES[raw.lower()]
+    kind = float if key == "confidence" else int
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+
+
+def _run_settings(parser: configparser.ConfigParser, base: Path) -> dict[str, Any]:
+    """RunConfig arguments for the keys a parsed config file sets."""
+    for section in parser.sections():
+        if section not in ("run", "groups"):
+            raise ConfigError(f"unknown section [{section}]; expected [run] and [groups]")
+    if not parser.has_section("groups"):
+        raise ConfigError("missing [groups] section")
+    settings: dict[str, Any] = {
+        "groups": [(kind, _split_csv(names)) for kind, names in parser.items("groups")],
+        # the two defaults that depend on where the config file is
+        "fixtures_dir": base / "fixtures",
+        "output_dir": base / "out",
+    }
+    for key, raw in parser.items("run") if parser.has_section("run") else ():
+        if key not in RUN_KEYS:
+            raise ConfigError(f"unknown [run] key {key!r}; expected one of {', '.join(RUN_KEYS)}")
+        settings[_PATH_FIELDS.get(key, key)] = _run_value(key, raw, base)
+    return settings
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse an INI run configuration.
 
     Sections: ``[run]`` for the scalars in RUN_KEYS, and ``[groups]``
-    mapping query kind to a comma-separated subject list.
+    mapping query kind to a comma-separated subject list.  Relative paths
+    are taken from the config file's directory; RunConfig checks the rest.
+    Every error is a ConfigError naming the file.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -416,102 +513,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
-
-    for section in parser.sections():
-        if section not in ("run", "groups"):
-            raise ConfigError(f"{path}: unknown section [{section}]; expected [run] and [groups]")
-    if not parser.has_section("groups"):
-        raise ConfigError(f"{path}: missing [groups] section")
-    groups = []
-    for kind in parser.options("groups"):
-        if kind not in QUERY_KINDS:
-            raise ConfigError(
-                f"{path}: unknown group kind {kind!r}; expected one of {', '.join(QUERY_KINDS)}"
-            )
-        subjects = _split_csv(parser.get("groups", kind))
-        if not subjects:
-            raise ConfigError(f"{path}: group {kind!r} lists no subjects")
-        seen = set()
-        for name in subjects:
-            try:
-                slug = subject_slug(name)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: group {kind!r} subject {name!r} has no ASCII letter or digit "
-                    "to name its fixture directory"
-                ) from None
-            if slug in seen:
-                raise ConfigError(f"{path}: group {kind!r} repeats subject {name!r}")
-            seen.add(slug)
-        groups.append((kind, subjects))
-    if not groups:
-        raise ConfigError(f"{path}: no groups configured")
-
-    run = parser["run"] if parser.has_section("run") else {}
-    for key in run:
-        if key not in RUN_KEYS:
-            raise ConfigError(
-                f"{path}: unknown [run] key {key!r}; expected one of {', '.join(RUN_KEYS)}"
-            )
-
-    def _get_number(key: str, kind: type, default: float) -> Any:
-        raw = run.get(key)
-        if raw is None:
-            return default
-        try:
-            return kind(str(raw).strip())
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{path}: {key} must be {what}, got {raw!r}") from None
-
-    base = path.parent
-
-    def _get_path(key: str, default: str | None) -> Path | None:
-        raw = run.get(key, default)
-        if raw is None:
-            return None
-        raw = str(raw).strip()
-        if not raw:
-            raise ConfigError(f"{path}: {key} must be a nonempty path")
-        candidate = Path(raw)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    fixtures_dir = _get_path("fixtures", "fixtures")
-    output_dir = _get_path("output", "out")
-    lexicon_path = _get_path("lexicon", None)
-
-    per_iteration_count = _get_number("per_iteration_count", int, 950)
-    iterations = _get_number("iterations", int, 100)
-    seed = _get_number("seed", int, 0)
-    confidence = _get_number("confidence", float, 0.95)
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError(f"{path}: confidence must be strictly between 0 and 1")
-    if per_iteration_count < 1 or iterations < 1:
-        raise ConfigError(f"{path}: per_iteration_count and iterations must be positive")
-
-    include_isolates = True
-    if "include_isolates" in run:
-        try:
-            include_isolates = parse_bool(run["include_isolates"])
-        except ValueError as err:
-            raise ConfigError(f"{path}: {err}") from err
-
-    edge_kinds: tuple[str, ...] = ("reply", "mention", "retweet", "quote")
-    if "edge_kinds" in run:
-        edge_kinds = _split_csv(run["edge_kinds"])
-        unknown = [k for k in edge_kinds if k not in ("reply", "mention", "retweet", "quote")]
-        if unknown or not edge_kinds:
-            raise ConfigError(f"{path}: bad edge_kinds {run['edge_kinds']!r}")
-
-    return RunConfig(
-        fixtures_dir=fixtures_dir,
-        output_dir=output_dir,
-        groups=tuple((kind, tuple(names)) for kind, names in groups),
-        lexicon_path=lexicon_path,
-        per_iteration_count=per_iteration_count,
-        iterations=iterations,
-        seed=seed,
-        include_isolates=include_isolates,
-        confidence=confidence,
-        edge_kinds=edge_kinds,
-    )
+    try:
+        return RunConfig(**_run_settings(parser, path.parent))
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from err

@@ -21,12 +21,14 @@ from .components import (
     summarize_subject,
 )
 from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
-from .graph import edge_kind_set, export_dot
+from .graph import export_dot
 from .ingest import (
     QUERY_KINDS,
     QuerySpec,
     RunConfig,
+    edge_kind_set,
     iteration_index,
+    nonempty_path,
     read_fixture,
     references,
     subject_dir,
@@ -333,7 +335,7 @@ def _write_both(spec: RecordSpec, records: Sequence, stem: Path) -> list[Path]:
 
 def render_tables(results: Sequence[GroupResult], out_dir: str | Path) -> list[Path]:
     """Write each group's subject table (CSV and JSON) and scatter CSV."""
-    out_dir = _checked_out_dir(out_dir)
+    out_dir = nonempty_path(out_dir, "output directory")
     written = []
     for result in results:
         written += _write_both(SUBJECT_TABLE, result.subjects, out_dir / "tables" / result.kind)
@@ -345,12 +347,14 @@ def render_tables(results: Sequence[GroupResult], out_dir: str | Path) -> list[P
 
 def render_correlations(reports: Sequence[CorrelationReport], out_dir: str | Path) -> list[Path]:
     """Write ``correlations.csv`` and ``correlations.json``."""
-    return _write_both(CORRELATIONS, reports, _checked_out_dir(out_dir) / "correlations")
+    out_dir = nonempty_path(out_dir, "output directory")
+    return _write_both(CORRELATIONS, reports, out_dir / "correlations")
 
 
 def render_comparisons(comparisons: Sequence[ComparisonReport], out_dir: str | Path) -> list[Path]:
     """Write ``comparisons.csv`` and ``comparisons.json``."""
-    return _write_both(COMPARISONS, comparisons, _checked_out_dir(out_dir) / "comparisons")
+    out_dir = nonempty_path(out_dir, "output directory")
+    return _write_both(COMPARISONS, comparisons, out_dir / "comparisons")
 
 
 def render_reports(
@@ -370,17 +374,12 @@ def render_reports(
     return written
 
 
-def export_graphs(
-    config: RunConfig,
-    only_groups: Sequence[str] | None = None,
-    out_dir: str | Path | None = None,
-) -> list[Path]:
+def export_graphs(config: RunConfig, only_groups: Sequence[str] | None = None) -> list[Path]:
     """Write the final-iteration graph of every subject as canonical DOT.
 
-    Reads each file through read_iteration, as analyze does, and scores no
-    text.
+    Files go under ``graphs/`` in ``config.output_dir``.  Each is read
+    through read_iteration, as analyze reads it, and no text is scored.
     """
-    out_dir = _checked_out_dir(out_dir if out_dir is not None else config.output_dir)
     written = []
     for kind, subjects in select_groups(config.groups, only_groups):
         for subject in subjects:
@@ -389,13 +388,7 @@ def export_graphs(
             row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
             names = row.nodes
             dot = export_dot(names, [(names[s], names[t], label) for s, t, label in row.edges])
-            target = out_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
+            target = config.output_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
             written.append(write_atomic(target, lambda handle: handle.write(dot)))
     return written
 
-
-def _checked_out_dir(out_dir: str | Path) -> Path:
-    text = str(out_dir).strip()
-    if not text:
-        raise ConfigError("output directory must be a nonempty path")
-    return Path(out_dir)

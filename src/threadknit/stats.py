@@ -15,7 +15,7 @@ from math import fsum
 from statistics import NormalDist
 from typing import Sequence
 
-from .errors import DegeneracyError
+from .errors import ConfigError, DegeneracyError
 
 _SQRT2 = math.sqrt(2.0)
 _CF_EPS = 3e-16
@@ -33,6 +33,18 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile defined on (0, 1), got {p!r}")
     return NormalDist().inv_cdf(p)
+
+
+def check_confidence(confidence: float) -> float:
+    """``confidence`` when a two-sided interval can use it: above 0, and
+    below 1 by enough that 0.5 + confidence / 2, the quantile's argument,
+    stays below 1 in floating point.  Otherwise a ConfigError."""
+    if not (confidence > 0.0 and 0.5 + confidence / 2.0 < 1.0):
+        raise ConfigError(
+            "confidence must be strictly between 0 and 1, with 0.5 + confidence / 2 "
+            f"below 1 in floating point; got {confidence!r}"
+        )
+    return confidence
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -187,8 +199,7 @@ def zou_interval(
     The interval always contains r1 - r2 and shrinks as either sample
     grows.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
+    check_confidence(confidence)
     if n1 <= 3 or n2 <= 3:
         raise DegeneracyError(f"interval needs group sizes above 3, got {n1} and {n2}")
     q = normal_quantile(0.5 + confidence / 2.0)

@@ -358,7 +358,6 @@ def write_fixture_tree(
     config: RunConfig,
     lexicon: Lexicon,
     plans: Sequence[SubjectPlan] | None = None,
-    root=None,
 ) -> list:
     """Materialize a full fixture tree; returns the files written.
 
@@ -367,12 +366,11 @@ def write_fixture_tree(
     """
     if plans is None:
         plans = default_plan(config)
-    root = root if root is not None else config.fixtures_dir
-    _refuse_stale_files(root, plans, config.iterations)
+    _refuse_stale_files(config.fixtures_dir, plans, config.iterations)
     palette = _palette(lexicon)
     written = []
     for plan in plans:
-        directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
+        directory = subject_dir(config.fixtures_dir, plan.query_spec.kind, plan.query_spec.subject)
         for index in range(config.iterations):
             fields = _batch_fields(plan.synth_spec, plan.query_spec, index, palette)
             written.append(write_fixture_fields(directory / iteration_filename(index), fields))

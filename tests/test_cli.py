@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import threadknit.cli
 import threadknit.pipeline
 from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
+from threadknit.ingest import RUN_KEYS
 
 SRC = Path(threadknit.cli.__file__).resolve().parent.parent
 
@@ -227,6 +230,26 @@ class TestCompareCommand:
         run_cli("correlate", "--bundled", "--out", tmp_path)
         assert run_cli("compare", "--out", tmp_path, "--confidence", "95") == 1
 
+    @pytest.mark.parametrize(
+        "argv, config_line",
+        [
+            (("--out", "out", "--confidence", "0.9999999999999999"), ""),
+            (("--config", "run.ini"), "confidence = 0.9999999999999999\n"),
+            (("--config", "run.ini", "--confidence", "0.9999999999999999"), ""),
+        ],
+        ids=["flag", "config", "flag-over-config"],
+    )
+    def test_confidence_next_to_1_is_one_error_line_exit_1(self, workdir, argv, config_line):
+        """0.5 + confidence / 2 rounds to 1.0, where the normal quantile is
+        undefined."""
+        config = CONFIG.replace("[run]\n", "[run]\n" + config_line)
+        (workdir / "run.ini").write_text(config, encoding="utf-8")
+        run_cli("correlate", "--bundled", "--out", workdir / "out")
+        code, err = run_cli_process(workdir, "compare", *argv)
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "confidence" in err[0]
+        assert not (workdir / "out" / "comparisons.csv").exists()
+
 
 class TestExportCommand:
     def test_dot_files(self, workdir, capsys):
@@ -345,10 +368,68 @@ class TestErrorHandling:
         assert str(fixtures / "topical" / "alpha" / "iter_002") in err
         assert tree_bytes(fixtures) == before
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--config", "run.ini"),
+            ("analyze", "--config", "run.ini"),
+            ("correlate", "--config", "run.ini"),
+            ("correlate", "--bundled"),
+            ("compare", "--config", "run.ini"),
+            ("compare",),
+            ("export", "--config", "run.ini"),
+        ],
+        ids=" ".join,
+    )
+    def test_empty_out_is_one_error_line_exit_1(self, workdir, argv):
+        """An empty --out is not the current directory: nothing is written."""
+        for stage in ("synth", "analyze", "correlate"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        before = tree_bytes(workdir)
+        code, err = run_cli_process(workdir, *argv, "--out", "")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "nonempty path" in err[0]
+        assert tree_bytes(workdir) == before
+
     def test_parser_raises_config_error_directly(self):
         parser = build_parser()
         with pytest.raises(ConfigError):
             parser.parse_args(["synth"])
+
+
+# every subcommand's options: adding or removing one is a deliberate edit here
+OPTIONS = {
+    "synth": ["--config", "--out", "--seed"],
+    "analyze": ["--config", "--out", "--group", "--jobs"],
+    "correlate": ["--config", "--out", "--group", "--bundled"],
+    "compare": ["--config", "--out", "--n-override", "--confidence"],
+    "export": ["--config", "--out", "--group"],
+}
+
+
+class TestInventory:
+    def test_options_are_pinned(self):
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        found = {
+            name: [
+                option for action in command._actions for option in action.option_strings
+                if option not in ("-h", "--help")
+            ]
+            for name, command in commands.choices.items()
+        }
+        assert found == OPTIONS
+        assert sum(map(len, found.values())) == 18
+
+    def test_readme_run_example_lists_every_run_key(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        run_section = example.split("[run]\n", 1)[1].split("[groups]", 1)[0]
+        # commented-out keys count: they show an optional key and its default
+        keys = re.findall(r"^;?\s*(\w+)\s*=", run_section, flags=re.MULTILINE)
+        assert sorted(keys) == sorted(RUN_KEYS) and len(keys) == len(set(keys))
 
 
 # Subject B has one iteration with a 4-node mention chain (strong 4, weak 1)

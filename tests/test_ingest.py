@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from threadknit.ingest import (
     EPOCH,
     IterationBatch,
     QuerySpec,
+    RunConfig,
     Status,
     fixture_path,
     iteration_filename,
@@ -301,6 +303,91 @@ individual = Elon Musk, Kanye West, Stefon Diggs
 """
 
 
+# (config file, fragment of the error, the RunConfig arguments that make the
+# same mistake or None when only a file can make it)
+BAD_CONFIGS = [
+    ("[run]\nseed = 1\n", "missing \\[groups\\]", None),
+    ("[groups]\nregional = A, B\n", "unknown group kind", {"groups": [("regional", ("A", "B"))]}),
+    ("[groups]\ntopical =\n", "no subjects", {"groups": [("topical", ())]}),
+    ("[groups]\ntopical = A, a\n", "repeats subject", {"groups": [("topical", ("A", "a"))]}),
+    ("[run]\niterations = soon\n[groups]\ntopical = A\n", "integer", None),
+    ("[run]\nconfidence = 1.5\n[groups]\ntopical = A\n", "confidence", {"confidence": 1.5}),
+    (
+        "[run]\nedge_kinds = telepathy\n[groups]\ntopical = A\n",
+        "edge_kinds",
+        {"edge_kinds": ("telepathy",)},
+    ),
+    ("[geocodes]\nA = 1, 2\n[groups]\ntopical = A\n", "geocode", None),
+    # 0.5 + confidence / 2 rounds to 1.0, where the normal quantile is undefined
+    (
+        "[run]\nconfidence = 0.9999999999999999\n[groups]\ntopical = A\n",
+        "confidence",
+        {"confidence": 0.9999999999999999},
+    ),
+    ("[run]\nconfidence = 0\n[groups]\ntopical = A\n", "confidence", {"confidence": 0.0}),
+    (
+        "[run]\nconfidence = nan\n[groups]\ntopical = A\n",
+        "confidence",
+        {"confidence": float("nan")},
+    ),
+    ("[run]\niterations = 0\n[groups]\ntopical = A\n", "iterations", {"iterations": 0}),
+    (
+        "[run]\nper_iteration_count = -1\n[groups]\ntopical = A\n",
+        "per_iteration_count",
+        {"per_iteration_count": -1},
+    ),
+    ("[run]\nedge_kinds = ,\n[groups]\ntopical = A\n", "edge_kinds", {"edge_kinds": ()}),
+    ("[run]\noutput =\n[groups]\ntopical = A\n", "nonempty path", {"output_dir": ""}),
+    ("[run]\nfixtures = \n[groups]\ntopical = A\n", "nonempty path", {"fixtures_dir": " "}),
+    ("[run]\nlexicon =\n[groups]\ntopical = A\n", "nonempty path", {"lexicon_path": ""}),
+    (
+        "[groups]\ngeographic = NYC, !!!\n",
+        "no ASCII letter or digit",
+        {"groups": [("geographic", ("NYC", "!!!"))]},
+    ),
+    ("[groups]\n", "no groups", {"groups": []}),
+]
+
+# a valid RunConfig's arguments
+GOOD_SETTINGS = dict(fixtures_dir="fixtures", output_dir="out", groups=[("topical", ("A", "B"))])
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [(overrides, fragment) for _, fragment, overrides in BAD_CONFIGS if overrides],
+        ids=[repr(overrides) for _, _, overrides in BAD_CONFIGS if overrides],
+    )
+    def test_checks_what_the_config_file_checks(self, overrides, fragment):
+        """A library caller and dataclasses.replace meet each check that a
+        config file meets, as a ConfigError."""
+        with pytest.raises(ConfigError, match=fragment):
+            RunConfig(**{**GOOD_SETTINGS, **overrides})
+        with pytest.raises(ConfigError, match=fragment):
+            replace(RunConfig(**GOOD_SETTINGS), **overrides)
+
+    def test_replace_reruns_the_checks(self):
+        config = RunConfig(**GOOD_SETTINGS)
+        assert replace(config, seed=7).seed == 7
+        # a value no check would pass, set behind the frozen dataclass's back
+        object.__setattr__(config, "iterations", 0)
+        with pytest.raises(ConfigError, match="iterations"):
+            replace(config, seed=7)
+
+    def test_values_are_normalized(self):
+        config = RunConfig(
+            fixtures_dir="fx",
+            output_dir="out",
+            lexicon_path="words.tsv",
+            groups=[["topical", ["A", "B"]]],
+            edge_kinds=["mention", "reply"],
+        )
+        assert (config.fixtures_dir, config.output_dir) == (Path("fx"), Path("out"))
+        assert config.lexicon_path == Path("words.tsv")
+        assert config.groups == (("topical", ("A", "B")),)
+        assert config.edge_kinds == ("mention", "reply")
+
+
 class TestLoadConfig:
     def test_full_config(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -331,19 +418,7 @@ class TestLoadConfig:
         assert config.confidence == 0.95
         assert config.edge_kinds == ("reply", "mention", "retweet", "quote")
 
-    @pytest.mark.parametrize(
-        "body,fragment",
-        [
-            ("[run]\nseed = 1\n", "missing \\[groups\\]"),
-            ("[groups]\nregional = A, B\n", "unknown group kind"),
-            ("[groups]\ntopical =\n", "no subjects"),
-            ("[groups]\ntopical = A, a\n", "repeats subject"),
-            ("[run]\niterations = soon\n[groups]\ntopical = A\n", "integer"),
-            ("[run]\nconfidence = 1.5\n[groups]\ntopical = A\n", "confidence"),
-            ("[run]\nedge_kinds = telepathy\n[groups]\ntopical = A\n", "edge_kinds"),
-            ("[geocodes]\nA = 1, 2\n[groups]\ntopical = A\n", "geocode"),
-        ],
-    )
+    @pytest.mark.parametrize("body,fragment", [case[:2] for case in BAD_CONFIGS])
     def test_bad_configs(self, tmp_path, body, fragment):
         path = tmp_path / "run.ini"
         path.write_text(body, encoding="utf-8")

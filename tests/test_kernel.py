@@ -229,6 +229,12 @@ MALFORMED = [
         [GOOD, record(author="a", created_at="0001-01-01T00:00:00+01:00")],
         ":2: created_at out of range in UTC: '0001-01-01T00:00:00+01:00'",
     ),
+    # a JSON integer is not a date, though its digits read as one (2022-12-25)
+    (
+        "integer created_at",
+        [GOOD, record(author="a", created_at=20221225)],
+        ":2: field 'created_at' must be a string or null",
+    ),
     # handles must be strings, not stringified into nodes such as 'none'
     ("null mention", [GOOD, record(author="a", mentions=[None])], MENTIONS_ERROR),
     ("numeric mention", [GOOD, record(author="a", mentions=["b", 5])], MENTIONS_ERROR),
