@@ -21,6 +21,7 @@ from .ingest import RunConfig, load_config, nonempty_path
 from .pipeline import (
     CORRELATIONS,
     SUBJECT_TABLE,
+    analyze_groups,
     bundled_tables,
     compare_groups,
     correlate_tables,
@@ -29,8 +30,6 @@ from .pipeline import (
     render_correlations,
     render_tables,
     resolve_lexicon,
-    run_pipeline,
-    select_groups,
 )
 from .records import read_records
 from .stats import check_confidence
@@ -58,14 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="build subject tables from fixtures")
     analyze.add_argument("--config", required=True, type=Path)
     analyze.add_argument("--out", help="output root (default: config output)")
-    analyze.add_argument("--group", action="append", help="restrict to this group (repeatable)")
     analyze.add_argument("--jobs", type=int, default=1, help="concurrent subject analyses")
     analyze.set_defaults(func=_cmd_analyze)
 
     correlate = commands.add_parser("correlate", help="correlate beta against alpha per group")
     correlate.add_argument("--config", type=Path)
     correlate.add_argument("--out")
-    correlate.add_argument("--group", action="append")
     correlate.add_argument(
         "--bundled", action="store_true", help="use the packaged reference tables"
     )
@@ -81,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     export = commands.add_parser("export", help="write final-iteration graphs as DOT")
     export.add_argument("--config", required=True, type=Path)
     export.add_argument("--out")
-    export.add_argument("--group", action="append")
     export.set_defaults(func=_cmd_export)
 
     return parser
@@ -111,10 +107,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _load(args, output_dir=args.out)
-    results = run_pipeline(config, only_groups=args.group, jobs=args.jobs)
-    written = render_tables(results, config.output_dir)
-    for result in results:
-        print(f"{result.kind}: {len(result.subjects)} subjects")
+    tables = analyze_groups(config, jobs=args.jobs)
+    written = render_tables(tables, config.output_dir)
+    for kind, rows in tables:
+        print(f"{kind}: {len(rows)} subjects")
     print(f"wrote {len(written)} table files under {config.output_dir}")
     return 0
 
@@ -122,14 +118,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_correlate(args) -> int:
     if args.bundled:
         out_dir = _bare_out_dir(args)
-        tables = select_groups(bundled_tables(), args.group)
+        tables = bundled_tables()
     else:
         if args.config is None:
             raise ConfigError("correlate needs --config (or --bundled)")
         config = _load(args, output_dir=args.out)
         out_dir = config.output_dir
         tables = []
-        for kind, _ in select_groups(config.groups, args.group):
+        for kind, _ in config.groups:
             table_path = out_dir / "tables" / f"{kind}.csv"
             if not table_path.is_file():
                 raise DataError(f"missing subject table {table_path}; run analyze first")
@@ -170,7 +166,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_export(args) -> int:
     config = _load(args, output_dir=args.out)
-    files = export_graphs(config, only_groups=args.group)
+    files = export_graphs(config)
     print(f"wrote {len(files)} graph files under {config.output_dir / 'graphs'}")
     return 0
 

@@ -407,7 +407,10 @@ class RunConfig:
         set_field("groups", tuple((kind, tuple(names)) for kind, names in self.groups))
         if not self.groups:
             raise ConfigError("no groups configured")
+        kinds = [kind for kind, _ in self.groups]
         for kind, names in self.groups:
+            if kinds.count(kind) > 1:
+                raise ConfigError(f"group kind {kind!r} appears twice")
             if not names:
                 raise ConfigError(f"group {kind!r} lists no subjects")
             slugs = set()
@@ -478,7 +481,11 @@ def _run_value(key: str, raw: str, base: Path) -> Any:
 
 def _run_settings(parser: configparser.ConfigParser, base: Path) -> dict[str, Any]:
     """RunConfig arguments for the keys a parsed config file sets."""
-    for section in parser.sections():
+    sections = parser.sections()
+    if parser.defaults():
+        # configparser would merge its keys into [run] and [groups]
+        sections.append(parser.default_section)
+    for section in sections:
         if section not in ("run", "groups"):
             raise ConfigError(f"unknown section [{section}]; expected [run] and [groups]")
     if not parser.has_section("groups"):

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .components import (
     ComponentSummary,
@@ -135,24 +135,6 @@ def analyze_subject(
     return summarize_subject(subject, summaries, alphas)
 
 
-def select_groups(
-    groups: Sequence[tuple[str, Any]], only: Sequence[str] | None = None
-) -> Sequence[tuple[str, Any]]:
-    """The ``(kind, ...)`` pairs whose kind is in ``only``, in their given
-    order; ``groups`` itself when ``only`` is empty."""
-    if not only:
-        return groups
-    known = {kind for kind, _ in groups}
-    unknown = [name for name in only if name not in known]
-    if unknown:
-        raise ConfigError(
-            f"unknown group(s) {', '.join(sorted(unknown))}; known: "
-            f"{', '.join(sorted(known))}"
-        )
-    wanted = set(only)
-    return tuple((kind, value) for kind, value in groups if kind in wanted)
-
-
 def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
     """Worker processes for ``jobs`` over ``tasks`` subjects on ``cpus``
     cores (``os.cpu_count()``, which may be None); 1 means in-process."""
@@ -172,13 +154,10 @@ def _analyze_task(task: tuple[str, str]) -> SubjectSummary:
     return analyze_subject(*_worker_state, *task)
 
 
-def run_pipeline(
-    config: RunConfig,
-    lexicon: Lexicon | None = None,
-    only_groups: Sequence[str] | None = None,
-    jobs: int = 1,
-) -> list[GroupResult]:
-    """Analyze every configured subject and correlate within each group.
+def analyze_groups(
+    config: RunConfig, lexicon: Lexicon | None = None, jobs: int = 1
+) -> list[tuple[str, list[SubjectSummary]]]:
+    """Every configured group's subject table, as ``(kind, rows)`` pairs.
 
     ``jobs`` > 1 analyzes subjects in up to that many worker processes
     (never more than subjects or cores); results are collected in
@@ -189,14 +168,13 @@ def run_pipeline(
     if jobs < 1:
         raise ConfigError(f"jobs must be positive, got {jobs}")
     lexicon = lexicon if lexicon is not None else resolve_lexicon(config)
-    groups = select_groups(config.groups, only_groups)
-    for kind, subjects in groups:
+    for kind, subjects in config.groups:
         if len(subjects) < 3:
             raise DegeneracyError(
                 f"group {kind!r} has {len(subjects)} subject(s); "
                 "correlation needs at least 3"
             )
-    tasks = [(kind, subject) for kind, subjects in groups for subject in subjects]
+    tasks = list(config.subjects())
     workers = worker_count(jobs, len(tasks), os.cpu_count())
     if workers <= 1:
         summaries = [analyze_subject(config, lexicon, *task) for task in tasks]
@@ -213,7 +191,14 @@ def run_pipeline(
         finally:
             pool.shutdown(cancel_futures=True)
     rows = iter(summaries)
-    return correlate_tables([(kind, [next(rows) for _ in subjects]) for kind, subjects in groups])
+    return [(kind, [next(rows) for _ in subjects]) for kind, subjects in config.groups]
+
+
+def run_pipeline(
+    config: RunConfig, lexicon: Lexicon | None = None, jobs: int = 1
+) -> list[GroupResult]:
+    """Analyze every configured subject and correlate within each group."""
+    return correlate_tables(analyze_groups(config, lexicon, jobs))
 
 
 def correlate_tables(
@@ -333,15 +318,15 @@ def _write_both(spec: RecordSpec, records: Sequence, stem: Path) -> list[Path]:
     ]
 
 
-def render_tables(results: Sequence[GroupResult], out_dir: str | Path) -> list[Path]:
-    """Write each group's subject table (CSV and JSON) and scatter CSV."""
+def render_tables(
+    tables: Sequence[tuple[str, Sequence[SubjectSummary]]], out_dir: str | Path
+) -> list[Path]:
+    """Write each ``(kind, rows)`` subject table (CSV and JSON) and scatter CSV."""
     out_dir = nonempty_path(out_dir, "output directory")
     written = []
-    for result in results:
-        written += _write_both(SUBJECT_TABLE, result.subjects, out_dir / "tables" / result.kind)
-        written.append(
-            write_csv(SCATTER, result.subjects, out_dir / "scatter" / f"{result.kind}.csv")
-        )
+    for kind, rows in tables:
+        written += _write_both(SUBJECT_TABLE, rows, out_dir / "tables" / kind)
+        written.append(write_csv(SCATTER, rows, out_dir / "scatter" / f"{kind}.csv"))
     return written
 
 
@@ -367,28 +352,27 @@ def render_reports(
     Same inputs, same bytes: rows follow the given order, floats are
     rendered with repr, and all text is UTF-8 with newline line endings.
     """
-    written = render_tables(results, out_dir)
+    written = render_tables([(result.kind, result.subjects) for result in results], out_dir)
     written += render_correlations([result.correlation for result in results], out_dir)
     if comparisons is not None:
         written += render_comparisons(comparisons, out_dir)
     return written
 
 
-def export_graphs(config: RunConfig, only_groups: Sequence[str] | None = None) -> list[Path]:
+def export_graphs(config: RunConfig) -> list[Path]:
     """Write the final-iteration graph of every subject as canonical DOT.
 
     Files go under ``graphs/`` in ``config.output_dir``.  Each is read
     through read_iteration, as analyze reads it, and no text is scored.
     """
     written = []
-    for kind, subjects in select_groups(config.groups, only_groups):
-        for subject in subjects:
-            index, path = iteration_files(config, kind, subject)[-1]
-            spec = config.spec_for(kind, subject)
-            row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
-            names = row.nodes
-            dot = export_dot(names, [(names[s], names[t], label) for s, t, label in row.edges])
-            target = config.output_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
-            written.append(write_atomic(target, lambda handle: handle.write(dot)))
+    for kind, subject in config.subjects():
+        index, path = iteration_files(config, kind, subject)[-1]
+        spec = config.spec_for(kind, subject)
+        row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
+        names = row.nodes
+        dot = export_dot(names, [(names[s], names[t], label) for s, t, label in row.edges])
+        target = config.output_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
+        written.append(write_atomic(target, lambda handle: handle.write(dot)))
     return written
 

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -107,15 +108,6 @@ class TestAnalyzeCommand:
             "--jobs", "4",
         )
         assert tree_bytes(workdir / "o1") == tree_bytes(workdir / "o2")
-
-    def test_group_filter(self, workdir, capsys):
-        run_cli("synth", "--config", config_arg(workdir))
-        assert run_cli(
-            "analyze", "--config", config_arg(workdir), "--group", "event"
-        ) == 0
-        out = capsys.readouterr().out
-        assert "event: 4 subjects" in out
-        assert "topical" not in out
 
     def test_missing_fixtures_exit_2(self, workdir, capsys):
         assert run_cli("analyze", "--config", config_arg(workdir)) == 2
@@ -300,8 +292,9 @@ class TestErrorHandling:
         [
             (CONFIG + "\n[aliases]\nAlpha = alpha, a\n", "[aliases]"),
             (CONFIG.replace("per_iteration_count", "per_iteraton_count"), "'per_iteraton_count'"),
+            ("[DEFAULT]\nseed = 2\n" + CONFIG, "[DEFAULT]"),
         ],
-        ids=["aliases-section", "misspelt-run-key"],
+        ids=["aliases-section", "misspelt-run-key", "default-section"],
     )
     def test_unknown_config_key_exit_1(self, workdir, capsys, config, named):
         (workdir / "run.ini").write_text(config, encoding="utf-8")
@@ -391,6 +384,17 @@ class TestErrorHandling:
         assert len(err) == 1 and err[0].startswith("error: ") and "nonempty path" in err[0]
         assert tree_bytes(workdir) == before
 
+    @pytest.mark.parametrize("command", ["analyze", "correlate", "export"])
+    def test_group_flag_is_one_error_line_exit_1(self, workdir, command):
+        """[groups] alone decides which groups a stage covers."""
+        for stage in ("synth", "analyze", "correlate"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        before = tree_bytes(workdir)
+        code, err = run_cli_process(workdir, command, "--config", "run.ini", "--group", "event")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "--group" in err[0]
+        assert tree_bytes(workdir) == before
+
     def test_parser_raises_config_error_directly(self):
         parser = build_parser()
         with pytest.raises(ConfigError):
@@ -400,10 +404,10 @@ class TestErrorHandling:
 # every subcommand's options: adding or removing one is a deliberate edit here
 OPTIONS = {
     "synth": ["--config", "--out", "--seed"],
-    "analyze": ["--config", "--out", "--group", "--jobs"],
-    "correlate": ["--config", "--out", "--group", "--bundled"],
+    "analyze": ["--config", "--out", "--jobs"],
+    "correlate": ["--config", "--out", "--bundled"],
     "compare": ["--config", "--out", "--n-override", "--confidence"],
-    "export": ["--config", "--out", "--group"],
+    "export": ["--config", "--out"],
 }
 
 
@@ -421,7 +425,19 @@ class TestInventory:
             for name, command in commands.choices.items()
         }
         assert found == OPTIONS
-        assert sum(map(len, found.values())) == 18
+        assert sum(map(len, found.values())) == 15
+
+    def test_readme_commands_parse(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```")[1::2]
+        lines = [
+            line for block in blocks for line in block.splitlines()
+            if line.startswith("threadknit ")
+        ]
+        assert len(lines) >= 7
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
 
     def test_readme_run_example_lists_every_run_key(self):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
@@ -480,6 +496,23 @@ def write_degenerate_tree(root):
             path = root / "fixtures" / "topical" / slug / f"iter_{index:03d}"
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
+
+
+def write_zero_variance_tree(root):
+    """Three subjects with one and the same iteration: beta 2/3 and one
+    alpha for each, so the group's ratios have zero variance."""
+    (root / "run.ini").write_text(
+        "[run]\nper_iteration_count = 10\niterations = 1\n[groups]\ntopical = A, B, C\n",
+        encoding="utf-8",
+    )
+    lines = (
+        '{"id": "1", "text": "love", "author": "x", "mentions": ["y"]}\n'
+        '{"id": "2", "text": "hate", "author": "z"}\n'
+    )
+    for slug in "abc":
+        path = root / "fixtures" / "topical" / slug / "iter_000"
+        path.parent.mkdir(parents=True)
+        path.write_text(lines, encoding="utf-8")
 
 
 _TEST_PID = os.getpid()
@@ -588,6 +621,20 @@ class TestFullChain:
             assert (out_root / name).is_file(), name
         comparisons = (out_root / "comparisons.csv").read_text(encoding="utf-8")
         assert comparisons.splitlines()[1].startswith("topical,event,")
+
+    def test_zero_variance_group_is_written_then_correlate_exit_3(self, tmp_path):
+        """analyze writes the tables; the correlation it cannot define is
+        correlate's error, not analyze's."""
+        write_zero_variance_tree(tmp_path)
+        assert run_cli_process(tmp_path, "analyze", "--config", "run.ini") == (0, [])
+        table = (tmp_path / "out" / "tables" / "topical.csv").read_text(encoding="utf-8")
+        assert [row.split(",")[:3] for row in table.splitlines()[1:]] == [
+            [subject, "3", "2"] for subject in "ABC"
+        ]
+        code, err = run_cli_process(tmp_path, "correlate", "--config", "run.ini")
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: ") and "zero variance" in err[0]
+        assert not list((tmp_path / "out").glob("correlations.*"))
 
     def test_full_rerun_byte_identical(self, workdir):
         config = config_arg(workdir)

@@ -346,6 +346,23 @@ BAD_CONFIGS = [
         {"groups": [("geographic", ("NYC", "!!!"))]},
     ),
     ("[groups]\n", "no groups", {"groups": []}),
+    # configparser refuses the repeated key; RunConfig refuses the repeated kind
+    (
+        "[groups]\ntopical = A, B\ntopical = C, D\n",
+        "'topical'.*(already exists|appears twice)",
+        {"groups": [("topical", ("A", "B")), ("topical", ("C", "D"))]},
+    ),
+    # configparser would merge [DEFAULT] keys into [groups] and [run]
+    (
+        "[DEFAULT]\ntopical = A, B, C\n[groups]\nevent = X, Y, Z\n",
+        "unknown section \\[DEFAULT\\]",
+        None,
+    ),
+    (
+        "[DEFAULT]\nseed = 1\n[run]\niterations = 2\n[groups]\ntopical = A\n",
+        "unknown section \\[DEFAULT\\]",
+        None,
+    ),
 ]
 
 # a valid RunConfig's arguments

@@ -17,8 +17,9 @@ EXPORTED = (
     "CorrelationReport", "DataError", "DegeneracyError", "Edge", "FixtureError", "GroupResult",
     "IterationBatch", "Lexicon", "LexiconError", "QuerySpec", "RunConfig", "Status",
     "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError", "aggregate_alpha",
-    "analyze_subject", "batch_alpha", "beta_ratio", "build_graph", "bundled_lexicon",
-    "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations", "compare_groups",
+    "analyze_groups", "analyze_subject", "batch_alpha", "beta_ratio", "build_graph",
+    "bundled_lexicon", "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations",
+    "compare_groups",
     "component_summary", "correlate_tables", "correlation_report", "correlation_significance",
     "export_dot", "export_graphs", "fisher_z", "indep_groups_z_test", "infer_group_n",
     "load_config", "load_lexicon", "normal_cdf", "normal_quantile", "normalize_handle",

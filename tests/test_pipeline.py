@@ -21,7 +21,6 @@ from threadknit.pipeline import (
     read_iteration,
     render_reports,
     run_pipeline,
-    select_groups,
     worker_count,
 )
 from threadknit.records import read_records, write_csv, write_json
@@ -144,20 +143,6 @@ class TestRunPipeline:
         assert [r.kind for r in results] == ["event", "topical"]
         assert [s.subject for s in results[0].subjects] == ["E1", "E2", "E3"]
 
-    def test_only_groups_filter(self, tmp_path, lexicon):
-        config = planted_config(
-            tmp_path,
-            lexicon,
-            groups=[("event", ("E1", "E2", "E3")), ("topical", ("T1", "T2", "T3"))],
-        )
-        results = run_pipeline(config, lexicon, only_groups=["topical"])
-        assert [r.kind for r in results] == ["topical"]
-
-    def test_unknown_group_rejected(self, tmp_path, lexicon):
-        config = planted_config(tmp_path, lexicon)
-        with pytest.raises(ConfigError, match="unknown group"):
-            run_pipeline(config, lexicon, only_groups=["nope"])
-
     def test_small_group_rejected(self, tmp_path, lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B"))])
         with pytest.raises(DegeneracyError, match="topical"):
@@ -226,22 +211,6 @@ class TestIterationOrder:
         assert written.read_text(encoding="utf-8") == export_dot(graph.nodes, graph.edges)
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (4, 1)
-
-
-class TestSelectGroups:
-    def test_default_is_everything(self, tmp_path):
-        config = tiny_config(
-            tmp_path, [("topical", ("A", "B", "C")), ("event", ("D", "E", "F"))]
-        )
-        assert select_groups(config.groups) == config.groups
-        assert select_groups(config.groups, []) == config.groups
-
-    def test_subset_preserves_config_order(self, tmp_path):
-        config = tiny_config(
-            tmp_path, [("topical", ("A", "B", "C")), ("event", ("D", "E", "F"))]
-        )
-        picked = select_groups(config.groups, ["event"])
-        assert picked == (("event", ("D", "E", "F")),)
 
 
 class TestBundledTables:
