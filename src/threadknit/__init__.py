@@ -21,8 +21,8 @@ _EXPORTS = {
     "graph": "ConversationGraph Edge build_graph export_dot",
     "ingest": "IterationBatch QuerySpec RunConfig Status load_config normalize_handle "
     "parse_fixture subject_slug write_fixture_fields",
-    "pipeline": "GroupResult analyze_groups analyze_subject bundled_tables canonical_pairs "
-    "compare_groups correlate_tables export_graphs read_iteration render_reports run_pipeline",
+    "pipeline": "analyze_groups analyze_subject bundled_tables canonical_pairs compare_groups "
+    "correlate_tables export_graphs read_correlations read_iteration read_tables",
     "records": "",
     "sentiment": "Lexicon aggregate_alpha batch_alpha bundled_lexicon clean_text load_lexicon "
     "score_text",

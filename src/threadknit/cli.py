@@ -16,22 +16,21 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
+from .errors import ConfigError, DegeneracyError, ThreadknitError
 from .ingest import RunConfig, load_config, nonempty_path
 from .pipeline import (
-    CORRELATIONS,
-    SUBJECT_TABLE,
     analyze_groups,
     bundled_tables,
     compare_groups,
     correlate_tables,
     export_graphs,
+    read_correlations,
+    read_tables,
     render_comparisons,
     render_correlations,
     render_tables,
     resolve_lexicon,
 )
-from .records import read_records
 from .stats import check_confidence
 
 
@@ -61,11 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     correlate = commands.add_parser("correlate", help="correlate beta against alpha per group")
-    correlate.add_argument("--config", type=Path)
+    source = correlate.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", type=Path)
     correlate.add_argument("--out")
-    correlate.add_argument(
-        "--bundled", action="store_true", help="use the packaged reference tables"
-    )
+    source.add_argument("--bundled", action="store_true", help="use the packaged reference tables")
     correlate.set_defaults(func=_cmd_correlate)
 
     compare = commands.add_parser("compare", help="pairwise z tests and intervals")
@@ -117,20 +115,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_correlate(args) -> int:
     if args.bundled:
-        out_dir = _bare_out_dir(args)
-        tables = bundled_tables()
+        out_dir, tables = _bare_out_dir(args), bundled_tables()
     else:
-        if args.config is None:
-            raise ConfigError("correlate needs --config (or --bundled)")
         config = _load(args, output_dir=args.out)
-        out_dir = config.output_dir
-        tables = []
-        for kind, _ in config.groups:
-            table_path = out_dir / "tables" / f"{kind}.csv"
-            if not table_path.is_file():
-                raise DataError(f"missing subject table {table_path}; run analyze first")
-            tables.append((kind, read_records(SUBJECT_TABLE, table_path)))
-    reports = [result.correlation for result in correlate_tables(tables)]
+        out_dir, tables = config.output_dir, read_tables(config)
+    reports = correlate_tables(tables)
     render_correlations(reports, out_dir)
     for rep in reports:
         print(
@@ -144,17 +133,14 @@ def _cmd_compare(args) -> int:
     if args.config is not None:
         config = _load(args, output_dir=args.out, confidence=args.confidence)
         out_dir, confidence = config.output_dir, config.confidence
+        reports = read_correlations(out_dir, [kind for kind, _ in config.groups])
     else:
         out_dir = _bare_out_dir(args)
         confidence = check_confidence(
             RunConfig.confidence if args.confidence is None else args.confidence
         )
-    source = out_dir / "correlations.json"
-    if not source.is_file():
-        raise DataError(f"missing {source}; run correlate first")
-    comparisons = compare_groups(
-        read_records(CORRELATIONS, source), n_override=args.n_override, confidence=confidence
-    )
+        reports = read_correlations(out_dir)
+    comparisons = compare_groups(reports, n_override=args.n_override, confidence=confidence)
     render_comparisons(comparisons, out_dir)
     for rep in comparisons:
         print(
@@ -167,7 +153,7 @@ def _cmd_compare(args) -> int:
 def _cmd_export(args) -> int:
     config = _load(args, output_dir=args.out)
     files = export_graphs(config)
-    print(f"wrote {len(files)} graph files under {config.output_dir / 'graphs'}")
+    print(f"wrote {len(files)} graph files under {config.output_dir}")
     return 0
 
 

@@ -3,13 +3,13 @@
 The stages compose: analyze turns fixtures into per-subject tables,
 correlate turns tables into per-group correlation reports, compare turns
 reports into the pairwise z/interval matrix, and render writes everything
-as deterministic CSV and JSON.
+as deterministic CSV and JSON.  This module alone knows the output layout:
+each artifact's reader sits next to its writer.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -42,15 +42,6 @@ from .stats import (
     compare_correlations,
     correlation_report,
 )
-
-
-@dataclass(frozen=True)
-class GroupResult:
-    """One group's subject table plus its structure-sentiment correlation."""
-
-    kind: str
-    subjects: tuple[SubjectSummary, ...]
-    correlation: CorrelationReport
 
 
 def resolve_lexicon(config: RunConfig) -> Lexicon:
@@ -194,25 +185,14 @@ def analyze_groups(
     return [(kind, [next(rows) for _ in subjects]) for kind, subjects in config.groups]
 
 
-def run_pipeline(
-    config: RunConfig, lexicon: Lexicon | None = None, jobs: int = 1
-) -> list[GroupResult]:
-    """Analyze every configured subject and correlate within each group."""
-    return correlate_tables(analyze_groups(config, lexicon, jobs))
-
-
 def correlate_tables(
     tables: Sequence[tuple[str, Sequence[SubjectSummary]]]
-) -> list[GroupResult]:
-    """Correlate already-computed subject tables (beta against alpha)."""
-    results = []
-    for kind, rows in tables:
-        rows = tuple(rows)
-        report = correlation_report(
-            kind, [row.beta for row in rows], [row.alpha for row in rows]
-        )
-        results.append(GroupResult(kind=kind, subjects=rows, correlation=report))
-    return results
+) -> list[CorrelationReport]:
+    """Correlate beta against alpha in each ``(kind, rows)`` subject table."""
+    return [
+        correlation_report(kind, [row.beta for row in rows], [row.alpha for row in rows])
+        for kind, rows in tables
+    ]
 
 
 def bundled_tables() -> list[tuple[str, list[SubjectSummary]]]:
@@ -330,33 +310,63 @@ def render_tables(
     return written
 
 
+def read_tables(config: RunConfig) -> list[tuple[str, list[SubjectSummary]]]:
+    """Every configured group's subject table, as render_tables wrote it
+    under ``config.output_dir``, in ``(kind, rows)`` pairs.
+
+    A missing table, or one whose subjects are not the group's configured
+    subjects in configuration order, is a DataError.
+    """
+    tables = []
+    for kind, subjects in config.groups:
+        path = config.output_dir / "tables" / f"{kind}.csv"
+        if not path.is_file():
+            raise DataError(f"missing subject table {path}; run analyze first")
+        rows = read_records(SUBJECT_TABLE, path)
+        found = tuple(row.subject for row in rows)
+        if found != subjects:
+            raise DataError(
+                f"{path} holds subjects {', '.join(found)}, but [groups] lists "
+                f"{kind} = {', '.join(subjects)}; run analyze first"
+            )
+        tables.append((kind, rows))
+    return tables
+
+
 def render_correlations(reports: Sequence[CorrelationReport], out_dir: str | Path) -> list[Path]:
     """Write ``correlations.csv`` and ``correlations.json``."""
     out_dir = nonempty_path(out_dir, "output directory")
     return _write_both(CORRELATIONS, reports, out_dir / "correlations")
 
 
+def read_correlations(
+    out_dir: str | Path, kinds: Sequence[str] | None = None
+) -> list[CorrelationReport]:
+    """The reports of ``correlations.json`` under ``out_dir``.
+
+    A missing file, a group that appears twice, or, when ``kinds`` is given,
+    groups other than exactly those kinds in that order, is a DataError.
+    """
+    path = nonempty_path(out_dir, "output directory") / "correlations.json"
+    if not path.is_file():
+        raise DataError(f"missing {path}; run correlate first")
+    reports = read_records(CORRELATIONS, path)
+    groups = [report.group for report in reports]
+    for group in groups:
+        if groups.count(group) > 1:
+            raise DataError(f"{path}: group {group!r} appears twice; run correlate first")
+    if kinds is not None and groups != list(kinds):
+        raise DataError(
+            f"{path} holds groups {', '.join(groups)}, but [groups] lists "
+            f"{', '.join(kinds)}; run correlate first"
+        )
+    return reports
+
+
 def render_comparisons(comparisons: Sequence[ComparisonReport], out_dir: str | Path) -> list[Path]:
     """Write ``comparisons.csv`` and ``comparisons.json``."""
     out_dir = nonempty_path(out_dir, "output directory")
     return _write_both(COMPARISONS, comparisons, out_dir / "comparisons")
-
-
-def render_reports(
-    results: Sequence[GroupResult],
-    comparisons: Sequence[ComparisonReport] | None,
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write every report artifact for a finished run.
-
-    Same inputs, same bytes: rows follow the given order, floats are
-    rendered with repr, and all text is UTF-8 with newline line endings.
-    """
-    written = render_tables([(result.kind, result.subjects) for result in results], out_dir)
-    written += render_correlations([result.correlation for result in results], out_dir)
-    if comparisons is not None:
-        written += render_comparisons(comparisons, out_dir)
-    return written
 
 
 def export_graphs(config: RunConfig) -> list[Path]:

@@ -20,7 +20,12 @@ from threadknit.cli import main
 from threadknit.components import beta_ratio, component_summary
 from threadknit.graph import ConversationGraph, Edge, build_graph
 from threadknit.ingest import RunConfig, parse_fixture
-from threadknit.pipeline import bundled_tables, canonical_pairs, correlate_tables, run_pipeline
+from threadknit.pipeline import (
+    analyze_groups,
+    bundled_tables,
+    canonical_pairs,
+    correlate_tables,
+)
 from threadknit.sentiment import score_text
 from threadknit.stats import (
     fisher_z,
@@ -57,7 +62,7 @@ def test_criterion_1_beta_golden_values():
 
 def test_criterion_2_correlation_reproduction():
     started = time.perf_counter()
-    results = {r.kind: r.correlation for r in correlate_tables(bundled_tables())}
+    results = {r.group: r for r in correlate_tables(bundled_tables())}
     expected = {
         "topical": (-0.77, 0.005, 0.072, 0.002),
         "event": (-0.33, 0.01, 0.52, 0.01),
@@ -80,14 +85,14 @@ def test_criterion_2_correlation_reproduction():
     ),
 )
 def test_criterion_2_geographic_expected_values():
-    results = {r.kind: r.correlation for r in correlate_tables(bundled_tables())}
+    results = {r.group: r for r in correlate_tables(bundled_tables())}
     report = results["geographic"]
     assert report.r == pytest.approx(-0.574, abs=0.005)
     assert report.p_value == pytest.approx(0.234, abs=0.005)
 
 
 def test_criterion_2_geographic_recomputed_values():
-    results = {r.kind: r.correlation for r in correlate_tables(bundled_tables())}
+    results = {r.group: r for r in correlate_tables(bundled_tables())}
     report = results["geographic"]
     assert report.r == pytest.approx(-0.5415485606, abs=1e-9)
     assert report.p_value == pytest.approx(0.2670884, abs=1e-6)
@@ -248,15 +253,17 @@ def test_criterion_9_planted_structure_recovery(tmp_path, lexicon):
         seed=9,
     )
     write_fixture_tree(config, lexicon)
-    (result,) = run_pipeline(config, lexicon)
+    tables = analyze_groups(config, lexicon)
+    ((_, rows),) = tables
+    (correlation,) = correlate_tables(tables)
     plans = default_plan(config)
-    betas = [row.beta for row in result.subjects]
-    alphas = [row.alpha for row in result.subjects]
-    for row, plan in zip(result.subjects, plans):
+    betas = [row.beta for row in rows]
+    alphas = [row.alpha for row in rows]
+    for row, plan in zip(rows, plans):
         assert row.strong_count == plan.synth_spec.strong_count
         assert row.weak_count == plan.synth_spec.weak_count
     assert betas[0] == pytest.approx(0.1)
     assert betas[-1] == 1.0
     assert betas == sorted(betas)
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
-    assert result.correlation.r < -0.9
+    assert correlation.r < -0.9

@@ -144,6 +144,28 @@ class TestCorrelateCommand:
         assert run_cli("correlate", "--config", config_arg(workdir)) == 2
         assert "run analyze first" in capsys.readouterr().err
 
+    def test_bundled_with_config_is_one_error_line_exit_1(self, workdir):
+        code, err = run_cli_process(
+            workdir, "correlate", "--bundled", "--config", workdir / "nonexistent.ini"
+        )
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "--bundled" in err[0]
+        assert tree_bytes(workdir) == {Path("run.ini"): CONFIG.encode()}
+
+    def test_table_of_other_subjects_is_one_error_line_exit_2(self, workdir):
+        """A table analyze wrote for an earlier [groups] is not this run's."""
+        for stage in ("synth", "analyze"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        (workdir / "run.ini").write_text(
+            CONFIG.replace("Gamma, Delta", "Gamma"), encoding="utf-8"
+        )
+        before = tree_bytes(workdir / "out")
+        code, err = run_cli_process(workdir, "correlate", "--config", "run.ini")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(Path("tables", "topical.csv")) in err[0] and "run analyze first" in err[0]
+        assert tree_bytes(workdir / "out") == before
+
     @pytest.mark.parametrize(
         "bad_row",
         ["Delta,9,4,0.4444444444,nan", "Delta,9,4,inf,0.1", "Delta,4,9,2.25,0.1"],
@@ -213,6 +235,29 @@ class TestCompareCommand:
     def test_before_correlate_exit_2(self, tmp_path, capsys):
         assert run_cli("compare", "--out", tmp_path) == 2
         assert "run correlate first" in capsys.readouterr().err
+
+    def test_correlations_of_other_groups_is_one_error_line_exit_2(self, workdir):
+        """compare --config compares the configured groups or none."""
+        assert run_cli("correlate", "--bundled", "--out", workdir / "out") == 0
+        before = tree_bytes(workdir / "out")
+        code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "correlations.json" in err[0] and "run correlate first" in err[0]
+        assert tree_bytes(workdir / "out") == before
+
+    @pytest.mark.parametrize("argv", [("--out", "out"), ("--config", "run.ini")], ids=" ".join)
+    def test_repeated_group_is_one_error_line_exit_2(self, workdir, argv):
+        assert run_cli("correlate", "--bundled", "--out", workdir / "out") == 0
+        source = workdir / "out" / "correlations.json"
+        records = json.loads(source.read_text(encoding="utf-8"))
+        source.write_text(json.dumps([records[0], records[0]]), encoding="utf-8")
+        before = tree_bytes(workdir / "out")
+        code, err = run_cli_process(workdir, "compare", *argv)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "'topical' appears twice" in err[0]
+        assert tree_bytes(workdir / "out") == before
 
     def test_small_n_override_exit_3(self, tmp_path, capsys):
         run_cli("correlate", "--bundled", "--out", tmp_path)
@@ -438,6 +483,21 @@ class TestInventory:
         parser = build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_readme_python_example_writes_what_the_stages_write(self, workdir):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        (workdir / "example.py").write_text(example, encoding="utf-8")
+        assert run_cli("synth", "--config", config_arg(workdir)) == 0
+        done = subprocess.run(
+            [sys.executable, "example.py"], cwd=workdir, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        written = tree_bytes(workdir / "out")
+        for stage in ("analyze", "correlate", "compare"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        assert tree_bytes(workdir / "out") == written
 
     def test_readme_run_example_lists_every_run_key(self):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ SUBMODULES = (
 
 EXPORTED = (
     "ComparisonReport", "ComponentSummary", "ConfigError", "ConversationGraph",
-    "CorrelationReport", "DataError", "DegeneracyError", "Edge", "FixtureError", "GroupResult",
+    "CorrelationReport", "DataError", "DegeneracyError", "Edge", "FixtureError",
     "IterationBatch", "Lexicon", "LexiconError", "QuerySpec", "RunConfig", "Status",
     "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError", "aggregate_alpha",
     "analyze_groups", "analyze_subject", "batch_alpha", "beta_ratio", "build_graph",
@@ -23,8 +23,8 @@ EXPORTED = (
     "component_summary", "correlate_tables", "correlation_report", "correlation_significance",
     "export_dot", "export_graphs", "fisher_z", "indep_groups_z_test", "infer_group_n",
     "load_config", "load_lexicon", "normal_cdf", "normal_quantile", "normalize_handle",
-    "parse_fixture", "pearson_r", "read_iteration", "render_reports", "round_half_away",
-    "run_pipeline", "score_text", "subject_slug", "summarize_subject", "synth_graph", "t_cdf",
+    "parse_fixture", "pearson_r", "read_correlations", "read_iteration", "read_tables",
+    "round_half_away", "score_text", "subject_slug", "summarize_subject", "synth_graph", "t_cdf",
     "write_fixture_fields", "write_fixture_tree", "zou_interval",
 )
 

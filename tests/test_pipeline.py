@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -10,7 +10,7 @@ from threadknit.ingest import RunConfig, fixture_path, write_fixture_fields
 from threadknit.pipeline import (
     CORRELATIONS,
     SCATTER,
-    GroupResult,
+    analyze_groups,
     analyze_subject,
     bundled_tables,
     canonical_pairs,
@@ -18,9 +18,12 @@ from threadknit.pipeline import (
     correlate_tables,
     export_graphs,
     iteration_files,
+    read_correlations,
     read_iteration,
-    render_reports,
-    run_pipeline,
+    read_tables,
+    render_comparisons,
+    render_correlations,
+    render_tables,
     worker_count,
 )
 from threadknit.records import read_records, write_csv, write_json
@@ -120,18 +123,20 @@ class TestAnalyzeSubject:
 class TestRunPipeline:
     def test_planted_run_recovers_structure(self, tmp_path, lexicon):
         config = planted_config(tmp_path, lexicon)
-        (result,) = run_pipeline(config, lexicon)
-        assert result.kind == "topical"
+        tables = analyze_groups(config, lexicon)
+        ((kind, rows),) = tables
+        (correlation,) = correlate_tables(tables)
+        assert kind == "topical"
         plans = default_plan(config)
-        for row, plan in zip(result.subjects, plans):
+        for row, plan in zip(rows, plans):
             assert row.strong_count == plan.synth_spec.strong_count
             assert row.weak_count == plan.synth_spec.weak_count
             assert row.beta == row.weak_count / row.strong_count
             assert row.alpha == pytest.approx(
                 plan.synth_spec.target_mean, abs=plan.synth_spec.jitter + 1e-9
             )
-        assert result.correlation.n == 6
-        assert result.correlation.r < -0.9
+        assert correlation.n == 6
+        assert correlation.r < -0.9
 
     def test_group_order_follows_config(self, tmp_path, lexicon):
         config = planted_config(
@@ -139,19 +144,19 @@ class TestRunPipeline:
             lexicon,
             groups=[("event", ("E1", "E2", "E3")), ("topical", ("T1", "T2", "T3"))],
         )
-        results = run_pipeline(config, lexicon)
-        assert [r.kind for r in results] == ["event", "topical"]
-        assert [s.subject for s in results[0].subjects] == ["E1", "E2", "E3"]
+        tables = analyze_groups(config, lexicon)
+        assert [kind for kind, _ in tables] == ["event", "topical"]
+        assert [s.subject for s in tables[0][1]] == ["E1", "E2", "E3"]
 
     def test_small_group_rejected(self, tmp_path, lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B"))])
         with pytest.raises(DegeneracyError, match="topical"):
-            run_pipeline(config, lexicon)
+            analyze_groups(config, lexicon)
 
     def test_missing_fixtures_is_data_error(self, tmp_path, lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
         with pytest.raises(DataError):
-            run_pipeline(config, lexicon)
+            analyze_groups(config, lexicon)
 
     def test_jobs_do_not_change_results(self, tmp_path, lexicon):
         config = planted_config(
@@ -159,14 +164,14 @@ class TestRunPipeline:
             lexicon,
             groups=[("event", ("E1", "E2", "E3")), ("topical", ("T1", "T2", "T3"))],
         )
-        serial = run_pipeline(config, lexicon, jobs=1)
-        pooled = run_pipeline(config, lexicon, jobs=4)
+        serial = analyze_groups(config, lexicon, jobs=1)
+        pooled = analyze_groups(config, lexicon, jobs=4)
         assert serial == pooled
 
     def test_bad_jobs_rejected(self, tmp_path, lexicon):
         config = planted_config(tmp_path, lexicon)
         with pytest.raises(ConfigError, match="jobs"):
-            run_pipeline(config, lexicon, jobs=0)
+            analyze_groups(config, lexicon, jobs=0)
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     @pytest.mark.parametrize("tasks", [1, 3, 24])
@@ -232,11 +237,10 @@ class TestBundledTables:
                 )
 
     def test_correlations_reproduce_expected(self):
-        results = correlate_tables(bundled_tables())
-        for result in results:
-            r_expected, p_expected = BUNDLED_EXPECTED[result.kind]
-            assert result.correlation.r == pytest.approx(r_expected, abs=1e-9)
-            assert result.correlation.p_value == pytest.approx(p_expected, abs=1e-6)
+        for report in correlate_tables(bundled_tables()):
+            r_expected, p_expected = BUNDLED_EXPECTED[report.group]
+            assert report.r == pytest.approx(r_expected, abs=1e-9)
+            assert report.p_value == pytest.approx(p_expected, abs=1e-6)
 
 
 class TestCanonicalPairs:
@@ -262,7 +266,7 @@ class TestCanonicalPairs:
 
 class TestCompareGroups:
     def reports(self):
-        return [r.correlation for r in correlate_tables(bundled_tables())]
+        return correlate_tables(bundled_tables())
 
     def test_pairwise_count_and_order(self):
         comparisons = compare_groups(self.reports())
@@ -302,43 +306,46 @@ class TestCompareGroups:
 
 
 class TestWriters:
-    def results(self):
-        return correlate_tables(bundled_tables())
+    def render(self, out_dir):
+        """Every report artifact of the bundled tables, as the CLI stages write them."""
+        tables = bundled_tables()
+        reports = correlate_tables(tables)
+        return (
+            render_tables(tables, out_dir)
+            + render_correlations(reports, out_dir)
+            + render_comparisons(compare_groups(reports), out_dir)
+        )
 
     def test_correlations_json_round_trip(self, tmp_path):
-        reports = [r.correlation for r in self.results()]
+        reports = correlate_tables(bundled_tables())
         path = write_json(CORRELATIONS, reports, tmp_path / "c.json")
         assert read_records(CORRELATIONS, path) == reports
 
     def test_correlations_csv_header(self, tmp_path):
-        reports = [r.correlation for r in self.results()]
+        reports = correlate_tables(bundled_tables())
         path = write_csv(CORRELATIONS, reports, tmp_path / "c.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "group,n,r,mean_x,mean_y,t_stat,p_value"
         assert len(lines) == 1 + len(reports)
 
     def test_scatter_csv(self, tmp_path):
-        result = self.results()[0]
-        path = write_csv(SCATTER, result.subjects, tmp_path / "s.csv")
+        _, rows = bundled_tables()[0]
+        path = write_csv(SCATTER, rows, tmp_path / "s.csv")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "subject,ratio_beta,sentiment_alpha"
         assert lines[1].startswith("Christianity,")
 
-    def test_render_reports_is_byte_deterministic(self, tmp_path):
-        results = self.results()
-        comparisons = compare_groups([r.correlation for r in results])
-        first = render_reports(results, comparisons, tmp_path / "one")
-        second = render_reports(results, comparisons, tmp_path / "two")
+    def test_render_is_byte_deterministic(self, tmp_path):
+        first = self.render(tmp_path / "one")
+        second = self.render(tmp_path / "two")
         assert [p.relative_to(tmp_path / "one") for p in first] == [
             p.relative_to(tmp_path / "two") for p in second
         ]
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
 
-    def test_render_reports_layout(self, tmp_path):
-        results = self.results()
-        comparisons = compare_groups([r.correlation for r in results])
-        render_reports(results, comparisons, tmp_path)
+    def test_render_layout(self, tmp_path):
+        self.render(tmp_path)
         assert (tmp_path / "correlations.csv").is_file()
         assert (tmp_path / "correlations.json").is_file()
         assert (tmp_path / "comparisons.csv").is_file()
@@ -355,6 +362,26 @@ class TestWriters:
         path.write_text('[{"group": "x"}]', encoding="utf-8")
         with pytest.raises(DataError, match="bad correlation record"):
             read_records(CORRELATIONS, path)
+
+
+class TestReaders:
+    def test_tables_must_hold_the_configured_subjects_in_order(self, tmp_path):
+        tables = bundled_tables()[:2]
+        groups = [(kind, tuple(row.subject for row in rows)) for kind, rows in tables]
+        config = tiny_config(tmp_path, groups)
+        render_tables(tables, config.output_dir)
+        assert read_tables(config) == tables
+        reordered = replace(config, groups=[(kind, names[::-1]) for kind, names in groups])
+        with pytest.raises(DataError, match="topical.csv holds subjects .* run analyze first"):
+            read_tables(reordered)
+
+    def test_correlations_must_be_the_given_kinds_in_order(self, tmp_path):
+        reports = correlate_tables(bundled_tables())
+        render_correlations(reports, tmp_path)
+        kinds = [report.group for report in reports]
+        assert read_correlations(tmp_path) == read_correlations(tmp_path, kinds) == reports
+        with pytest.raises(DataError, match="run correlate first"):
+            read_correlations(tmp_path, kinds[::-1])
 
 
 class TestExportGraphs:
@@ -380,11 +407,3 @@ class TestExportGraphs:
         with pytest.raises(UnicodeEncodeError):
             export_graphs(config)
         assert {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()} == before
-
-    def test_group_result_is_plain_data(self):
-        result = self.make_result()
-        assert isinstance(result, GroupResult)
-        assert result.kind == "topical"
-
-    def make_result(self):
-        return correlate_tables(bundled_tables())[0]
