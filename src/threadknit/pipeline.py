@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .components import (
     ComponentSummary,
@@ -126,23 +126,51 @@ def analyze_subject(
     return summarize_subject(subject, summaries, alphas)
 
 
+def usable_cores() -> int | None:
+    """Cores this process may run on, by its CPU affinity where known."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes for ``jobs`` over ``tasks`` subjects on ``cpus``
-    cores (``os.cpu_count()``, which may be None); 1 means in-process."""
+    """Worker processes for ``jobs`` over ``tasks`` tasks on ``cpus`` cores
+    (``usable_cores()``); 1 means in-process."""
     return min(jobs, tasks, cpus or 1)
 
 
-# (config, lexicon) of a pool worker; set by _init_worker in workers only
-_worker_state: tuple[RunConfig, Lexicon] | None = None
+# (call, shared) of a pool worker; set by _init_worker in workers only
+_worker_state: tuple[Callable, tuple] | None = None
 
 
-def _init_worker(config: RunConfig, lexicon: Lexicon) -> None:
+def _init_worker(call: Callable, shared: tuple) -> None:
     global _worker_state
-    _worker_state = (config, lexicon)
+    _worker_state = (call, shared)
 
 
-def _analyze_task(task: tuple[str, str]) -> SubjectSummary:
-    return analyze_subject(*_worker_state, *task)
+def _run_task(task: tuple):
+    call, shared = _worker_state
+    return call(*shared, *task)
+
+
+def run_in_workers(call: Callable, tasks: Sequence[tuple], jobs: int, *shared) -> list:
+    """``call(*shared, *task)`` for each task, in task order, from up to ``jobs``
+    worker processes (at most tasks or usable cores; one runs in-process).  The
+    first error raised is the first in task order; a dead worker is a ThreadknitError."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be positive, got {jobs}")
+    workers = worker_count(jobs, len(tasks), usable_cores())
+    if workers <= 1:
+        return [call(*shared, *task) for task in tasks]
+    # imported here so that the other stages do not pay for it at start-up;
+    # default start method: fork on Linux up to Python 3.13, which re-imports nothing
+    from concurrent.futures import process
+
+    pool = process.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(call, shared))
+    try:
+        return list(pool.map(_run_task, tasks))
+    except process.BrokenProcessPool as err:
+        raise ThreadknitError(f"a worker process died: {err}") from err
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def analyze_groups(
@@ -150,14 +178,9 @@ def analyze_groups(
 ) -> list[tuple[str, list[SubjectSummary]]]:
     """Every configured group's subject table, as ``(kind, rows)`` pairs.
 
-    ``jobs`` > 1 analyzes subjects in up to that many worker processes
-    (never more than subjects or cores); results are collected in
-    configuration order, so the output, and the first error raised, do not
-    depend on scheduling.  On platforms that start workers by spawning,
-    call this under ``if __name__ == "__main__":``.
+    ``jobs`` > 1 analyzes subjects through run_in_workers; where workers are
+    started by spawning, call this under ``if __name__ == "__main__":``.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be positive, got {jobs}")
     lexicon = lexicon if lexicon is not None else resolve_lexicon(config)
     for kind, subjects in config.groups:
         if len(subjects) < 3:
@@ -165,23 +188,7 @@ def analyze_groups(
                 f"group {kind!r} has {len(subjects)} subject(s); "
                 "correlation needs at least 3"
             )
-    tasks = list(config.subjects())
-    workers = worker_count(jobs, len(tasks), os.cpu_count())
-    if workers <= 1:
-        summaries = [analyze_subject(config, lexicon, *task) for task in tasks]
-    else:
-        # imported here so that the other stages do not pay for it at start-up;
-        # default start method: fork on Linux up to Python 3.13, which re-imports nothing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(config, lexicon))
-        try:
-            summaries = list(pool.map(_analyze_task, tasks))
-        except BrokenProcessPool as err:
-            raise ThreadknitError(f"a worker process died: {err}") from err
-        finally:
-            pool.shutdown(cancel_futures=True)
-    rows = iter(summaries)
+    rows = iter(run_in_workers(analyze_subject, list(config.subjects()), jobs, config, lexicon))
     return [(kind, [next(rows) for _ in subjects]) for kind, subjects in config.groups]
 
 
@@ -340,25 +347,26 @@ def render_correlations(reports: Sequence[CorrelationReport], out_dir: str | Pat
 
 
 def read_correlations(
-    out_dir: str | Path, kinds: Sequence[str] | None = None
+    out_dir: str | Path, groups: Sequence[tuple[str, Sequence[str]]] | None = None
 ) -> list[CorrelationReport]:
     """The reports of ``correlations.json`` under ``out_dir``.
 
-    A missing file, a group that appears twice, or, when ``kinds`` is given,
-    groups other than exactly those kinds in that order, is a DataError.
+    A missing file, a group that appears twice, or, given the configured
+    ``(kind, subjects)`` groups, reports other than one per kind in that
+    order with ``n`` its subject count, is a DataError.
     """
     path = nonempty_path(out_dir, "output directory") / "correlations.json"
     if not path.is_file():
         raise DataError(f"missing {path}; run correlate first")
     reports = read_records(CORRELATIONS, path)
-    groups = [report.group for report in reports]
-    for group in groups:
-        if groups.count(group) > 1:
+    held = [(report.group, report.n) for report in reports]
+    for group, _ in held:
+        if sum(group == other for other, _ in held) > 1:
             raise DataError(f"{path}: group {group!r} appears twice; run correlate first")
-    if kinds is not None and groups != list(kinds):
+    if groups is not None and held != [(kind, len(subjects)) for kind, subjects in groups]:
         raise DataError(
-            f"{path} holds groups {', '.join(groups)}, but [groups] lists "
-            f"{', '.join(kinds)}; run correlate first"
+            f"{path} holds groups {', '.join(f'{g} (n={n})' for g, n in held)}, but [groups] "
+            f"lists {', '.join(f'{k} (n={len(s)})' for k, s in groups)}; run correlate first"
         )
     return reports
 

@@ -29,6 +29,7 @@ from .ingest import (
     subject_dir,
     write_fixture_fields,
 )
+from .pipeline import run_in_workers
 from .sentiment import Lexicon
 
 _BASE_TIME = datetime(2022, 12, 25, tzinfo=timezone.utc)
@@ -354,24 +355,29 @@ def _refuse_stale_files(root, plans: Sequence[SubjectPlan], iterations: int) -> 
                 )
 
 
+def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) -> list:
+    """Write one planned subject's iterations; returns the files written."""
+    directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
+    written = []
+    for index in range(iterations):
+        fields = _batch_fields(plan.synth_spec, plan.query_spec, index, palette)
+        written.append(write_fixture_fields(directory / iteration_filename(index), fields))
+    return written
+
+
 def write_fixture_tree(
-    config: RunConfig,
-    lexicon: Lexicon,
-    plans: Sequence[SubjectPlan] | None = None,
+    config: RunConfig, lexicon: Lexicon, plans: Sequence[SubjectPlan] | None = None, jobs: int = 1
 ) -> list:
     """Materialize a full fixture tree; returns the files written.
 
     Nothing is written when a planned subject directory already holds an
-    iteration file the plan would leave behind (a ConfigError).
+    iteration file the plan would leave behind (a ConfigError).  ``jobs`` > 1
+    writes subjects as analyze_groups analyzes them, with the same bytes; the
+    first failing subject in plan order raises, and later ones may be written.
     """
     if plans is None:
         plans = default_plan(config)
     _refuse_stale_files(config.fixtures_dir, plans, config.iterations)
-    palette = _palette(lexicon)
-    written = []
-    for plan in plans:
-        directory = subject_dir(config.fixtures_dir, plan.query_spec.kind, plan.query_spec.subject)
-        for index in range(config.iterations):
-            fields = _batch_fields(plan.synth_spec, plan.query_spec, index, palette)
-            written.append(write_fixture_fields(directory / iteration_filename(index), fields))
-    return written
+    shared = (config.fixtures_dir, config.iterations, _palette(lexicon))
+    subjects = run_in_workers(_write_subject, [(plan,) for plan in plans], jobs, *shared)
+    return [path for paths in subjects for path in paths]

@@ -14,9 +14,12 @@ import pytest
 
 import threadknit.cli
 import threadknit.pipeline
+import threadknit.synth
 from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
 from threadknit.ingest import RUN_KEYS
+
+from conftest import CLI_GROUPS, PERFBENCH_GROUPS
 
 SRC = Path(threadknit.cli.__file__).resolve().parent.parent
 
@@ -245,6 +248,21 @@ class TestCompareCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "correlations.json" in err[0] and "run correlate first" in err[0]
         assert tree_bytes(workdir / "out") == before
+
+    def test_correlations_of_fewer_subjects_is_one_error_line_exit_2(self, workdir):
+        """A correlation computed before a subject left its group is stale."""
+        for stage in ("synth", "analyze", "correlate"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        (workdir / "run.ini").write_text(
+            CONFIG.replace("Gamma, Delta", "Gamma"), encoding="utf-8"
+        )
+        assert run_cli("analyze", "--config", config_arg(workdir)) == 0
+        code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "holds groups topical (n=4)" in err[0] and "lists topical (n=3)" in err[0]
+        assert "run correlate first" in err[0]
+        assert not list((workdir / "out").glob("comparisons.*"))
 
     @pytest.mark.parametrize("argv", [("--out", "out"), ("--config", "run.ini")], ids=" ".join)
     def test_repeated_group_is_one_error_line_exit_2(self, workdir, argv):
@@ -639,13 +657,44 @@ class TestJobs:
     def test_dead_worker_is_one_error_line_exit_2(self, workdir, capsys, monkeypatch, fork_start):
         run_cli("synth", "--config", config_arg(workdir))
         capsys.readouterr()
-        monkeypatch.setattr(threadknit.pipeline, "_analyze_task", _exit_in_worker)
+        monkeypatch.setattr(threadknit.pipeline, "_run_task", _exit_in_worker)
         # a pool even on a one-core machine, where the task would run in-process
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(threadknit.pipeline, "usable_cores", lambda: 2)
         assert run_cli("analyze", "--config", config_arg(workdir), "--jobs", "2") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "worker" in err
         assert not (workdir / "out").exists()
+
+    def test_dead_synth_worker_is_one_error_line_exit_2(
+        self, workdir, capsys, monkeypatch, fork_start
+    ):
+        monkeypatch.setattr(threadknit.pipeline, "_run_task", _exit_in_worker)
+        monkeypatch.setattr(threadknit.pipeline, "usable_cores", lambda: 2)
+        # fan the 24-file tree out, as a large one would be
+        monkeypatch.setattr(threadknit.cli, "_FILES_PER_WORKER", 1)
+        assert run_cli("synth", "--config", config_arg(workdir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "worker" in err
+        assert not (workdir / "fixtures").exists()
+
+    @pytest.mark.parametrize(
+        "groups, iterations, fans_out",
+        [(CLI_GROUPS, 3, False), (PERFBENCH_GROUPS, 2, False), (PERFBENCH_GROUPS, 100, True)],
+        ids=["cli-config", "paper", "synth-default"],
+    )
+    def test_synth_fans_out_only_large_trees(
+        self, tmp_path, monkeypatch, groups, iterations, fans_out
+    ):
+        """The fan-out rule, read from the jobs synth asks for; nothing is timed or written."""
+        asked = []
+        monkeypatch.setattr(
+            threadknit.synth, "run_in_workers", lambda call, tasks, jobs, *shared: asked.append(jobs) or []
+        )
+        lines = ["[run]", "per_iteration_count = 950", f"iterations = {iterations}", "[groups]"]
+        lines += [f"{kind} = {', '.join(subjects)}" for kind, subjects in groups]
+        (tmp_path / "run.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("synth", "--config", tmp_path / "run.ini") == 0
+        assert len(asked) == 1 and (asked[0] > 1) == fans_out
 
     def test_cli_import_loads_no_process_pool(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -376,12 +376,22 @@ class TestReaders:
             read_tables(reordered)
 
     def test_correlations_must_be_the_given_kinds_in_order(self, tmp_path):
-        reports = correlate_tables(bundled_tables())
+        tables = bundled_tables()
+        reports = correlate_tables(tables)
         render_correlations(reports, tmp_path)
-        kinds = [report.group for report in reports]
-        assert read_correlations(tmp_path) == read_correlations(tmp_path, kinds) == reports
+        groups = [(kind, tuple(row.subject for row in rows)) for kind, rows in tables]
+        assert read_correlations(tmp_path) == read_correlations(tmp_path, groups) == reports
         with pytest.raises(DataError, match="run correlate first"):
-            read_correlations(tmp_path, kinds[::-1])
+            read_correlations(tmp_path, groups[::-1])
+
+    def test_correlations_must_count_the_configured_subjects(self, tmp_path):
+        tables = bundled_tables()
+        render_correlations(correlate_tables(tables), tmp_path)
+        groups = [(kind, tuple(row.subject for row in rows)) for kind, rows in tables]
+        kind, subjects = groups[1]
+        groups[1] = (kind, subjects[:-1])
+        with pytest.raises(DataError, match=rf"{kind} \(n={len(subjects)}\).* run correlate first"):
+            read_correlations(tmp_path, groups)
 
 
 class TestExportGraphs:

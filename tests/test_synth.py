@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from statistics import fmean
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import threadknit.ingest as ingest_module
+import threadknit.pipeline as pipeline_module
 import threadknit.synth as synth_module
 from threadknit.components import component_summary
 from threadknit.errors import ConfigError, SynthError
@@ -202,6 +204,12 @@ class TestSynthBatch:
         assert len(batch.statuses) == 10
 
 
+@pytest.fixture()
+def two_cores(monkeypatch):
+    """jobs=2 starts a pool even on a one-core machine."""
+    monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 2)
+
+
 def _tiny_config(tmp_path, groups, iterations=2, per_iteration_count=50, seed=0):
     return RunConfig(
         fixtures_dir=tmp_path / "fixtures",
@@ -308,6 +316,30 @@ class TestWriteFixtureTree:
         (subject / "iter_0001").unlink()
         assert len(write_fixture_tree(config, lexicon)) == 4
 
+    def test_stale_iteration_file_stops_a_pooled_tree_before_any_write(
+        self, tmp_path, lexicon, two_cores
+    ):
+        config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co", "Gamma"))], iterations=2)
+        subject = tmp_path / "fixtures" / "topical" / "gamma"
+        subject.mkdir(parents=True)
+        (subject / "iter_002").write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match="iter_002"):
+            write_fixture_tree(config, lexicon, jobs=2)
+        assert [p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file()] == ["iter_002"]
+
+    def test_first_failing_plan_raises_for_any_jobs(self, tmp_path, lexicon, two_cores):
+        config = _tiny_config(tmp_path, [("topical", tuple("ABCDE"))], iterations=2)
+        plans = default_plan(config)
+        for position, corpus_size in ((1, 1), (3, 2)):
+            plan = plans[position]
+            plans[position] = replace(plan, synth_spec=replace(plan.synth_spec, corpus_size=corpus_size))
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(SynthError) as caught:
+                write_fixture_tree(config, lexicon, plans, jobs=jobs)
+            raised.append(str(caught.value))
+        assert raised[0] == raised[1] and raised[0].startswith("corpus_size 1 cannot cover")
+
 
 def _needed_statuses(sizes) -> int:
     """Statuses a planted structure needs: one per edge, one per lonely node."""
@@ -386,25 +418,28 @@ class TestClosestValence:
         assert best == reference_closest_valence(remaining, valences)
 
 
+PINNED_TREES = {
+    "perfbench-seed-0": (PERFBENCH_GROUPS, 950, 25, 0, 600,
+        "74d661723d3dc9854ba2377bf11750146f90e091c42cce598111d1101629feff"),
+    "perfbench-seed-77": (PERFBENCH_GROUPS, 950, 25, 77, 600,
+        "d8c1153317d01b0978e127689ebfa945b6f3a2661b10ac3d744e46622e051a0e"),
+    "cli-config": (CLI_GROUPS, 40, 3, 11, 24,
+        "7af84aa9823439baed752356e025a4dc943368999310f688f5c768d3186b3bb9"),
+}
+
+
 @pytest.mark.parametrize(
-    "groups, per_iteration_count, iterations, seed, files, digest",
-    [
-        (PERFBENCH_GROUPS, 950, 25, 0, 600,
-         "74d661723d3dc9854ba2377bf11750146f90e091c42cce598111d1101629feff"),
-        (PERFBENCH_GROUPS, 950, 25, 77, 600,
-         "d8c1153317d01b0978e127689ebfa945b6f3a2661b10ac3d744e46622e051a0e"),
-        (CLI_GROUPS, 40, 3, 11, 24,
-         "7af84aa9823439baed752356e025a4dc943368999310f688f5c768d3186b3bb9"),
-    ],
-    ids=["perfbench-seed-0", "perfbench-seed-77", "cli-config"],
+    "jobs, groups, per_iteration_count, iterations, seed, files, digest",
+    [(jobs, *tree) for jobs in (1, 2) for tree in PINNED_TREES.values()],
+    ids=[name + ("" if jobs == 1 else "-jobs-2") for jobs in (1, 2) for name in PINNED_TREES],
 )
 def test_tree_bytes_are_pinned(
-    tmp_path, lexicon, groups, per_iteration_count, iterations, seed, files, digest
+    tmp_path, lexicon, two_cores, jobs, groups, per_iteration_count, iterations, seed, files, digest
 ):
     """The fixture bytes are the generator's contract: analyze's results
-    and every stored digest depend on them."""
+    and every stored digest depend on them, and the worker count does not."""
     config = _tiny_config(
         tmp_path, groups, iterations=iterations, per_iteration_count=per_iteration_count, seed=seed
     )
-    write_fixture_tree(config, lexicon)
+    write_fixture_tree(config, lexicon, jobs=jobs)
     assert tree_digest(tmp_path / "fixtures") == (files, digest)
