@@ -14,8 +14,8 @@ from importlib import import_module
 
 # submodule -> the names it exports
 _EXPORTS = {
-    "components": "ComponentSummary SubjectSummary beta_ratio component_summary round_half_away "
-    "summarize_subject",
+    "components": "ComponentSummary SubjectSummary beta_ratio component_counts component_summary "
+    "round_half_away summarize_subject",
     "errors": "ConfigError DataError DegeneracyError FixtureError LexiconError SynthError "
     "ThreadknitError",
     "graph": "ConversationGraph Edge build_graph export_dot",
@@ -29,7 +29,7 @@ _EXPORTS = {
     "stats": "ComparisonReport CorrelationReport compare_correlations correlation_report "
     "correlation_significance fisher_z indep_groups_z_test infer_group_n normal_cdf "
     "normal_quantile pearson_r t_cdf zou_interval",
-    "synth": "SynthSpec synth_graph write_fixture_tree",
+    "synth": "SynthSpec write_fixture_tree",
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DegeneracyError
-from .graph import ConversationGraph
 from .sentiment import aggregate_alpha
+
+if TYPE_CHECKING:
+    from .graph import ConversationGraph
 
 
 def _strong_labels(successors: Sequence[Sequence[int]]) -> list[int]:
@@ -81,7 +83,7 @@ def _weak_labels(count: int, edges: Iterable[Sequence[int]]) -> list[int]:
     return [find(node) for node in range(count)]
 
 
-def _component_counts(count: int, edges: Sequence[Sequence[int]]) -> tuple[int, int]:
+def component_counts(count: int, edges: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(strong, weak) component counts of a graph on nodes 0..count-1 with
     (source, target, ...) ``edges``."""
     successors: list[list[int]] = [[] for _ in range(count)]
@@ -112,7 +114,7 @@ def component_summary(graph: ConversationGraph) -> ComponentSummary:
     """Count both kinds of component for one graph."""
     number = {node: position for position, node in enumerate(sorted(graph.nodes))}
     edges = [(number[edge.source], number[edge.target]) for edge in graph.edges]
-    return ComponentSummary(*_component_counts(len(number), edges))
+    return ComponentSummary(*component_counts(len(number), edges))
 
 
 def round_half_away(value: float | Fraction | int) -> int:

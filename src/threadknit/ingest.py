@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, FixtureError
 from .records import write_atomic
@@ -26,7 +26,7 @@ QUERY_KINDS = ("topical", "event", "geographic", "individual")
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
-_ITER_RE = re.compile(r"^iter_(\d{3,})$")
+_ITER_RE = re.compile(r"iter_([0-9]{3,})")
 # for str patterns \s matches exactly the characters str.isspace() accepts
 _SPACE_RE = re.compile(r"\s")
 
@@ -56,7 +56,7 @@ def subject_slug(subject: str) -> str:
 
 def iteration_index(name: str) -> int | None:
     """The NNN of an ``iter_NNN`` file name, or None for any other name."""
-    match = _ITER_RE.match(name)
+    match = _ITER_RE.fullmatch(name)
     return int(match.group(1)) if match else None
 
 
@@ -74,14 +74,10 @@ def _parse_timestamp(text: str | None) -> datetime:
         raise ValueError(f"created_at out of range in UTC: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Status:
-    """One message and its outbound references.
-
-    Handles (author, reply_to, mentions, retweet_of, quote_of) are
-    normalized on construction.  ``created_at`` defaults to the Unix epoch
-    when the source record omits it; all timestamps are held in UTC.
-    """
+class Status(NamedTuple):
+    """One message and its references, as read_fixture returns its fields:
+    the reader checks and normalizes them (handles lowercased without '@',
+    ``created_at`` in UTC, the Unix epoch when the record has none)."""
 
     id: str
     text: str
@@ -92,29 +88,8 @@ class Status:
     retweet_of: str | None = None
     quote_of: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("status id must be nonempty")
-        object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "author", normalize_handle(self.author))
-        for attr in ("reply_to", "retweet_of", "quote_of"):
-            value = getattr(self, attr)
-            if value is not None:
-                object.__setattr__(self, attr, normalize_handle(value))
-        object.__setattr__(
-            self, "mentions", tuple(normalize_handle(m) for m in self.mentions)
-        )
-        moment = self.created_at
-        if moment.tzinfo is None:
-            moment = moment.replace(tzinfo=timezone.utc)
-        object.__setattr__(self, "created_at", moment.astimezone(timezone.utc))
 
-    def references(self) -> Iterator[tuple[str, str]]:
-        """Yield (kind, target handle) pairs in a fixed order."""
-        yield from references(self.reply_to, self.mentions, self.retweet_of, self.quote_of)
-
-
-# the reference kinds, in the order references() yields them
+# the reference kinds, in the order references() gives them
 EDGE_KINDS = ("reply", "mention", "retweet", "quote")
 
 
@@ -194,10 +169,6 @@ def _check_plan(spec: QuerySpec, index: int, count: int) -> None:
 _OPTIONAL_STRING_FIELDS = ("reply_to", "retweet_of", "quote_of")
 
 
-# id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
-StatusFields = tuple[str, str, str, datetime, str | None, tuple[str, ...], str | None, str | None]
-
-
 def _normalized(raw: str, handles: dict[str, str]) -> str:
     handle = handles.get(raw)
     if handle is None:
@@ -205,11 +176,11 @@ def _normalized(raw: str, handles: dict[str, str]) -> str:
     return handle
 
 
-def _record_fields(record: Any, handles: dict[str, str]) -> StatusFields:
+def _record_fields(record: Any, handles: dict[str, str]) -> tuple:
     """Check one decoded record; its Status fields in order, normalized.
 
-    Raises ValueError naming the first problem, in the order the Status
-    constructor would meet it.  ``handles`` memoises normalize_handle.
+    The one place a record is checked.  Raises ValueError naming the first
+    problem.  ``handles`` memoises normalize_handle.
     """
     # exact types first: the ABC isinstance checks are slow
     if type(record) is not dict and not isinstance(record, Mapping):
@@ -255,8 +226,9 @@ def _record_fields(record: Any, handles: dict[str, str]) -> StatusFields:
     return status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
 
 
-def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[StatusFields]:
-    """Checked Status fields of every record in one iteration file.
+def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[tuple]:
+    """Checked Status fields of every record in one iteration file, one
+    plain tuple in Status field order per record.
 
     Every problem is a FixtureError naming ``path`` and, for a bad record,
     its line.  The records must fit the spec's plan at ``index``.
@@ -317,7 +289,7 @@ def parse_fixture(
         index = iteration_index(path.name) or 0
     if spec is None:
         spec = _default_spec_for(path, index)
-    statuses = tuple(Status(*fields) for fields in read_fixture(path, spec, index))
+    statuses = tuple(map(Status._make, read_fixture(path, spec, index)))
     return IterationBatch(spec=spec, index=index, statuses=statuses)
 
 
@@ -327,11 +299,11 @@ def parse_fixture(
 _QUOTE = json.encoder.encode_basestring
 
 
-def write_fixture_fields(path: str | Path, records: Iterable[StatusFields]) -> Path:
-    """Write Status fields as a fixture file, one JSON object per line; the
-    inverse of read_fixture.
+def write_fixture_fields(path: str | Path, records: Iterable[tuple]) -> Path:
+    """Write records in Status field order, such as Statuses, as a fixture
+    file, one JSON object per line; the inverse of read_fixture.
 
-    Keys follow the StatusFields order; ``created_at`` is omitted when it
+    Keys follow the Status field order; ``created_at`` is omitted when it
     is EPOCH and the other optional fields when unset, so reading the file
     back returns the same fields.
     """
@@ -362,11 +334,6 @@ def iteration_filename(index: int) -> str:
 def subject_dir(root: str | Path, kind: str, subject: str) -> Path:
     """Directory of one subject's iteration files under a fixture tree root."""
     return Path(root) / kind / subject_slug(subject)
-
-
-def fixture_path(root: str | Path, spec: QuerySpec, index: int) -> Path:
-    """Location of one iteration file under a fixture tree root."""
-    return subject_dir(root, spec.kind, spec.subject) / iteration_filename(index)
 
 
 def nonempty_path(value: str | Path, name: str) -> Path:

@@ -12,16 +12,16 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .components import (
     ComponentSummary,
     SubjectSummary,
-    _component_counts,
+    beta_ratio,
+    component_counts,
     summarize_subject,
 )
 from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
-from .graph import export_dot
 from .ingest import (
     QUERY_KINDS,
     QuerySpec,
@@ -82,22 +82,22 @@ class IterationRow(NamedTuple):
     edges: list[tuple[int, int, str]]
 
 
-def read_iteration(
-    path: Path, spec: QuerySpec, index: int, kinds: Sequence[str], include_isolates: bool
+def iteration_row(
+    records: Iterable[Sequence], kinds: Iterable[str], include_isolates: bool
 ) -> IterationRow:
-    """The texts and interaction graph of one iteration file, in one pass.
+    """The texts and interaction graph of one iteration's records: tuples in
+    Status field order, as read_fixture returns them.
 
-    The graph is ``build_graph(parse_fixture(...), kinds, include_isolates)``
-    with the same errors, but no Status, Edge or graph objects: handles
-    become node numbers as they are met.
+    Each reference of a selected kind is one edge from the author to the
+    referenced handle (a multigraph; self-loops kept).  Referenced handles
+    are always nodes, authors only with an edge or ``include_isolates``.
+    Handles become node numbers as they are met.
     """
     kindset = edge_kind_set(kinds)
     numbers: dict[str, int] = {}
     edges: list[tuple[int, int, str]] = []
     texts = []
-    for _, text, author, _, reply_to, mentions, retweet_of, quote_of in read_fixture(
-        path, spec, index
-    ):
+    for _, text, author, _, reply_to, mentions, retweet_of, quote_of in records:
         texts.append(text)
         for kind, target in references(reply_to, mentions, retweet_of, quote_of):
             if kind in kindset:
@@ -108,6 +108,14 @@ def read_iteration(
     return IterationRow(texts, list(numbers), edges)
 
 
+def read_iteration(
+    path: Path, spec: QuerySpec, index: int, kinds: Sequence[str], include_isolates: bool
+) -> IterationRow:
+    """The iteration_row of one iteration file's records; what analyze
+    counts and scores and export renders."""
+    return iteration_row(read_fixture(path, spec, index), kinds, include_isolates)
+
+
 def analyze_subject(
     config: RunConfig, lexicon: Lexicon, kind: str, subject: str
 ) -> SubjectSummary:
@@ -116,7 +124,7 @@ def analyze_subject(
     summaries, alphas = [], []
     for index, path in iteration_files(config, kind, subject):
         row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
-        summaries.append(ComponentSummary(*_component_counts(len(row.nodes), row.edges)))
+        summaries.append(ComponentSummary(*component_counts(len(row.nodes), row.edges)))
         try:
             alphas.append(
                 mean_score([score_text(text, lexicon) for text in row.texts], subject, index)
@@ -260,6 +268,14 @@ def compare_groups(
     return out
 
 
+def _check_subject_row(row: SubjectSummary) -> None:
+    """Counts a graph can have, and their beta to 1e-9 relative (10 decimals)."""
+    ComponentSummary(row.strong_count, row.weak_count)
+    beta = beta_ratio(row.strong_count, row.weak_count)
+    if abs(row.beta - beta) > 1e-9 * beta:
+        raise ValueError(f"ratio_beta {row.beta!r} is not weak/strong = {beta!r}")
+
+
 SUBJECT_TABLE = RecordSpec(
     "subject",
     SubjectSummary,
@@ -270,8 +286,7 @@ SUBJECT_TABLE = RecordSpec(
         ("ratio_beta", "beta", float),
         ("sentiment_alpha", "alpha", float),
     ),
-    # counts read back must be ones a graph can have
-    check=lambda row: ComponentSummary(row.strong_count, row.weak_count),
+    check=_check_subject_row,
 )
 # the scatter CSV is the subject table without its counts
 SCATTER = RecordSpec(
@@ -383,6 +398,9 @@ def export_graphs(config: RunConfig) -> list[Path]:
     Files go under ``graphs/`` in ``config.output_dir``.  Each is read
     through read_iteration, as analyze reads it, and no text is scored.
     """
+    # imported here so that analyze and synth do not load the graph module
+    from .graph import export_dot
+
     written = []
     for kind, subject in config.subjects():
         index, path = iteration_files(config, kind, subject)[-1]

@@ -113,6 +113,8 @@ def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
     records = []
     for number, row in enumerate(rows, first):
         try:
+            if None in row:  # csv.DictReader files cells past the header under None
+                raise ValueError(f"{len(row[None])} more cell(s) than the {len(names)} columns")
             fields = {attr: _field(row, name, kind) for name, attr, kind in spec.columns}
             record = spec.make(**fields)
             spec.check(record)

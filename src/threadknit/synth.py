@@ -17,11 +17,9 @@ from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
 from .errors import ConfigError, SynthError
-from .graph import ConversationGraph, Edge
 from .ingest import (
     QuerySpec,
     RunConfig,
-    StatusFields,
     _check_plan,
     _normalized,
     iteration_filename,
@@ -112,20 +110,6 @@ def _planted_topology(
     return names, edges
 
 
-def synth_graph(spec: SynthSpec) -> ConversationGraph:
-    """Graph with exactly the planted component counts.
-
-    ``component_summary`` of the result reports ``spec.strong_count`` and
-    ``spec.weak_count``.  Same spec, same graph.
-    """
-    rng = random.Random(spec.seed)
-    names, pairs = _planted_topology(spec, rng)
-    edges = tuple(
-        Edge(src, dst, "mention", f"s{k:04d}") for k, (src, dst) in enumerate(pairs)
-    )
-    return ConversationGraph(nodes=frozenset(names), edges=edges)
-
-
 # what corpus steering draws from a lexicon: (valence, tokens) pairs in
 # ascending order, tokens by valence, the positive valences whose negation
 # is present too, and the FILLER_WORDS the lexicon does not score
@@ -211,7 +195,7 @@ def _corpus_texts(
 
 def _batch_fields(
     spec: SynthSpec, query_spec: QuerySpec, index: int, palette: _Palette
-) -> list[StatusFields]:
+) -> list[tuple]:
     """Status fields of one planted iteration, in file order.
 
     Every edge becomes a status by the edge's source mentioning its target;

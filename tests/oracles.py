@@ -1,10 +1,11 @@
 """Independent reference implementations, used only to check the library.
 
 Each oracle takes a deliberately different route from the code under test:
-component counts come from a transitive-closure matrix instead of Tarjan
-or union-find, text is cleaned character by character instead of by one
-token regex, the synth valence pick scans every valence instead of
-stopping early, fixture lines come from json.dumps of a record dict instead
+the interaction graph is collected as sets of handles instead of numbering
+handles as they are met, component counts come from a transitive-closure
+matrix instead of Tarjan or union-find, text is cleaned character by
+character instead of by one token regex, the synth valence pick scans every
+valence instead of stopping early, fixture lines come from json.dumps of a record dict instead
 of quoting each field, the Pearson coefficient is accumulated in exact rational
 arithmetic, the t-distribution tail is numerically integrated rather than
 evaluated through the incomplete beta function, and the interval formulas
@@ -46,6 +47,27 @@ def reference_score_text(raw: str, entries: Mapping[str, float]) -> float:
     if not cleaned:
         return 0.0
     return fsum(entries.get(token, 0.0) for token in cleaned.split(" "))
+
+
+def reference_graph(
+    records: Sequence[Sequence], kinds: Sequence[str], include_isolates: bool
+) -> tuple[set[str], list[tuple[str, str, str]]]:
+    """(nodes, (author, target, kind) edges in file order) of records in
+    Status field order: one edge per reference of a selected kind, taken in
+    the order reply, mentions, retweet, quote; referenced handles always
+    nodes, authors only with an edge or ``include_isolates``."""
+    nodes: set[str] = set()
+    edges = []
+    for _, _, author, _, reply_to, mentions, retweet_of, quote_of in records:
+        targets = [("reply", reply_to), *(("mention", m) for m in mentions)]
+        for kind, target in targets + [("retweet", retweet_of), ("quote", quote_of)]:
+            if target is None or kind not in kinds:
+                continue
+            edges.append((author, target, kind))
+            nodes.update((author, target))
+        if include_isolates:
+            nodes.add(author)
+    return nodes, edges
 
 
 def closure_relations(

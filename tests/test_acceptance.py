@@ -17,8 +17,7 @@ import time
 import pytest
 
 from threadknit.cli import main
-from threadknit.components import beta_ratio, component_summary
-from threadknit.graph import ConversationGraph, Edge, build_graph
+from threadknit.components import beta_ratio, component_counts
 from threadknit.ingest import RunConfig, parse_fixture
 from threadknit.pipeline import (
     analyze_groups,
@@ -36,7 +35,7 @@ from threadknit.stats import (
     t_sf,
     zou_interval,
 )
-from threadknit.synth import SynthSpec, default_plan, synth_graph, write_fixture_tree
+from threadknit.synth import SynthSpec, _planted_topology, default_plan, write_fixture_tree
 
 from conftest import HAND_SCORED_TEXTS
 from oracles import closure_component_counts, integrated_two_sided_p
@@ -138,20 +137,13 @@ def test_criterion_5_component_oracle():
     rng = random.Random(50)
     for case in range(1000):
         node_count = rng.randint(0, 12)
-        nodes = [f"n{i}" for i in range(node_count)]
         edge_count = rng.randint(0, 30) if node_count else 0
         pairs = [
-            (rng.choice(nodes), rng.choice(nodes)) for _ in range(edge_count)
+            (rng.randrange(node_count), rng.randrange(node_count)) for _ in range(edge_count)
         ]
-        graph = ConversationGraph(
-            frozenset(nodes),
-            tuple(Edge(a, b, "mention", f"s{k}") for k, (a, b) in enumerate(pairs)),
-        )
-        summary = component_summary(graph)
-        assert (summary.strong_count, summary.weak_count) == closure_component_counts(
-            nodes, pairs
-        ), case
-        assert summary.strong_count >= summary.weak_count
+        strong, weak = component_counts(node_count, pairs)
+        assert (strong, weak) == closure_component_counts(range(node_count), pairs), case
+        assert strong >= weak
     assert time.perf_counter() - started < 10.0
 
 
@@ -239,9 +231,10 @@ def test_criterion_9_planted_structure_recovery(tmp_path, lexicon):
         for k in range(spare):
             sizes[k % weak_count].append(1)
         spec = SynthSpec(seed=90 + weak_count, weak_component_sizes=sizes)
-        summary = component_summary(synth_graph(spec))
-        assert summary.strong_count == 10
-        assert summary.weak_count == weak_count
+        names, pairs = _planted_topology(spec, random.Random(spec.seed))
+        number = {name: position for position, name in enumerate(names)}
+        edges = [(number[a], number[b]) for a, b in pairs]
+        assert component_counts(len(names), edges) == (10, weak_count)
 
     # pipeline recovery on a planted six-subject group
     config = RunConfig(

@@ -171,7 +171,11 @@ class TestCorrelateCommand:
 
     @pytest.mark.parametrize(
         "bad_row",
-        ["Delta,9,4,0.4444444444,nan", "Delta,9,4,inf,0.1", "Delta,4,9,2.25,0.1"],
+        [
+            "Delta,9,4,0.4444444444,nan", "Delta,9,4,inf,0.1", "Delta,4,9,2.25,0.1",
+            # a cell past the header, and a beta that is not weak/strong
+            "Delta,9,4,0.4444444444,0.1,7", "Delta,9,4,0.7,0.1",
+        ],
     )
     def test_bad_table_value_is_one_error_line_exit_2(self, workdir, bad_row):
         tables = workdir / "out" / "tables"

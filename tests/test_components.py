@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from threadknit.components import (
     ComponentSummary,
-    _component_counts,
     _strong_labels,
     _weak_labels,
     SubjectSummary,
     average_count,
     beta_ratio,
+    component_counts,
     component_summary,
     round_half_away,
     summarize_subject,
@@ -28,9 +28,7 @@ from oracles import closure_component_counts, closure_relations
 
 def graph_from_pairs(node_count, pairs):
     nodes = frozenset(f"n{i}" for i in range(node_count))
-    edges = tuple(
-        Edge(f"n{a}", f"n{b}", "mention", f"s{k}") for k, (a, b) in enumerate(pairs)
-    )
+    edges = tuple(Edge(f"n{a}", f"n{b}", "mention") for a, b in pairs)
     return ConversationGraph(nodes, edges)
 
 
@@ -165,7 +163,7 @@ class TestComponents:
     @given(digraphs)
     def test_int_counts_match_the_closure_oracle(self, case):
         n, pairs = case
-        assert _component_counts(n, pairs) == closure_component_counts(range(n), pairs)
+        assert component_counts(n, pairs) == closure_component_counts(range(n), pairs)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_int_counts_match_networkx_on_large_graphs(self, seed):
@@ -183,7 +181,7 @@ class TestComponents:
             nx.number_strongly_connected_components(graph),
             nx.number_weakly_connected_components(graph),
         )
-        assert _component_counts(n, pairs) == expected
+        assert component_counts(n, pairs) == expected
         assert n > expected[0] > expected[1] > 1
 
     def test_impossible_summary_rejected(self):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threadknit.graph import ConversationGraph, Edge, build_graph, export_dot
-from threadknit.ingest import Status
+from threadknit.ingest import EDGE_KINDS, Status, references
+from threadknit.pipeline import iteration_row
 
 from conftest import make_batch, make_status
 
@@ -18,7 +19,7 @@ class TestBuildGraph:
         batch = make_batch([make_status(1, "alice", mentions=("bob",))])
         graph = build_graph(batch)
         assert graph.nodes == {"alice", "bob"}
-        assert graph.edges == (Edge("alice", "bob", "mention", "s1"),)
+        assert graph.edges == (Edge("alice", "bob", "mention"),)
 
     def test_reciprocal_replies_form_two_edges(self):
         batch = make_batch(
@@ -29,14 +30,14 @@ class TestBuildGraph:
         )
         graph = build_graph(batch)
         assert set(graph.edges) == {
-            Edge("a", "b", "reply", "s1"),
-            Edge("b", "a", "reply", "s2"),
+            Edge("a", "b", "reply"),
+            Edge("b", "a", "reply"),
         }
 
     def test_self_reference_kept_as_loop(self):
         batch = make_batch([make_status(1, "a", mentions=("a",))])
         graph = build_graph(batch)
-        assert graph.edges == (Edge("a", "a", "mention", "s1"),)
+        assert graph.edges == (Edge("a", "a", "mention"),)
         assert graph.nodes == {"a"}
 
     def test_isolated_author_included_by_default(self):
@@ -92,31 +93,32 @@ references_strategy = st.builds(
 )
 
 
+def named_edges(row):
+    return [(row.nodes[source], row.nodes[target], kind) for source, target, kind in row.edges]
+
+
 class TestGraphInvariants:
     @given(st.lists(references_strategy, max_size=15, unique_by=lambda s: s.id))
     def test_edge_count_equals_reference_count(self, statuses):
-        batch = make_batch(statuses)
-        graph = build_graph(batch)
-        expected = sum(len(list(s.references())) for s in statuses)
-        assert len(graph.edges) == expected
+        row = iteration_row(statuses, EDGE_KINDS, True)
+        expected = sum(
+            len(references(s.reply_to, s.mentions, s.retweet_of, s.quote_of)) for s in statuses
+        )
+        assert len(row.edges) == expected
+        assert row.texts == [s.text for s in statuses]
 
     @given(st.lists(references_strategy, max_size=15, unique_by=lambda s: s.id))
     def test_endpoints_are_nodes_and_isolates_only_grow_node_set(self, statuses):
-        batch = make_batch(statuses)
-        with_isolates = build_graph(batch, include_isolates=True)
-        without = build_graph(batch, include_isolates=False)
-        assert with_isolates.edges == without.edges
-        assert without.nodes <= with_isolates.nodes
-        for edge in without.edges:
-            assert edge.source in without.nodes
-            assert edge.target in without.nodes
-        assert with_isolates.nodes - without.nodes <= {s.author for s in statuses}
-
-    def test_endpoint_outside_node_set_rejected(self):
-        with pytest.raises(ValueError):
-            ConversationGraph(
-                nodes=frozenset({"a"}), edges=(Edge("a", "b", "mention", "s"),)
-            )
+        with_isolates = iteration_row(statuses, EDGE_KINDS, True)
+        without = iteration_row(statuses, EDGE_KINDS, False)
+        assert named_edges(with_isolates) == named_edges(without)
+        for row in (with_isolates, without):
+            # one number per handle, and every edge between numbered nodes
+            assert len(set(row.nodes)) == len(row.nodes)
+            for source, target, _ in row.edges:
+                assert 0 <= source < len(row.nodes) and 0 <= target < len(row.nodes)
+        assert set(without.nodes) <= set(with_isolates.nodes)
+        assert set(with_isolates.nodes) - set(without.nodes) <= {s.author for s in statuses}
 
 
 class TestDotExport:
@@ -126,7 +128,7 @@ class TestDotExport:
 
     def test_single_edge_contains_arrow(self):
         graph = ConversationGraph(
-            nodes=frozenset({"a", "b"}), edges=(Edge("a", "b", "mention", "s1"),)
+            nodes=frozenset({"a", "b"}), edges=(Edge("a", "b", "mention"),)
         )
         dot = export_dot(graph.nodes, graph.edges)
         assert "a -> b" in dot
@@ -135,7 +137,7 @@ class TestDotExport:
     def test_non_identifier_names_quoted(self):
         graph = ConversationGraph(
             nodes=frozenset({"1user", 'we"ird'}),
-            edges=(Edge("1user", 'we"ird', "reply", "s1"),),
+            edges=(Edge("1user", 'we"ird', "reply"),),
         )
         dot = export_dot(graph.nodes, graph.edges)
         assert '"1user"' in dot
@@ -143,10 +145,10 @@ class TestDotExport:
 
     def test_edge_order_normalized(self):
         edges = [
-            Edge("a", "b", "mention", "s1"),
-            Edge("a", "a", "reply", "s2"),
-            Edge("b", "a", "quote", "s3"),
-            Edge("a", "b", "mention", "s0"),
+            Edge("a", "b", "mention"),
+            Edge("a", "a", "reply"),
+            Edge("b", "a", "quote"),
+            Edge("a", "b", "mention"),
         ]
         nodes = frozenset({"a", "b"})
         renders = set()
@@ -158,8 +160,8 @@ class TestDotExport:
         assert len(renders) == 1
 
     def test_status_ids_are_not_printed(self):
-        edges = [Edge("b", "a", "reply", "s9"), Edge("a", "b", "mention", "s1")]
-        triples = [(source, target, kind) for source, target, kind, _ in edges]
+        edges = [("b", "a", "reply", "s9"), ("a", "b", "mention", "s1")]
+        triples = [Edge(source, target, kind) for source, target, kind, _ in edges]
         assert export_dot({"a", "b"}, edges) == export_dot(["b", "a"], triples) == (
             "digraph {\n  a;\n  b;\n  a -> b [label=mention];\n  b -> a [label=reply];\n}\n"
         )

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, replace
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -15,11 +15,13 @@ from threadknit.ingest import (
     QuerySpec,
     RunConfig,
     Status,
-    fixture_path,
     iteration_filename,
     load_config,
     normalize_handle,
     parse_fixture,
+    read_fixture,
+    references,
+    subject_dir,
     subject_slug,
     write_fixture_fields,
 )
@@ -54,14 +56,23 @@ class TestNormalizeHandle:
         assert not once.startswith("@")
 
 
+def read_record(tmp_path, **record):
+    """The Status read_fixture makes of a one-record file."""
+    path = tmp_path / "iter_000"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    (fields,) = read_fixture(path, make_spec(), 0)
+    return Status._make(fields)
+
+
 class TestStatus:
-    def test_normalizes_all_handles(self):
-        status = Status(
+    def test_normalizes_all_handles(self, tmp_path):
+        status = read_record(
+            tmp_path,
             id="1",
             text="hi",
             author="@Alice",
             reply_to="@Bob",
-            mentions=("@Carol", "Dave"),
+            mentions=["@Carol", "Dave"],
             retweet_of="@Erin",
             quote_of="@Frank",
         )
@@ -71,28 +82,19 @@ class TestStatus:
         assert status.retweet_of == "erin"
         assert status.quote_of == "frank"
 
-    def test_created_at_defaults_to_epoch_utc(self):
-        status = Status(id="1", text="x", author="a")
+    def test_created_at_defaults_to_epoch_utc(self, tmp_path):
+        status = read_record(tmp_path, id="1", text="x", author="a")
         assert status.created_at == EPOCH
         assert status.created_at.tzinfo is not None
+        assert Status(id="1", text="x", author="a") == status
 
-    def test_naive_timestamp_coerced_to_utc(self):
-        status = Status(
-            id="1", text="x", author="a", created_at=datetime(2022, 12, 25, 12, 0)
-        )
+    def test_naive_timestamp_coerced_to_utc(self, tmp_path):
+        status = read_record(tmp_path, id="1", text="x", author="a", created_at="2022-12-25T12:00")
         assert status.created_at.tzinfo == timezone.utc
+        assert status.created_at == datetime(2022, 12, 25, 12, 0, tzinfo=timezone.utc)
 
     def test_reference_order_is_reply_mentions_retweet_quote(self):
-        status = Status(
-            id="1",
-            text="x",
-            author="a",
-            reply_to="r",
-            mentions=("m1", "m2"),
-            retweet_of="rt",
-            quote_of="q",
-        )
-        assert list(status.references()) == [
+        assert references("r", ("m1", "m2"), "rt", "q") == [
             ("reply", "r"),
             ("mention", "m1"),
             ("mention", "m2"),
@@ -100,11 +102,11 @@ class TestStatus:
             ("quote", "q"),
         ]
 
-    def test_requires_id_and_author(self):
-        with pytest.raises(ValueError):
-            Status(id="", text="x", author="a")
-        with pytest.raises(ValueError):
-            Status(id="1", text="x", author="")
+    def test_requires_id_and_author(self, tmp_path):
+        with pytest.raises(FixtureError, match="status id must be nonempty"):
+            read_record(tmp_path, id="", text="x", author="a")
+        with pytest.raises(FixtureError, match="empty user handle"):
+            read_record(tmp_path, id="1", text="x", author="")
 
 
 class TestQueryBuilding:
@@ -242,42 +244,39 @@ class TestWriteFixture:
     def test_round_trip_identity(self, tmp_path_factory, statuses):
         batch = make_batch(statuses)
         path = tmp_path_factory.mktemp("rt") / "iter_000"
-        write_fixture_fields(path, map(astuple, batch.statuses))
+        write_fixture_fields(path, batch.statuses)
         again = parse_fixture(path, spec=batch.spec, index=batch.index)
         assert again == batch
 
     @given(st.lists(statuses_strategy, max_size=12))
     def test_lines_match_json_dumps_of_each_record(self, tmp_path_factory, statuses):
         path = tmp_path_factory.mktemp("lines") / "iter_000"
-        write_fixture_fields(path, map(astuple, statuses))
-        expected = "".join(reference_fixture_line(astuple(s)) for s in statuses)
+        write_fixture_fields(path, statuses)
+        expected = "".join(map(reference_fixture_line, statuses))
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_unicode_text_survives(self, tmp_path):
         weird = "San José   line sep \n".replace("\n", " ")
         batch = make_batch([make_status(1, "a", text=weird)])
         path = tmp_path / "iter_000"
-        write_fixture_fields(path, map(astuple, batch.statuses))
+        write_fixture_fields(path, batch.statuses)
         assert parse_fixture(path, spec=batch.spec).statuses[0].text == weird
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "iter_000"
-        write_fixture_fields(path, [astuple(make_status(1, "a"))])
+        write_fixture_fields(path, [make_status(1, "a")])
         before = path.read_bytes()
         # a lone surrogate cannot be encoded, so the write fails midway
         with pytest.raises(UnicodeEncodeError):
-            write_fixture_fields(path, [astuple(make_status(2, "b", text="\ud800"))])
+            write_fixture_fields(path, [make_status(2, "b", text="\ud800")])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["iter_000"]
 
     def test_layout_helpers(self):
         assert iteration_filename(7) == "iter_007"
         assert iteration_filename(123) == "iter_123"
-        spec = make_spec(kind="geographic", subject="San José")
-        assert (
-            str(fixture_path("fixtures", spec, 3)).replace("\\", "/")
-            == "fixtures/geographic/san-jos/iter_003"
-        )
+        path = subject_dir("fixtures", "geographic", "San José") / iteration_filename(3)
+        assert path.as_posix() == "fixtures/geographic/san-jos/iter_003"
 
     def test_subject_slug(self):
         assert subject_slug("Duke Energy") == "duke-energy"

@@ -1,11 +1,12 @@
-"""The one iteration reader against the object path.
+"""The one iteration reader against the reference graph rule.
 
 What analyze and export take from ``read_iteration``'s row must equal, for
-every iteration file, the counts, alpha and DOT of
-``build_graph(parse_fixture(...))`` with ``component_summary``,
+every iteration file, the counts, alpha and DOT of ``oracles.reference_graph``
+over ``parse_fixture``'s statuses, with ``component_summary``,
 ``batch_alpha`` and ``export_dot``, under every edge-kind selection with
-isolates on and off.  A malformed file must fail with the same ``error:``
-line and exit code as before, and export must build none of the objects.
+isolates on and off; ``build_graph`` must equal the reference graph too.  A
+malformed file must fail with the same ``error:`` line and exit code as
+before, and export must build none of the objects.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import threadknit.ingest as ingest_module
 import threadknit.pipeline as pipeline_module
 import threadknit.sentiment as sentiment_module
 from threadknit.cli import main
-from threadknit.components import ComponentSummary, _component_counts, component_summary
-from threadknit.graph import EDGE_KINDS, build_graph, export_dot
+from threadknit.components import ComponentSummary, component_counts, component_summary
+from threadknit.graph import EDGE_KINDS, ConversationGraph, Edge, build_graph, export_dot
 from threadknit.ingest import RunConfig, load_config, parse_fixture
 from threadknit.pipeline import export_graphs, iteration_files, read_iteration
 from threadknit.sentiment import batch_alpha, mean_score, score_text
 from threadknit.synth import write_fixture_tree
 
 from conftest import CLI_GROUPS, PERFBENCH_GROUPS, tree_digest
+from oracles import reference_graph
 
 CONFIG = """\
 [run]
@@ -94,9 +96,18 @@ def write_lines(path, lines):
     )
 
 
+def reference(batch, kinds, include_isolates):
+    """The reference rule's graph of a batch, as a ConversationGraph."""
+    nodes, edges = reference_graph(batch.statuses, kinds, include_isolates)
+    return ConversationGraph(frozenset(nodes), tuple(Edge(*edge) for edge in edges))
+
+
 def object_path(path, spec, index, kinds, include_isolates, lexicon):
+    """Counts and alpha of the reference graph and batch; build_graph must
+    give the same graph."""
     batch = parse_fixture(path, spec=spec, index=index)
-    graph = build_graph(batch, kinds=kinds, include_isolates=include_isolates)
+    graph = reference(batch, kinds, include_isolates)
+    assert build_graph(batch, kinds=kinds, include_isolates=include_isolates) == graph
     return component_summary(graph), batch_alpha(batch, lexicon)
 
 
@@ -105,7 +116,7 @@ def row_path(path, spec, index, kinds, include_isolates, lexicon):
     row = read_iteration(path, spec, index, kinds, include_isolates)
     scores = [score_text(text, lexicon) for text in row.texts]
     return (
-        ComponentSummary(*_component_counts(len(row.nodes), row.edges)),
+        ComponentSummary(*component_counts(len(row.nodes), row.edges)),
         mean_score(scores, spec.subject, index),
     )
 
@@ -145,8 +156,7 @@ class TestExportAgreesWithTheObjectPath:
         written = tree / "out" / "graphs" / "topical" / "alpha.dot"
         for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
             export_graphs(replace(config, edge_kinds=kinds, include_isolates=isolates))
-            batch = parse_fixture(path, spec=spec, index=index)
-            graph = build_graph(batch, kinds=kinds, include_isolates=isolates)
+            graph = reference(parse_fixture(path, spec=spec, index=index), kinds, isolates)
             expected = export_dot(graph.nodes, graph.edges)
             assert written.read_text(encoding="utf-8") == expected, (kinds, isolates)
 

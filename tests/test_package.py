@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -19,12 +22,12 @@ EXPORTED = (
     "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError", "aggregate_alpha",
     "analyze_groups", "analyze_subject", "batch_alpha", "beta_ratio", "build_graph",
     "bundled_lexicon", "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations",
-    "compare_groups",
+    "compare_groups", "component_counts",
     "component_summary", "correlate_tables", "correlation_report", "correlation_significance",
     "export_dot", "export_graphs", "fisher_z", "indep_groups_z_test", "infer_group_n",
     "load_config", "load_lexicon", "normal_cdf", "normal_quantile", "normalize_handle",
     "parse_fixture", "pearson_r", "read_correlations", "read_iteration", "read_tables",
-    "round_half_away", "score_text", "subject_slug", "summarize_subject", "synth_graph", "t_cdf",
+    "round_half_away", "score_text", "subject_slug", "summarize_subject", "t_cdf",
     "write_fixture_fields", "write_fixture_tree", "zou_interval",
 )
 
@@ -54,3 +57,16 @@ def test_star_import_binds_every_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         threadknit.no_such_name
+
+
+@pytest.mark.parametrize("module", ["synth", "components"])
+def test_module_does_not_load_the_graph_module(module):
+    """Only build_graph and export_dot need graph; synth and components
+    reach the row and the counts without it."""
+    code = f"import sys, threadknit.{module}; print('threadknit.graph' in sys.modules)"
+    src = Path(threadknit.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import pytest
 
 from threadknit.errors import ConfigError, DataError, DegeneracyError
 from threadknit.graph import build_graph, export_dot
-from threadknit.ingest import RunConfig, fixture_path, write_fixture_fields
+from threadknit.ingest import (
+    RunConfig,
+    iteration_filename,
+    iteration_index,
+    subject_dir,
+    write_fixture_fields,
+)
 from threadknit.pipeline import (
     CORRELATIONS,
     SCATTER,
@@ -67,8 +73,8 @@ def planted_config(tmp_path, lexicon, groups=None, **overrides):
 def write_batch(batch, config):
     """A batch's Status fields through the fixture writer, at its place
     in ``config``'s fixture tree."""
-    path = fixture_path(config.fixtures_dir, batch.spec, batch.index)
-    write_fixture_fields(path, map(astuple, batch.statuses))
+    directory = subject_dir(config.fixtures_dir, batch.spec.kind, batch.spec.subject)
+    write_fixture_fields(directory / iteration_filename(batch.index), batch.statuses)
 
 
 def chain_batch(index, length, alpha_word, spec):
@@ -114,8 +120,7 @@ class TestAnalyzeSubject:
 
     def test_empty_subject_dir(self, tmp_path, mini_lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
-        spec = config.spec_for("topical", "A")
-        fixture_path(config.fixtures_dir, spec, 0).parent.mkdir(parents=True)
+        subject_dir(config.fixtures_dir, "topical", "A").mkdir(parents=True)
         with pytest.raises(DataError, match="zero iterations"):
             analyze_subject(config, mini_lexicon, "topical", "A")
 
@@ -202,6 +207,10 @@ class TestIterationOrder:
     def test_files_sorted_by_number_not_name(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=1001)
         self.write_chains(config, {1000: 3, 999: 4, 998: 5, 10: 6})
+        # only ASCII digits, and nothing after them, make an iteration name
+        for name in ("iter_\u0661\u0662\u0663", "iter_000\n"):
+            assert iteration_index(name) is None
+            (subject_dir(config.fixtures_dir, "topical", "A") / name).write_text("", "utf-8")
         files = iteration_files(config, "topical", "A")
         assert [(index, path.name) for index, path in files] == [
             (10, "iter_010"), (998, "iter_998"), (999, "iter_999"), (1000, "iter_1000")
@@ -413,7 +422,7 @@ class TestExportGraphs:
 
         # a lone surrogate cannot be encoded, so writing the DOT text fails
         # after its file was opened
-        monkeypatch.setattr("threadknit.pipeline.export_dot", lambda *graph: "digraph {\ud800}\n")
+        monkeypatch.setattr("threadknit.graph.export_dot", lambda *graph: "digraph {\ud800}\n")
         with pytest.raises(UnicodeEncodeError):
             export_graphs(config)
         assert {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()} == before

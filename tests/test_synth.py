@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import threadknit.ingest as ingest_module
 import threadknit.pipeline as pipeline_module
 import threadknit.synth as synth_module
-from threadknit.components import component_summary
+from threadknit.components import component_counts, component_summary
 from threadknit.errors import ConfigError, SynthError
 from threadknit.graph import build_graph
 from threadknit.ingest import (
@@ -32,8 +32,8 @@ from threadknit.synth import (
     _closest_valence,
     _corpus_texts,
     _palette,
+    _planted_topology,
     default_plan,
-    synth_graph,
     write_fixture_tree,
 )
 
@@ -61,43 +61,48 @@ size_lists = st.lists(
 )
 
 
+def planted(spec):
+    """The node names and (source, target) pairs planted for ``spec``."""
+    return _planted_topology(spec, random.Random(spec.seed))
+
+
+def planted_counts(spec):
+    """(strong, weak) component counts of ``spec``'s planted topology."""
+    names, pairs = planted(spec)
+    number = {name: position for position, name in enumerate(names)}
+    return component_counts(len(names), [(number[a], number[b]) for a, b in pairs])
+
+
 class TestSynthGraph:
     def test_single_node(self):
-        graph = synth_graph(SynthSpec(seed=1, weak_component_sizes=[[1]]))
-        assert component_summary(graph).strong_count == 1
-        assert component_summary(graph).weak_count == 1
-        assert len(graph.nodes) == 1
+        spec = SynthSpec(seed=1, weak_component_sizes=[[1]])
+        assert planted_counts(spec) == (1, 1)
+        assert len(planted(spec)[0]) == 1
 
     def test_mixed_structure(self):
         spec = SynthSpec(seed=2, weak_component_sizes=[[3, 1], [2]])
-        graph = synth_graph(spec)
-        summary = component_summary(graph)
-        assert (summary.strong_count, summary.weak_count) == (3, 2)
-        assert len(graph.nodes) == 6
+        assert planted_counts(spec) == (3, 2)
+        assert len(planted(spec)[0]) == 6
 
     def test_spec_counts_match_measurement(self):
         spec = SynthSpec(seed=9, weak_component_sizes=[[2, 2, 1], [5], [1, 1]])
-        summary = component_summary(synth_graph(spec))
-        assert summary.strong_count == spec.strong_count == 6
-        assert summary.weak_count == spec.weak_count == 3
+        assert planted_counts(spec) == (spec.strong_count, spec.weak_count) == (6, 3)
 
     @given(st.integers(min_value=0, max_value=2**32), size_lists)
     @settings(max_examples=60)
     def test_planted_counts_recovered(self, seed, sizes):
         spec = SynthSpec(seed=seed, weak_component_sizes=sizes)
-        summary = component_summary(synth_graph(spec))
-        assert summary.strong_count == spec.strong_count
-        assert summary.weak_count == spec.weak_count
+        assert planted_counts(spec) == (spec.strong_count, spec.weak_count)
 
     def test_deterministic(self):
         spec = SynthSpec(seed=7, weak_component_sizes=[[2, 3], [1]])
-        assert synth_graph(spec) == synth_graph(spec)
+        assert planted(spec) == planted(spec)
 
     def test_seed_changes_node_names(self):
         sizes = [[2, 3], [1]]
-        a = synth_graph(SynthSpec(seed=1, weak_component_sizes=sizes))
-        b = synth_graph(SynthSpec(seed=2, weak_component_sizes=sizes))
-        assert a.nodes != b.nodes
+        a = planted(SynthSpec(seed=1, weak_component_sizes=sizes))
+        b = planted(SynthSpec(seed=2, weak_component_sizes=sizes))
+        assert set(a[0]) != set(b[0])
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
