@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, DegeneracyError, ThreadknitError
+from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
 from .ingest import RunConfig, load_config, nonempty_path
 from .pipeline import (
     analyze_groups,
@@ -140,6 +140,11 @@ def _cmd_compare(args) -> int:
         config = _load(args, output_dir=args.out, confidence=args.confidence)
         out_dir, confidence = config.output_dir, config.confidence
         reports = read_correlations(out_dir, config.groups)
+        if reports != correlate_tables(read_tables(config)):
+            raise DataError(
+                f"correlations.json under {out_dir} was not computed from the current "
+                "subject tables; run correlate first"
+            )
     else:
         out_dir = _bare_out_dir(args)
         confidence = check_confidence(

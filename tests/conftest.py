@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import settings
 
+import threadknit.pipeline as pipeline_module
 from threadknit.ingest import IterationBatch, QuerySpec, Status
 from threadknit.sentiment import Lexicon, bundled_lexicon
 
@@ -59,6 +60,12 @@ HAND_SCORED_TEXTS = [
 @pytest.fixture(scope="session")
 def lexicon() -> Lexicon:
     return bundled_lexicon()
+
+
+@pytest.fixture()
+def two_cores(monkeypatch):
+    """jobs=2 starts a pool even on a one-core machine."""
+    monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 2)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,26 @@ class TestCompareCommand:
         assert "holds groups topical (n=4)" in err[0] and "lists topical (n=3)" in err[0]
         assert "run correlate first" in err[0]
         assert not list((workdir / "out").glob("comparisons.*"))
+
+    def test_correlations_of_older_tables_is_one_error_line_exit_2(self, workdir):
+        """A correlation computed before the tables changed is stale, even
+        when every group keeps its subjects."""
+        for stage in ("synth", "analyze", "correlate"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        path = workdir / "fixtures" / "topical" / "delta" / "iter_000"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        first["text"] = "love love love great amazing"
+        lines[0] = json.dumps(first) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run_cli("analyze", "--config", config_arg(workdir)) == 0
+        code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "correlations.json" in err[0] and "run correlate first" in err[0]
+        assert not list((workdir / "out").glob("comparisons.*"))
+        assert run_cli("correlate", "--config", config_arg(workdir)) == 0
+        assert run_cli("compare", "--config", config_arg(workdir)) == 0
 
     @pytest.mark.parametrize("argv", [("--out", "out"), ("--config", "run.ini")], ids=" ".join)
     def test_repeated_group_is_one_error_line_exit_2(self, workdir, argv):
@@ -699,6 +720,89 @@ class TestJobs:
         (tmp_path / "run.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_cli("synth", "--config", tmp_path / "run.ini") == 0
         assert len(asked) == 1 and (asked[0] > 1) == fans_out
+
+    def export_errors(self, workdir, capsys, monkeypatch):
+        """(exit code, stderr) of export in-process and on a forced 2-worker pool."""
+        results = []
+        for per_worker in (threadknit.pipeline._EXPORT_BYTES_PER_WORKER, 1):
+            monkeypatch.setattr(threadknit.pipeline, "_EXPORT_BYTES_PER_WORKER", per_worker)
+            code = run_cli("export", "--config", config_arg(workdir))
+            results.append((code, capsys.readouterr().err))
+        return results
+
+    def test_bad_final_iteration_same_export_error_in_process_and_pooled(
+        self, workdir, capsys, monkeypatch, two_cores
+    ):
+        run_cli("synth", "--config", config_arg(workdir))
+        for slug in ("topical/gamma", "event/parade"):
+            path = workdir / "fixtures" / slug / "iter_002"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1] = "{not json\n"
+            path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        serial, pooled = self.export_errors(workdir, capsys, monkeypatch)
+        assert serial == pooled
+        code, err = serial
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: ") and "gamma" in err and "invalid JSON" in err
+
+    @pytest.mark.parametrize("malformed, missing", [("beta-co", "launch"), ("launch", "beta-co")])
+    def test_first_failing_subject_wins_the_export_error(
+        self, workdir, capsys, monkeypatch, two_cores, malformed, missing
+    ):
+        """A malformed final iteration and a missing subject directory: the one
+        earlier in configuration order is reported, whether or not a pool runs."""
+        run_cli("synth", "--config", config_arg(workdir))
+        kinds = {"beta-co": "topical", "launch": "event"}
+        path = workdir / "fixtures" / kinds[malformed] / malformed / "iter_002"
+        path.write_text("{not json\n", encoding="utf-8")
+        shutil.rmtree(workdir / "fixtures" / kinds[missing] / missing)
+        capsys.readouterr()
+        serial, pooled = self.export_errors(workdir, capsys, monkeypatch)
+        assert serial == pooled
+        code, err = serial
+        assert code == 2 and err.count("\n") == 1 and err.startswith("error: ")
+        if malformed == "beta-co":
+            assert "beta-co" in err and "invalid JSON" in err
+        else:
+            assert err.startswith("error: no fixtures for topical/Beta Co")
+
+    def test_dead_export_worker_is_one_error_line_exit_2(
+        self, workdir, capsys, monkeypatch, two_cores, fork_start
+    ):
+        run_cli("synth", "--config", config_arg(workdir))
+        capsys.readouterr()
+        monkeypatch.setattr(threadknit.pipeline, "_run_task", _exit_in_worker)
+        monkeypatch.setattr(threadknit.pipeline, "_EXPORT_BYTES_PER_WORKER", 1)
+        assert run_cli("export", "--config", config_arg(workdir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "worker" in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("tree", ["cli-config", "synth-default", "paper"])
+    def test_export_fans_out_only_large_trees(self, workdir, monkeypatch, tree):
+        """The fan-out rule, read from the jobs export asks for; nothing is timed."""
+        if tree == "cli-config":
+            run_cli("synth", "--config", config_arg(workdir))
+        else:
+            lines = ["[run]", "per_iteration_count = 950", "iterations = 2", "[groups]"]
+            lines += [f"{kind} = {', '.join(subjects)}" for kind, subjects in PERFBENCH_GROUPS]
+            (workdir / "run.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            run_cli("synth", "--config", config_arg(workdir))
+        if tree == "paper":
+            # paper-sized final iterations, about 180 KB each, of filler records
+            record = {"id": "0", "text": "filler " * 24, "author": "a", "mentions": ["b"]}
+            filler = "".join(json.dumps(dict(record, id=str(i))) + "\n" for i in range(950))
+            for path in (workdir / "fixtures").glob("*/*/iter_001"):
+                path.write_text(filler, encoding="utf-8")
+        asked = []
+        monkeypatch.setattr(
+            threadknit.pipeline,
+            "run_in_workers",
+            lambda call, tasks, jobs, *shared: asked.append(jobs) or [],
+        )
+        assert run_cli("export", "--config", config_arg(workdir)) == 0
+        assert len(asked) == 1 and (asked[0] > 1) == (tree == "paper")
 
     def test_cli_import_loads_no_process_pool(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

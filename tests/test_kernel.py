@@ -180,21 +180,26 @@ class TestExportAgreesWithTheObjectPath:
         assert len(list((tree / "out" / "graphs" / "topical").iterdir())) == 3
 
 
+PINNED_GRAPHS = {
+    "perfbench-seed-0": (PERFBENCH_GROUPS, 950, 25, 0, 24,
+        "bf0e5830bf908ac3ab3893073a0135d3c0797a13fe2694d15cc7b982d9ab1195"),
+    "cli-config": (CLI_GROUPS, 40, 3, 11, 8,
+        "0f806cc38914c21516862ccdea48ff7ee5025b48563e5a630a5ead75f172a152"),
+}
+
+
 @pytest.mark.parametrize(
-    "groups, per_iteration_count, iterations, seed, files, digest",
-    [
-        (PERFBENCH_GROUPS, 950, 25, 0, 24,
-         "bf0e5830bf908ac3ab3893073a0135d3c0797a13fe2694d15cc7b982d9ab1195"),
-        (CLI_GROUPS, 40, 3, 11, 8,
-         "0f806cc38914c21516862ccdea48ff7ee5025b48563e5a630a5ead75f172a152"),
-    ],
-    ids=["perfbench-seed-0", "cli-config"],
+    "pooled, groups, per_iteration_count, iterations, seed, files, digest",
+    [(pooled, *tree) for pooled in (False, True) for tree in PINNED_GRAPHS.values()],
+    ids=[name + ("-pooled" if pooled else "") for pooled in (False, True) for name in PINNED_GRAPHS],
 )
 def test_export_bytes_are_pinned(
-    tmp_path, lexicon, groups, per_iteration_count, iterations, seed, files, digest
+    tmp_path, lexicon, monkeypatch, two_cores,
+    pooled, groups, per_iteration_count, iterations, seed, files, digest,
 ):
     """export's graphs/ tree for two of the synth trees that
-    tests/test_synth.py pins; digests taken from the object path."""
+    tests/test_synth.py pins; digests taken from the object path.  A pool
+    forced onto the small trees writes the same bytes."""
     config = RunConfig(
         fixtures_dir=tmp_path / "fixtures",
         output_dir=tmp_path / "out",
@@ -204,6 +209,8 @@ def test_export_bytes_are_pinned(
         seed=seed,
     )
     write_fixture_tree(config, lexicon)
+    if pooled:
+        monkeypatch.setattr(pipeline_module, "_EXPORT_BYTES_PER_WORKER", 1)
     export_graphs(config)
     assert tree_digest(tmp_path / "out" / "graphs") == (files, digest)
 

@@ -59,9 +59,9 @@ def test_unknown_name_is_an_attribute_error():
         threadknit.no_such_name
 
 
-@pytest.mark.parametrize("module", ["synth", "components"])
+@pytest.mark.parametrize("module", ["synth", "components", "cli"])
 def test_module_does_not_load_the_graph_module(module):
-    """Only build_graph and export_dot need graph; synth and components
+    """Only build_graph and export_dot need graph; synth, components and cli
     reach the row and the counts without it."""
     code = f"import sys, threadknit.{module}; print('threadknit.graph' in sys.modules)"
     src = Path(threadknit.__file__).resolve().parent.parent

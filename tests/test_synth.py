@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import threadknit.ingest as ingest_module
-import threadknit.pipeline as pipeline_module
 import threadknit.synth as synth_module
 from threadknit.components import component_counts, component_summary
 from threadknit.errors import ConfigError, SynthError
@@ -207,12 +206,6 @@ class TestSynthBatch:
         spec = SynthSpec(seed=2, corpus_size=10, target_mean=0.0, jitter=0.0)
         batch = planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
         assert len(batch.statuses) == 10
-
-
-@pytest.fixture()
-def two_cores(monkeypatch):
-    """jobs=2 starts a pool even on a one-core machine."""
-    monkeypatch.setattr(pipeline_module, "usable_cores", lambda: 2)
 
 
 def _tiny_config(tmp_path, groups, iterations=2, per_iteration_count=50, seed=0):
