@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
+from .errors import ConfigError, DegeneracyError, ThreadknitError
 from .ingest import RunConfig, load_config, nonempty_path
 from .pipeline import (
     analyze_groups,
@@ -31,7 +31,6 @@ from .pipeline import (
     render_tables,
     resolve_lexicon,
 )
-from .stats import check_confidence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,18 +92,12 @@ def _bare_out_dir(args) -> Path:
     return nonempty_path("out" if args.out is None else args.out, "output directory")
 
 
-# one synth worker per this many planned files: a 2-worker pool on 2 vCPUs broke even
-# near 200-240 files (48 files: 0.20 -> 0.27 s; 288: 0.50 -> 0.39 s; 2,400: 2.99 -> 1.78 s)
-_FILES_PER_WORKER = 150
-
-
 def _cmd_synth(args) -> int:
     # only this stage needs the generator
     from .synth import write_fixture_tree
 
     config = _load(args, seed=args.seed, fixtures_dir=args.out)
-    jobs = max(1, len(list(config.subjects())) * config.iterations // _FILES_PER_WORKER)
-    files = write_fixture_tree(config, resolve_lexicon(config), jobs=jobs)
+    files = write_fixture_tree(config, resolve_lexicon(config))
     print(f"wrote {len(files)} fixture files under {config.fixtures_dir}")
     return 0
 
@@ -139,17 +132,10 @@ def _cmd_compare(args) -> int:
     if args.config is not None:
         config = _load(args, output_dir=args.out, confidence=args.confidence)
         out_dir, confidence = config.output_dir, config.confidence
-        reports = read_correlations(out_dir, config.groups)
-        if reports != correlate_tables(read_tables(config)):
-            raise DataError(
-                f"correlations.json under {out_dir} was not computed from the current "
-                "subject tables; run correlate first"
-            )
+        reports = read_correlations(out_dir, config)
     else:
         out_dir = _bare_out_dir(args)
-        confidence = check_confidence(
-            RunConfig.confidence if args.confidence is None else args.confidence
-        )
+        confidence = RunConfig.confidence if args.confidence is None else args.confidence
         reports = read_correlations(out_dir)
     comparisons = compare_groups(reports, n_override=args.n_override, confidence=confidence)
     render_comparisons(comparisons, out_dir)

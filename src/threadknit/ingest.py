@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, FixtureError
 from .records import write_atomic
@@ -61,7 +61,7 @@ def iteration_index(name: str) -> int | None:
 
 
 def _parse_timestamp(text: str | None) -> datetime:
-    if not text:
+    if text is None:
         return EPOCH
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
@@ -180,43 +180,44 @@ def _record_fields(record: Any, handles: dict[str, str]) -> tuple:
     """Check one decoded record; its Status fields in order, normalized.
 
     The one place a record is checked.  Raises ValueError naming the first
-    problem.  ``handles`` memoises normalize_handle.
+    problem.  ``handles`` memoises normalize_handle.  Only an absent field
+    or null counts as unset; each type is checked exactly, as json.loads
+    builds it.
     """
-    # exact types first: the ABC isinstance checks are slow
-    if type(record) is not dict and not isinstance(record, Mapping):
+    if type(record) is not dict:
         raise ValueError("record is not an object")
     for name in ("id", "text", "author"):
         if name not in record:
             raise ValueError(f"missing field {name!r}")
     text = record["text"]
-    if not isinstance(text, str):
+    if type(text) is not str:
         raise ValueError("field 'text' must be a string")
     get = record.get
-    mentions = get("mentions") or ()
-    if type(mentions) not in (list, tuple) and (
-        isinstance(mentions, str) or not isinstance(mentions, Sequence)
-    ):
+    mentions = get("mentions")
+    if mentions is None:
+        mentions = ()
+    elif type(mentions) is not list:
         raise ValueError("field 'mentions' must be a list of handles")
     for mention in mentions:
-        if not isinstance(mention, str):
+        if type(mention) is not str:
             raise ValueError("field 'mentions' must be a list of handles")
     optional = get("reply_to"), get("retweet_of"), get("quote_of")
     for name, value in zip(_OPTIONAL_STRING_FIELDS, optional):
-        if value is not None and not isinstance(value, str):
+        if value is not None and type(value) is not str:
             raise ValueError(f"field {name!r} must be a string or null")
     created_at = get("created_at")
-    if created_at is not None and not isinstance(created_at, str):
+    if created_at is not None and type(created_at) is not str:
         raise ValueError("field 'created_at' must be a string or null")
     created_at = _parse_timestamp(created_at)
     status_id = record["id"]
-    if not isinstance(status_id, str):
-        if not isinstance(status_id, int) or isinstance(status_id, bool):
+    if type(status_id) is not str:
+        if type(status_id) is not int:
             raise ValueError("field 'id' must be a string or an integer")
         status_id = str(status_id)
     if not status_id:
         raise ValueError("status id must be nonempty")
     author = record["author"]
-    if not isinstance(author, str):
+    if type(author) is not str:
         raise ValueError("field 'author' must be a string")
     author = _normalized(author, handles)
     reply_to, retweet_of, quote_of = [
@@ -411,11 +412,6 @@ def _split_csv(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-_BOOL_VALUES = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
 # the [run] keys; any other key, or any section but [run] and [groups], is
 # a ConfigError, so a misspelt key cannot be silently ignored
 RUN_KEYS = (
@@ -435,9 +431,9 @@ def _run_value(key: str, raw: str, base: Path) -> Any:
     if key == "edge_kinds":
         return _split_csv(raw)
     if key == "include_isolates":
-        if raw.lower() not in _BOOL_VALUES:
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ConfigError(f"not a boolean: {raw!r}")
-        return _BOOL_VALUES[raw.lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     kind = float if key == "confidence" else int
     try:
         return kind(raw)

@@ -39,6 +39,7 @@ from .sentiment import Lexicon, bundled_lexicon, load_lexicon, mean_score, score
 from .stats import (
     ComparisonReport,
     CorrelationReport,
+    check_confidence,
     compare_correlations,
     correlation_report,
 )
@@ -247,6 +248,7 @@ def compare_groups(
     exploring how the comparisons scale with n; by default each group's
     own subject count is used.
     """
+    check_confidence(confidence)
     if len(reports) < 2:
         raise DegeneracyError("comparisons need at least two groups")
     if n_override is not None and n_override <= 3:
@@ -361,28 +363,33 @@ def render_correlations(reports: Sequence[CorrelationReport], out_dir: str | Pat
     return _write_both(CORRELATIONS, reports, out_dir / "correlations")
 
 
+def _listed(reports: Sequence[CorrelationReport]) -> str:
+    return ", ".join(f"{rep.group} (n={rep.n}, r={rep.r:.6f})" for rep in reports)
+
+
 def read_correlations(
-    out_dir: str | Path, groups: Sequence[tuple[str, Sequence[str]]] | None = None
+    out_dir: str | Path, config: RunConfig | None = None
 ) -> list[CorrelationReport]:
     """The reports of ``correlations.json`` under ``out_dir``.
 
-    A missing file, a group that appears twice, or, given the configured
-    ``(kind, subjects)`` groups, reports other than one per kind in that
-    order with ``n`` its subject count, is a DataError.
+    A missing file, a group that appears twice, or, given a config, reports
+    other than correlate_tables(read_tables(config)) is a DataError.
     """
     path = nonempty_path(out_dir, "output directory") / "correlations.json"
     if not path.is_file():
         raise DataError(f"missing {path}; run correlate first")
     reports = read_records(CORRELATIONS, path)
-    held = [(report.group, report.n) for report in reports]
-    for group, _ in held:
-        if sum(group == other for other, _ in held) > 1:
+    groups = [report.group for report in reports]
+    for group in groups:
+        if groups.count(group) > 1:
             raise DataError(f"{path}: group {group!r} appears twice; run correlate first")
-    if groups is not None and held != [(kind, len(subjects)) for kind, subjects in groups]:
-        raise DataError(
-            f"{path} holds groups {', '.join(f'{g} (n={n})' for g, n in held)}, but [groups] "
-            f"lists {', '.join(f'{k} (n={len(s)})' for k, s in groups)}; run correlate first"
-        )
+    if config is not None:
+        current = correlate_tables(read_tables(config))
+        if reports != current:
+            raise DataError(
+                f"{path} holds {_listed(reports)}, but the current subject tables give "
+                f"{_listed(current)}; run correlate first"
+            )
     return reports
 
 

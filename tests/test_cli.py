@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import multiprocessing
 import os
@@ -246,6 +247,9 @@ class TestCompareCommand:
 
     def test_correlations_of_other_groups_is_one_error_line_exit_2(self, workdir):
         """compare --config compares the configured groups or none."""
+        # current tables, so that the correlations are what compare refuses
+        for stage in ("synth", "analyze"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
         assert run_cli("correlate", "--bundled", "--out", workdir / "out") == 0
         before = tree_bytes(workdir / "out")
         code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
@@ -265,8 +269,9 @@ class TestCompareCommand:
         code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "holds groups topical (n=4)" in err[0] and "lists topical (n=3)" in err[0]
-        assert "run correlate first" in err[0]
+        assert "holds topical (n=4, r=" in err[0]
+        assert "current subject tables give topical (n=3, r=" in err[0]
+        assert err[0].endswith("; run correlate first")
         assert not list((workdir / "out").glob("comparisons.*"))
 
     def test_correlations_of_older_tables_is_one_error_line_exit_2(self, workdir):
@@ -309,6 +314,15 @@ class TestCompareCommand:
     def test_bad_confidence_exit_1(self, tmp_path):
         run_cli("correlate", "--bundled", "--out", tmp_path)
         assert run_cli("compare", "--out", tmp_path, "--confidence", "95") == 1
+
+    def test_bad_confidence_is_reported_before_a_degenerate_comparison(self, tmp_path):
+        run_cli("correlate", "--bundled", "--out", tmp_path)
+        argv = ("--confidence", "95", "--n-override", "3")
+        assert run_cli("compare", "--out", tmp_path, *argv) == 1
+
+    def test_missing_correlations_is_reported_before_bad_confidence(self, tmp_path, capsys):
+        assert run_cli("compare", "--out", tmp_path, "--confidence", "95") == 2
+        assert "run correlate first" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, config_line",
@@ -498,6 +512,16 @@ OPTIONS = {
     "export": ["--config", "--out"],
 }
 
+# every stage function's parameters, pinned like the options above
+PARAMETERS = {
+    threadknit.pipeline.analyze_groups: ["config", "lexicon", "jobs"],
+    threadknit.synth.write_fixture_tree: ["config", "lexicon", "plans"],
+    threadknit.pipeline.export_graphs: ["config"],
+    threadknit.pipeline.read_tables: ["config"],
+    threadknit.pipeline.read_correlations: ["out_dir", "config"],
+    threadknit.pipeline.compare_groups: ["reports", "n_override", "confidence"],
+}
+
 
 class TestInventory:
     def test_options_are_pinned(self):
@@ -514,6 +538,10 @@ class TestInventory:
         }
         assert found == OPTIONS
         assert sum(map(len, found.values())) == 15
+
+    @pytest.mark.parametrize("function", PARAMETERS, ids=lambda function: function.__name__)
+    def test_stage_parameters_are_pinned(self, function):
+        assert list(inspect.signature(function).parameters) == PARAMETERS[function]
 
     def test_readme_commands_parse(self):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
@@ -696,7 +724,7 @@ class TestJobs:
         monkeypatch.setattr(threadknit.pipeline, "_run_task", _exit_in_worker)
         monkeypatch.setattr(threadknit.pipeline, "usable_cores", lambda: 2)
         # fan the 24-file tree out, as a large one would be
-        monkeypatch.setattr(threadknit.cli, "_FILES_PER_WORKER", 1)
+        monkeypatch.setattr(threadknit.synth, "_FILES_PER_WORKER", 1)
         assert run_cli("synth", "--config", config_arg(workdir)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "worker" in err

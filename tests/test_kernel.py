@@ -256,6 +256,16 @@ MALFORMED = [
     ("null mention", [GOOD, record(author="a", mentions=[None])], MENTIONS_ERROR),
     ("numeric mention", [GOOD, record(author="a", mentions=["b", 5])], MENTIONS_ERROR),
     ("list mention", [GOOD, record(author="a", mentions=[["b"]])], MENTIONS_ERROR),
+    # only an absent field or null is unset: JSON's other falsy values are not
+    ("false mentions", [GOOD, record(author="a", mentions=False)], MENTIONS_ERROR),
+    ("zero mentions", [GOOD, record(author="a", mentions=0)], MENTIONS_ERROR),
+    ("empty-string mentions", [GOOD, record(author="a", mentions="")], MENTIONS_ERROR),
+    ("empty-object mentions", [GOOD, record(author="a", mentions={})], MENTIONS_ERROR),
+    (
+        "empty created_at",
+        [GOOD, record(author="a", created_at="")],
+        ":2: Invalid isoformat string: ''",
+    ),
     ("null author", [GOOD, record(author=None)], ":2: field 'author' must be a string"),
     ("numeric author", [GOOD, record(author=5)], ":2: field 'author' must be a string"),
     ("null id", [GOOD, record(author="a", id=None)], ID_ERROR),

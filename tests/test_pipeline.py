@@ -387,20 +387,30 @@ class TestReaders:
     def test_correlations_must_be_the_given_kinds_in_order(self, tmp_path):
         tables = bundled_tables()
         reports = correlate_tables(tables)
-        render_correlations(reports, tmp_path)
         groups = [(kind, tuple(row.subject for row in rows)) for kind, rows in tables]
-        assert read_correlations(tmp_path) == read_correlations(tmp_path, groups) == reports
+        config = tiny_config(tmp_path, groups)
+        render_tables(tables, config.output_dir)
+        render_correlations(reports, config.output_dir)
+        assert read_correlations(config.output_dir) == reports
+        assert read_correlations(config.output_dir, config) == reports
+        reordered = replace(config, groups=groups[::-1])
         with pytest.raises(DataError, match="run correlate first"):
-            read_correlations(tmp_path, groups[::-1])
+            read_correlations(config.output_dir, reordered)
 
     def test_correlations_must_count_the_configured_subjects(self, tmp_path):
         tables = bundled_tables()
-        render_correlations(correlate_tables(tables), tmp_path)
+        render_correlations(correlate_tables(tables), tmp_path / "out")
+        kind, rows = tables[1]
+        tables[1] = (kind, rows[:-1])
         groups = [(kind, tuple(row.subject for row in rows)) for kind, rows in tables]
-        kind, subjects = groups[1]
-        groups[1] = (kind, subjects[:-1])
-        with pytest.raises(DataError, match=rf"{kind} \(n={len(subjects)}\).* run correlate first"):
-            read_correlations(tmp_path, groups)
+        config = tiny_config(tmp_path, groups)
+        render_tables(tables, config.output_dir)
+        with pytest.raises(
+            DataError,
+            match=rf"holds .*{kind} \(n={len(rows)}, .* tables give .*{kind} "
+            rf"\(n={len(rows) - 1}, .* run correlate first",
+        ):
+            read_correlations(config.output_dir, config)
 
 
 class TestExportGraphs:

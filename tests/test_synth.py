@@ -315,26 +315,31 @@ class TestWriteFixtureTree:
         assert len(write_fixture_tree(config, lexicon)) == 4
 
     def test_stale_iteration_file_stops_a_pooled_tree_before_any_write(
-        self, tmp_path, lexicon, two_cores
+        self, tmp_path, lexicon, two_cores, monkeypatch
     ):
         config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co", "Gamma"))], iterations=2)
         subject = tmp_path / "fixtures" / "topical" / "gamma"
         subject.mkdir(parents=True)
         (subject / "iter_002").write_text("", encoding="utf-8")
+        monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", 1)
         with pytest.raises(ConfigError, match="iter_002"):
-            write_fixture_tree(config, lexicon, jobs=2)
+            write_fixture_tree(config, lexicon)
         assert [p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file()] == ["iter_002"]
 
-    def test_first_failing_plan_raises_for_any_jobs(self, tmp_path, lexicon, two_cores):
+    def test_first_failing_plan_raises_for_any_jobs(
+        self, tmp_path, lexicon, two_cores, monkeypatch
+    ):
         config = _tiny_config(tmp_path, [("topical", tuple("ABCDE"))], iterations=2)
         plans = default_plan(config)
         for position, corpus_size in ((1, 1), (3, 2)):
             plan = plans[position]
             plans[position] = replace(plan, synth_spec=replace(plan.synth_spec, corpus_size=corpus_size))
         raised = []
-        for jobs in (1, 2):
+        # the 10-file tree in-process, then on a pool
+        for files_per_worker in (synth_module._FILES_PER_WORKER, 1):
+            monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", files_per_worker)
             with pytest.raises(SynthError) as caught:
-                write_fixture_tree(config, lexicon, plans, jobs=jobs)
+                write_fixture_tree(config, lexicon, plans)
             raised.append(str(caught.value))
         assert raised[0] == raised[1] and raised[0].startswith("corpus_size 1 cannot cover")
 
@@ -427,17 +432,20 @@ PINNED_TREES = {
 
 
 @pytest.mark.parametrize(
-    "jobs, groups, per_iteration_count, iterations, seed, files, digest",
-    [(jobs, *tree) for jobs in (1, 2) for tree in PINNED_TREES.values()],
-    ids=[name + ("" if jobs == 1 else "-jobs-2") for jobs in (1, 2) for name in PINNED_TREES],
+    "pooled, groups, per_iteration_count, iterations, seed, files, digest",
+    [(pooled, *tree) for pooled in (False, True) for tree in PINNED_TREES.values()],
+    ids=[name + ("-jobs-2" if pooled else "") for pooled in (False, True) for name in PINNED_TREES],
 )
 def test_tree_bytes_are_pinned(
-    tmp_path, lexicon, two_cores, jobs, groups, per_iteration_count, iterations, seed, files, digest
+    tmp_path, lexicon, two_cores, monkeypatch,
+    pooled, groups, per_iteration_count, iterations, seed, files, digest,
 ):
     """The fixture bytes are the generator's contract: analyze's results
-    and every stored digest depend on them, and the worker count does not."""
+    and every stored digest depend on them, and the worker count does not.
+    Each tree is pinned in-process and on a pool forced onto it."""
     config = _tiny_config(
         tmp_path, groups, iterations=iterations, per_iteration_count=per_iteration_count, seed=seed
     )
-    write_fixture_tree(config, lexicon, jobs=jobs)
+    monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", 1 if pooled else files + 1)
+    write_fixture_tree(config, lexicon)
     assert tree_digest(tmp_path / "fixtures") == (files, digest)
