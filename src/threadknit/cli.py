@@ -29,7 +29,6 @@ from .pipeline import (
     render_comparisons,
     render_correlations,
     render_tables,
-    resolve_lexicon,
 )
 
 
@@ -97,7 +96,7 @@ def _cmd_synth(args) -> int:
     from .synth import write_fixture_tree
 
     config = _load(args, seed=args.seed, fixtures_dir=args.out)
-    files = write_fixture_tree(config, resolve_lexicon(config))
+    files = write_fixture_tree(config)
     print(f"wrote {len(files)} fixture files under {config.fixtures_dir}")
     return 0
 

@@ -46,6 +46,7 @@ from .stats import (
 
 
 def resolve_lexicon(config: RunConfig) -> Lexicon:
+    """The lexicon the config names: its ``lexicon_path``, else the bundled one."""
     if config.lexicon_path is None:
         return bundled_lexicon()
     return load_lexicon(config.lexicon_path)
@@ -182,15 +183,14 @@ def run_in_workers(call: Callable, tasks: Sequence[tuple], jobs: int, *shared) -
         pool.shutdown(cancel_futures=True)
 
 
-def analyze_groups(
-    config: RunConfig, lexicon: Lexicon | None = None, jobs: int = 1
-) -> list[tuple[str, list[SubjectSummary]]]:
-    """Every configured group's subject table, as ``(kind, rows)`` pairs.
+def analyze_groups(config: RunConfig, jobs: int = 1) -> list[tuple[str, list[SubjectSummary]]]:
+    """Every configured group's subject table, as ``(kind, rows)`` pairs,
+    scored with the configured lexicon (read once, shared by the workers).
 
     ``jobs`` > 1 analyzes subjects through run_in_workers; where workers are
     started by spawning, call this under ``if __name__ == "__main__":``.
     """
-    lexicon = lexicon if lexicon is not None else resolve_lexicon(config)
+    lexicon = resolve_lexicon(config)
     for kind, subjects in config.groups:
         if len(subjects) < 3:
             raise DegeneracyError(

@@ -57,10 +57,10 @@ class Lexicon:
         if not self.entries:
             raise LexiconError(f"lexicon {self.name!r} is empty")
         for token, valence in self.entries.items():
-            if not token or token != token.lower() or any(c.isspace() for c in token):
+            if token != token.lower() or not _TOKEN_RE.fullmatch(token):
                 raise LexiconError(
                     f"lexicon {self.name!r}: bad token {token!r} "
-                    "(must be lowercase and whitespace-free)"
+                    "(must be one lowercase word as score_text splits text)"
                 )
             if not math.isfinite(valence):
                 raise LexiconError(f"lexicon {self.name!r}: non-finite valence for {token!r}")
@@ -72,8 +72,8 @@ class Lexicon:
         return self.entries.get(token, 0.0)
 
 
-def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
-    """Read a tab-separated ``token<TAB>valence`` file.
+def load_lexicon(path: str | Path) -> Lexicon:
+    """Read a tab-separated ``token<TAB>valence`` file, named by its stem.
 
     Blank lines and lines starting with '#' are skipped.  Duplicate tokens
     are an error.
@@ -83,7 +83,7 @@ def load_lexicon(path: str | Path, name: str | None = None) -> Lexicon:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise LexiconError(f"cannot read lexicon {path}: {err}") from err
-    return parse_lexicon(raw, name=name or path.stem)
+    return parse_lexicon(raw, name=path.stem)
 
 
 def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:

@@ -20,13 +20,12 @@ from .errors import ConfigError, SynthError
 from .ingest import (
     QuerySpec,
     RunConfig,
-    _check_plan,
     iteration_filename,
     iteration_index,
     subject_dir,
     write_fixture_fields,
 )
-from .pipeline import run_in_workers
+from .pipeline import resolve_lexicon, run_in_workers
 from .sentiment import Lexicon
 
 _BASE_TIME = datetime(2022, 12, 25, tzinfo=timezone.utc)
@@ -196,16 +195,13 @@ def _corpus_texts(
     return texts
 
 
-def _batch_fields(
-    spec: SynthSpec, query_spec: QuerySpec, index: int, palette: _Palette
-) -> list[tuple]:
+def _batch_fields(spec: SynthSpec, index: int, palette: _Palette) -> list[tuple]:
     """Status fields of one planted iteration, in file order.
 
     Every edge becomes a status by the edge's source mentioning its target;
     nodes with no incident edge get a reference-free status so they survive
     graph construction; leftover corpus texts are attributed to existing
-    nodes.  Handles (``u%08d``, ``w%05d``) are already normalized, and the
-    batch must fit ``query_spec``'s plan at ``index``.
+    nodes.  Handles (``u%08d``, ``w%05d``) are already normalized.
     """
     rng = random.Random(spec.seed * 1_000_003 + index)
     names, pairs = _planted_topology(spec, rng)
@@ -215,11 +211,6 @@ def _batch_fields(
         raise SynthError(
             f"corpus_size {spec.corpus_size} cannot cover {len(pairs)} edges "
             f"and {len(lonely)} isolated nodes"
-        )
-    if spec.corpus_size > query_spec.per_iteration_count:
-        raise SynthError(
-            f"corpus_size {spec.corpus_size} exceeds per_iteration_count "
-            f"{query_spec.per_iteration_count}"
         )
     texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, palette, rng)
     # (author, mention, text)
@@ -232,7 +223,7 @@ def _batch_fields(
     ]
     rng.shuffle(drafts)
     start = _BASE_TIME + timedelta(minutes=index)
-    fields = [
+    return [
         (
             f"t{index:03d}{k:05d}",
             text,
@@ -245,8 +236,6 @@ def _batch_fields(
         )
         for k, (author, mention, text) in enumerate(drafts)
     ]
-    _check_plan(query_spec, index, len(fields))
-    return fields
 
 
 @dataclass(frozen=True)
@@ -319,8 +308,8 @@ def _plan_corpus_size(
     wanted = max(edges + lonely + 8, 24)
     if wanted > per_iteration_count:
         raise SynthError(
-            f"planted structure needs {wanted} statuses but the plan allows "
-            f"only {per_iteration_count} per iteration"
+            f"planted structure needs {wanted} statuses per iteration, "
+            f"more than per_iteration_count {per_iteration_count}"
         )
     return min(wanted, 50, per_iteration_count)
 
@@ -346,7 +335,7 @@ def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) 
     directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
     written = []
     for index in range(iterations):
-        fields = _batch_fields(plan.synth_spec, plan.query_spec, index, palette)
+        fields = _batch_fields(plan.synth_spec, index, palette)
         written.append(write_fixture_fields(directory / iteration_filename(index), fields))
     return written
 
@@ -356,10 +345,9 @@ def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) 
 _FILES_PER_WORKER = 150
 
 
-def write_fixture_tree(
-    config: RunConfig, lexicon: Lexicon, plans: Sequence[SubjectPlan] | None = None
-) -> list:
-    """Materialize a full fixture tree; returns the files written.
+def write_fixture_tree(config: RunConfig) -> list:
+    """Materialize the default_plan tree, steered with the configured
+    lexicon; returns the files written.
 
     Nothing is written when a planned subject directory already holds an
     iteration file the plan would leave behind (a ConfigError).  Subjects go
@@ -369,8 +357,9 @@ def write_fixture_tree(
     Where workers are started by spawning, call this under
     ``if __name__ == "__main__":``.
     """
-    if plans is None:
-        plans = default_plan(config)
+    # the lexicon first: a bad one is reported ahead of a bad plan or a stale file
+    lexicon = resolve_lexicon(config)
+    plans = default_plan(config)
     _refuse_stale_files(config.fixtures_dir, plans, config.iterations)
     jobs = max(1, len(plans) * config.iterations // _FILES_PER_WORKER)
     shared = (config.fixtures_dir, config.iterations, _palette(lexicon))

@@ -223,7 +223,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     assert elapsed < 60.0
 
 
-def test_criterion_9_planted_structure_recovery(tmp_path, lexicon):
+def test_criterion_9_planted_structure_recovery(tmp_path):
     # direct sweep: specs whose weak/strong ratio spans 0.1 to 1.0
     for weak_count in range(1, 11):
         sizes = [[2] * (10 // weak_count) for _ in range(weak_count)]
@@ -245,8 +245,8 @@ def test_criterion_9_planted_structure_recovery(tmp_path, lexicon):
         iterations=3,
         seed=9,
     )
-    write_fixture_tree(config, lexicon)
-    tables = analyze_groups(config, lexicon)
+    write_fixture_tree(config)
+    tables = analyze_groups(config)
     ((_, rows),) = tables
     (correlation,) = correlate_tables(tables)
     plans = default_plan(config)

@@ -16,6 +16,7 @@ import pytest
 
 import threadknit.cli
 import threadknit.pipeline
+import threadknit.sentiment
 import threadknit.synth
 from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
@@ -438,6 +439,26 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "decode" in err
 
+    @pytest.mark.parametrize("command", ["synth", "analyze"])
+    @pytest.mark.parametrize("token", ["\ufeffjoyful", "x-ray"], ids=["bom", "hyphen"])
+    def test_unmatchable_lexicon_token_is_one_error_line_exit_2(
+        self, workdir, capsys, command, token
+    ):
+        # one entry that score_text can never match, first in the file, then the bundled ones
+        entries = threadknit.sentiment.bundled_lexicon().entries.items()
+        lexicon = f"{token}\t1\n" + "".join(f"{key}\t{valence}\n" for key, valence in entries)
+        if command == "analyze":
+            assert run_cli("synth", "--config", config_arg(workdir)) == 0
+        (workdir / "lexicon.tsv").write_text(lexicon, encoding="utf-8")
+        config = CONFIG.replace("[run]\n", "[run]\nlexicon = lexicon.tsv\n")
+        (workdir / "run.ini").write_text(config, encoding="utf-8")
+        before = tree_bytes(workdir)
+        capsys.readouterr()
+        assert run_cli(command, "--config", config_arg(workdir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(token) in err
+        assert tree_bytes(workdir) == before
+
     @pytest.mark.parametrize("subject", ["東京", "!!!"])
     def test_subject_without_slug_is_one_error_line(self, tmp_path, subject):
         (tmp_path / "run.ini").write_text(
@@ -514,8 +535,9 @@ OPTIONS = {
 
 # every stage function's parameters, pinned like the options above
 PARAMETERS = {
-    threadknit.pipeline.analyze_groups: ["config", "lexicon", "jobs"],
-    threadknit.synth.write_fixture_tree: ["config", "lexicon", "plans"],
+    threadknit.pipeline.analyze_groups: ["config", "jobs"],
+    threadknit.synth.write_fixture_tree: ["config"],
+    threadknit.sentiment.load_lexicon: ["path"],
     threadknit.pipeline.export_graphs: ["config"],
     threadknit.pipeline.read_tables: ["config"],
     threadknit.pipeline.read_correlations: ["out_dir", "config"],

@@ -194,7 +194,7 @@ PINNED_GRAPHS = {
     ids=[name + ("-pooled" if pooled else "") for pooled in (False, True) for name in PINNED_GRAPHS],
 )
 def test_export_bytes_are_pinned(
-    tmp_path, lexicon, monkeypatch, two_cores,
+    tmp_path, monkeypatch, two_cores,
     pooled, groups, per_iteration_count, iterations, seed, files, digest,
 ):
     """export's graphs/ tree for two of the synth trees that
@@ -208,7 +208,7 @@ def test_export_bytes_are_pinned(
         iterations=iterations,
         seed=seed,
     )
-    write_fixture_tree(config, lexicon)
+    write_fixture_tree(config)
     if pooled:
         monkeypatch.setattr(pipeline_module, "_EXPORT_BYTES_PER_WORKER", 1)
     export_graphs(config)

@@ -60,13 +60,13 @@ def tiny_config(tmp_path, groups, **overrides):
     return RunConfig(**settings)
 
 
-def planted_config(tmp_path, lexicon, groups=None, **overrides):
+def planted_config(tmp_path, groups=None, **overrides):
     config = tiny_config(
         tmp_path,
         groups if groups is not None else [("topical", tuple("ABCDEF"))],
         **overrides,
     )
-    write_fixture_tree(config, lexicon)
+    write_fixture_tree(config)
     return config
 
 
@@ -126,9 +126,9 @@ class TestAnalyzeSubject:
 
 
 class TestRunPipeline:
-    def test_planted_run_recovers_structure(self, tmp_path, lexicon):
-        config = planted_config(tmp_path, lexicon)
-        tables = analyze_groups(config, lexicon)
+    def test_planted_run_recovers_structure(self, tmp_path):
+        config = planted_config(tmp_path)
+        tables = analyze_groups(config)
         ((kind, rows),) = tables
         (correlation,) = correlate_tables(tables)
         assert kind == "topical"
@@ -143,40 +143,38 @@ class TestRunPipeline:
         assert correlation.n == 6
         assert correlation.r < -0.9
 
-    def test_group_order_follows_config(self, tmp_path, lexicon):
+    def test_group_order_follows_config(self, tmp_path):
         config = planted_config(
             tmp_path,
-            lexicon,
             groups=[("event", ("E1", "E2", "E3")), ("topical", ("T1", "T2", "T3"))],
         )
-        tables = analyze_groups(config, lexicon)
+        tables = analyze_groups(config)
         assert [kind for kind, _ in tables] == ["event", "topical"]
         assert [s.subject for s in tables[0][1]] == ["E1", "E2", "E3"]
 
-    def test_small_group_rejected(self, tmp_path, lexicon):
+    def test_small_group_rejected(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B"))])
         with pytest.raises(DegeneracyError, match="topical"):
-            analyze_groups(config, lexicon)
+            analyze_groups(config)
 
-    def test_missing_fixtures_is_data_error(self, tmp_path, lexicon):
+    def test_missing_fixtures_is_data_error(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
         with pytest.raises(DataError):
-            analyze_groups(config, lexicon)
+            analyze_groups(config)
 
-    def test_jobs_do_not_change_results(self, tmp_path, lexicon):
+    def test_jobs_do_not_change_results(self, tmp_path):
         config = planted_config(
             tmp_path,
-            lexicon,
             groups=[("event", ("E1", "E2", "E3")), ("topical", ("T1", "T2", "T3"))],
         )
-        serial = analyze_groups(config, lexicon, jobs=1)
-        pooled = analyze_groups(config, lexicon, jobs=4)
+        serial = analyze_groups(config, jobs=1)
+        pooled = analyze_groups(config, jobs=4)
         assert serial == pooled
 
-    def test_bad_jobs_rejected(self, tmp_path, lexicon):
-        config = planted_config(tmp_path, lexicon)
+    def test_bad_jobs_rejected(self, tmp_path):
+        config = planted_config(tmp_path)
         with pytest.raises(ConfigError, match="jobs"):
-            analyze_groups(config, lexicon, jobs=0)
+            analyze_groups(config, jobs=0)
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     @pytest.mark.parametrize("tasks", [1, 3, 24])
@@ -187,8 +185,8 @@ class TestRunPipeline:
     def test_worker_count_unknown_cores_is_serial(self):
         assert worker_count(4, 24, None) == 1
 
-    def test_final_iteration_graph(self, tmp_path, lexicon):
-        config = planted_config(tmp_path, lexicon)
+    def test_final_iteration_graph(self, tmp_path):
+        config = planted_config(tmp_path)
         plan = default_plan(config)[0]
         index, path = iteration_files(config, "topical", "A")[-1]
         row = read_iteration(
@@ -414,9 +412,9 @@ class TestReaders:
 
 
 class TestExportGraphs:
-    def test_dot_files_written(self, tmp_path, lexicon):
+    def test_dot_files_written(self, tmp_path):
         config = planted_config(
-            tmp_path, lexicon, groups=[("topical", ("A", "B", "C"))]
+            tmp_path, groups=[("topical", ("A", "B", "C"))]
         )
         written = export_graphs(config)
         assert [p.name for p in written] == ["a.dot", "b.dot", "c.dot"]
@@ -424,8 +422,8 @@ class TestExportGraphs:
         assert text.startswith("digraph {\n")
         assert "->" in text
 
-    def test_interrupted_export_keeps_previous_graphs(self, tmp_path, lexicon, monkeypatch):
-        config = planted_config(tmp_path, lexicon, groups=[("topical", ("A", "B", "C"))])
+    def test_interrupted_export_keeps_previous_graphs(self, tmp_path, monkeypatch):
+        config = planted_config(tmp_path, groups=[("topical", ("A", "B", "C"))])
         export_graphs(config)
         graphs = config.output_dir / "graphs"
         before = {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()}

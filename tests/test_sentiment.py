@@ -158,7 +158,10 @@ class TestLexiconParsing:
 
     @pytest.mark.parametrize(
         "line",
-        ["joy", "joy\ttwo", "\t2", "joy\tnan", "joy\tinf", "Joy Ride\t2"],
+        [
+            "joy", "joy\ttwo", "\t2", "joy\tnan", "joy\tinf", "Joy Ride\t2",
+            "\ufeffjoy\t2", "joy!\t2", "x-ray\t1",
+        ],
     )
     def test_malformed_line_rejected(self, line):
         with pytest.raises(LexiconError):

@@ -49,7 +49,7 @@ def corpus_texts(spec, lexicon):
 def planted_batch(spec, query_spec, index, lexicon):
     """One planted iteration's fields as an IterationBatch, for checks
     through the object path."""
-    fields = _batch_fields(spec, query_spec, index, _palette(lexicon))
+    fields = _batch_fields(spec, index, _palette(lexicon))
     return IterationBatch(query_spec, index, tuple(Status(*f) for f in fields))
 
 
@@ -136,7 +136,7 @@ class TestSynthCorpus:
         # analyze cannot score an iteration without statuses
         spec = SynthSpec(seed=5, corpus_size=0)
         with pytest.raises(SynthError, match="corpus_size must be at least 1"):
-            _batch_fields(spec, make_spec(per_iteration_count=50), 0, _palette(lexicon))
+            _batch_fields(spec, 0, _palette(lexicon))
 
     def test_deterministic(self, lexicon):
         spec = SynthSpec(seed=11, corpus_size=25, target_mean=0.3, jitter=0.02)
@@ -144,7 +144,7 @@ class TestSynthCorpus:
 
     def test_statuses_have_no_references(self, lexicon):
         spec = SynthSpec(seed=6, corpus_size=15, target_mean=0.2, jitter=0.05)
-        fields = _batch_fields(spec, make_spec(per_iteration_count=50), 0, _palette(lexicon))
+        fields = _batch_fields(spec, 0, _palette(lexicon))
         assert len(fields) == 15
         for _, _, _, _, reply_to, mentions, retweet_of, quote_of in fields:
             assert references(reply_to, mentions, retweet_of, quote_of) == []
@@ -197,10 +197,11 @@ class TestSynthBatch:
         with pytest.raises(SynthError, match="cannot cover"):
             planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
 
-    def test_corpus_exceeding_iteration_budget(self, lexicon):
-        spec = SynthSpec(seed=1, weak_component_sizes=[[1]], corpus_size=60)
+    def test_corpus_exceeding_iteration_budget(self, tmp_path):
+        # a plan needs at least 24 statuses per iteration, so it is refused when built
+        config = _tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
         with pytest.raises(SynthError, match="per_iteration_count"):
-            planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+            default_plan(replace(config, per_iteration_count=20))
 
     def test_structureless_batch(self, lexicon):
         spec = SynthSpec(seed=2, corpus_size=10, target_mean=0.0, jitter=0.0)
@@ -265,23 +266,23 @@ class TestDefaultPlan:
 
 
 class TestWriteFixtureTree:
-    def test_layout_and_determinism(self, tmp_path, lexicon):
+    def test_layout_and_determinism(self, tmp_path):
         config = _tiny_config(
             tmp_path, [("topical", ("Alpha", "Beta Co"))], iterations=3
         )
-        written = write_fixture_tree(config, lexicon)
+        written = write_fixture_tree(config)
         assert len(written) == 6
         for path in written:
             assert path.is_file()
             assert path.name.startswith("iter_")
         first = {p: p.read_bytes() for p in written}
-        again = write_fixture_tree(config, lexicon)
+        again = write_fixture_tree(config)
         assert {p: p.read_bytes() for p in again} == first
 
-    def test_batches_follow_plan(self, tmp_path, lexicon):
+    def test_batches_follow_plan(self, tmp_path):
         config = _tiny_config(tmp_path, [("individual", ("Solo",))], iterations=2)
         (plan,) = default_plan(config)
-        written = write_fixture_tree(config, lexicon)
+        written = write_fixture_tree(config)
         assert [path.name for path in written] == ["iter_000", "iter_001"]
         for index, path in enumerate(written):
             batch = parse_fixture(path, plan.query_spec, index)
@@ -289,7 +290,7 @@ class TestWriteFixtureTree:
             assert summary.strong_count == plan.synth_spec.strong_count
             assert summary.weak_count == plan.synth_spec.weak_count
 
-    def test_tree_builds_no_status_objects(self, tmp_path, lexicon, monkeypatch):
+    def test_tree_builds_no_status_objects(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("write_fixture_tree built a Status object")
 
@@ -298,9 +299,9 @@ class TestWriteFixtureTree:
             monkeypatch.setattr(module, "Status", refuse, raising=False)
             monkeypatch.setattr(module, "IterationBatch", refuse, raising=False)
         config = _tiny_config(tmp_path, [("event", ("Alpha",))], iterations=2)
-        assert len(write_fixture_tree(config, lexicon)) == 2
+        assert len(write_fixture_tree(config)) == 2
 
-    def test_stale_iteration_file_stops_the_tree_before_any_write(self, tmp_path, lexicon):
+    def test_stale_iteration_file_stops_the_tree_before_any_write(self, tmp_path):
         config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co"))], iterations=2)
         subject = tmp_path / "fixtures" / "topical" / "beta-co"
         subject.mkdir(parents=True)
@@ -308,14 +309,14 @@ class TestWriteFixtureTree:
         # analyze would read iter_0001 as a second iteration 1
         (subject / "iter_0001").write_text("", encoding="utf-8")
         with pytest.raises(ConfigError, match="iter_0001"):
-            write_fixture_tree(config, lexicon)
+            write_fixture_tree(config)
         files = sorted(p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file())
         assert files == ["iter_0001", "notes.txt"]
         (subject / "iter_0001").unlink()
-        assert len(write_fixture_tree(config, lexicon)) == 4
+        assert len(write_fixture_tree(config)) == 4
 
     def test_stale_iteration_file_stops_a_pooled_tree_before_any_write(
-        self, tmp_path, lexicon, two_cores, monkeypatch
+        self, tmp_path, two_cores, monkeypatch
     ):
         config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co", "Gamma"))], iterations=2)
         subject = tmp_path / "fixtures" / "topical" / "gamma"
@@ -323,23 +324,22 @@ class TestWriteFixtureTree:
         (subject / "iter_002").write_text("", encoding="utf-8")
         monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", 1)
         with pytest.raises(ConfigError, match="iter_002"):
-            write_fixture_tree(config, lexicon)
+            write_fixture_tree(config)
         assert [p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file()] == ["iter_002"]
 
-    def test_first_failing_plan_raises_for_any_jobs(
-        self, tmp_path, lexicon, two_cores, monkeypatch
-    ):
+    def test_first_failing_plan_raises_for_any_jobs(self, tmp_path, two_cores, monkeypatch):
         config = _tiny_config(tmp_path, [("topical", tuple("ABCDE"))], iterations=2)
         plans = default_plan(config)
         for position, corpus_size in ((1, 1), (3, 2)):
             plan = plans[position]
             plans[position] = replace(plan, synth_spec=replace(plan.synth_spec, corpus_size=corpus_size))
+        monkeypatch.setattr(synth_module, "default_plan", lambda _: plans)
         raised = []
         # the 10-file tree in-process, then on a pool
         for files_per_worker in (synth_module._FILES_PER_WORKER, 1):
             monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", files_per_worker)
             with pytest.raises(SynthError) as caught:
-                write_fixture_tree(config, lexicon, plans)
+                write_fixture_tree(config)
             raised.append(str(caught.value))
         assert raised[0] == raised[1] and raised[0].startswith("corpus_size 1 cannot cover")
 
@@ -371,16 +371,11 @@ class TestFixtureFields:
     @given(spec=synth_specs, index=st.integers(min_value=0, max_value=4))
     def test_written_file_reads_back_as_generated(self, tmp_path_factory, lexicon, spec, index):
         qspec = make_spec(per_iteration_count=200, iterations=5)
-        fields = _batch_fields(spec, qspec, index, _palette(lexicon))
+        fields = _batch_fields(spec, index, _palette(lexicon))
         path = tmp_path_factory.mktemp("fields") / iteration_filename(index)
         write_fixture_fields(path, fields)
         assert read_fixture(path, qspec, index) == fields
         assert parse_fixture(path, qspec, index) == planted_batch(spec, qspec, index, lexicon)
-
-    def test_index_outside_plan_is_rejected(self, lexicon):
-        spec = SynthSpec(seed=1, weak_component_sizes=[[1]], corpus_size=10)
-        with pytest.raises(ValueError, match="outside plan"):
-            _batch_fields(spec, make_spec(iterations=2), 2, _palette(lexicon))
 
 
 @st.composite
@@ -437,7 +432,7 @@ PINNED_TREES = {
     ids=[name + ("-jobs-2" if pooled else "") for pooled in (False, True) for name in PINNED_TREES],
 )
 def test_tree_bytes_are_pinned(
-    tmp_path, lexicon, two_cores, monkeypatch,
+    tmp_path, two_cores, monkeypatch,
     pooled, groups, per_iteration_count, iterations, seed, files, digest,
 ):
     """The fixture bytes are the generator's contract: analyze's results
@@ -447,5 +442,5 @@ def test_tree_bytes_are_pinned(
         tmp_path, groups, iterations=iterations, per_iteration_count=per_iteration_count, seed=seed
     )
     monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", 1 if pooled else files + 1)
-    write_fixture_tree(config, lexicon)
+    write_fixture_tree(config)
     assert tree_digest(tmp_path / "fixtures") == (files, digest)
