@@ -121,49 +121,19 @@ def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
     return kindset
 
 
-@dataclass(frozen=True)
-class QuerySpec:
-    """Plan for sampling one subject: its group kind and how often."""
+class QuerySpec(NamedTuple):
+    """One configured subject: its group kind and name."""
 
     kind: str
     subject: str
-    per_iteration_count: int = 950
-    iterations: int = 100
-
-    def __post_init__(self) -> None:
-        if self.kind not in QUERY_KINDS:
-            raise ConfigError(
-                f"unknown group kind {self.kind!r}; expected one of {', '.join(QUERY_KINDS)}"
-            )
-        if not self.subject:
-            raise ConfigError("subject must be nonempty")
-        if self.per_iteration_count < 1:
-            raise ConfigError("per_iteration_count must be at least 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
 
 
-@dataclass(frozen=True)
-class IterationBatch:
-    """The statuses of one iteration of a subject's plan."""
+class IterationBatch(NamedTuple):
+    """The statuses of one iteration file of a subject."""
 
     spec: QuerySpec
     index: int
     statuses: tuple[Status, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "statuses", tuple(self.statuses))
-        _check_plan(self.spec, self.index, len(self.statuses))
-
-
-def _check_plan(spec: QuerySpec, index: int, count: int) -> None:
-    """A batch of ``count`` statuses at ``index`` must fit the spec's plan."""
-    if not 0 <= index < spec.iterations:
-        raise ValueError(f"iteration index {index} outside plan of {spec.iterations}")
-    if count > spec.per_iteration_count:
-        raise ValueError(
-            f"batch exceeds per_iteration_count: {count} > {spec.per_iteration_count}"
-        )
 
 
 _OPTIONAL_STRING_FIELDS = ("reply_to", "retweet_of", "quote_of")
@@ -227,12 +197,12 @@ def _record_fields(record: Any, handles: dict[str, str]) -> tuple:
     return status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
 
 
-def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[tuple]:
+def read_fixture(path: Path) -> list[tuple]:
     """Checked Status fields of every record in one iteration file, one
     plain tuple in Status field order per record.
 
     Every problem is a FixtureError naming ``path`` and, for a bad record,
-    its line.  The records must fit the spec's plan at ``index``.
+    its line.  Only records are checked; the plan is the stages' to check.
     """
     try:
         raw = path.read_text(encoding="utf-8")
@@ -255,43 +225,22 @@ def read_fixture(path: Path, spec: QuerySpec, index: int) -> list[tuple]:
             records.append(_record_fields(record, handles))
         except ValueError as err:
             raise FixtureError(f"{path}:{lineno}: {err}") from err
-    try:
-        _check_plan(spec, index, len(records))
-    except ValueError as err:
-        raise FixtureError(f"{path}: {err}") from err
     return records
 
 
-def _default_spec_for(path: Path, index: int) -> QuerySpec:
-    if iteration_index(path.name) is not None and path.parent.name:
-        subject = path.parent.name
-    else:
-        subject = path.stem or path.name
-    kind = path.parent.parent.name if path.parent.parent else ""
-    if kind not in QUERY_KINDS:
-        kind = "topical"
-    return QuerySpec(kind=kind, subject=subject, iterations=max(100, index + 1))
-
-
-def parse_fixture(
-    path: str | Path,
-    spec: QuerySpec | None = None,
-    index: int | None = None,
-) -> IterationBatch:
+def parse_fixture(path: str | Path) -> IterationBatch:
     """Read one iteration file (one JSON status per line) into a batch.
 
-    The iteration index defaults to the NNN in an ``iter_NNN`` file name;
-    the spec, when not supplied, is inferred from the directory layout.
-    Unknown record fields are ignored.  An empty file is a valid empty
-    batch.
+    Kind, subject and index are read off a ``<kind>/<subject>/iter_NNN``
+    path; for any other file name the subject is the file's stem and the
+    index 0.  No plan is checked.  Unknown record fields are ignored.  An
+    empty file is a valid empty batch.
     """
     path = Path(path)
-    if index is None:
-        index = iteration_index(path.name) or 0
-    if spec is None:
-        spec = _default_spec_for(path, index)
-    statuses = tuple(map(Status._make, read_fixture(path, spec, index)))
-    return IterationBatch(spec=spec, index=index, statuses=statuses)
+    index = iteration_index(path.name)
+    subject = (index is not None and path.parent.name) or path.stem or path.name
+    statuses = tuple(map(Status._make, read_fixture(path)))
+    return IterationBatch(QuerySpec(path.parent.parent.name, subject), index or 0, statuses)
 
 
 # a str as a JSON string literal with non-ASCII characters kept: what
@@ -375,16 +324,22 @@ class RunConfig:
         set_field("groups", tuple((kind, tuple(names)) for kind, names in self.groups))
         if not self.groups:
             raise ConfigError("no groups configured")
+        if self.per_iteration_count < 1:
+            raise ConfigError("per_iteration_count must be at least 1")
+        if self.iterations < 1:
+            raise ConfigError("iterations must be at least 1")
         kinds = [kind for kind, _ in self.groups]
         for kind, names in self.groups:
+            if kind not in QUERY_KINDS:
+                raise ConfigError(
+                    f"unknown group kind {kind!r}; expected one of {', '.join(QUERY_KINDS)}"
+                )
             if kinds.count(kind) > 1:
                 raise ConfigError(f"group kind {kind!r} appears twice")
             if not names:
                 raise ConfigError(f"group {kind!r} lists no subjects")
             slugs = set()
             for name in names:
-                # a known kind, a nonempty subject and positive plan sizes
-                self.spec_for(kind, name)
                 try:
                     slug = subject_slug(name)
                 except ValueError:
@@ -398,9 +353,6 @@ class RunConfig:
         check_confidence(self.confidence)
         set_field("edge_kinds", tuple(self.edge_kinds))
         edge_kind_set(self.edge_kinds)
-
-    def spec_for(self, kind: str, subject: str) -> QuerySpec:
-        return QuerySpec(kind, subject, self.per_iteration_count, self.iterations)
 
     def subjects(self) -> Iterator[tuple[str, str]]:
         for kind, names in self.groups:

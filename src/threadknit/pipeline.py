@@ -21,10 +21,9 @@ from .components import (
     component_counts,
     summarize_subject,
 )
-from .errors import ConfigError, DataError, DegeneracyError, ThreadknitError
+from .errors import ConfigError, DataError, DegeneracyError, FixtureError, ThreadknitError
 from .ingest import (
     QUERY_KINDS,
-    QuerySpec,
     RunConfig,
     edge_kind_set,
     iteration_index,
@@ -56,7 +55,8 @@ def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[in
     """A subject's ``iter_NNN`` files with their indices, in index order.
 
     Two files with one index (``iter_000`` and ``iter_0000``) are a
-    DataError naming both.
+    DataError naming both; an index of ``config.iterations`` or more is a
+    FixtureError.
     """
     directory = subject_dir(config.fixtures_dir, kind, subject)
     if not directory.is_dir():
@@ -71,6 +71,9 @@ def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[in
     for (index, first), (next_index, second) in zip(files, files[1:]):
         if index == next_index:
             raise DataError(f"{first} and {second} are both iteration {index}; remove one")
+    index, path = files[-1]
+    if index >= config.iterations:
+        raise FixtureError(f"{path}: iteration index {index} outside plan of {config.iterations}")
     return files
 
 
@@ -110,22 +113,24 @@ def iteration_row(
     return IterationRow(texts, list(numbers), edges)
 
 
-def read_iteration(
-    path: Path, spec: QuerySpec, index: int, kinds: Sequence[str], include_isolates: bool
-) -> IterationRow:
-    """The iteration_row of one iteration file's records; what analyze
-    counts and scores and export renders."""
-    return iteration_row(read_fixture(path, spec, index), kinds, include_isolates)
+def read_iteration(path: Path, config: RunConfig) -> IterationRow:
+    """The iteration_row of one iteration file's records under the config,
+    which analyze counts and scores and export renders; more than
+    ``config.per_iteration_count`` records is a FixtureError."""
+    records = read_fixture(path)
+    if len(records) > config.per_iteration_count:
+        count = f"{len(records)} > {config.per_iteration_count}"
+        raise FixtureError(f"{path}: batch exceeds per_iteration_count: {count}")
+    return iteration_row(records, config.edge_kinds, config.include_isolates)
 
 
 def analyze_subject(
     config: RunConfig, lexicon: Lexicon, kind: str, subject: str
 ) -> SubjectSummary:
     """Average one subject's per-iteration component counts and sentiment."""
-    spec = config.spec_for(kind, subject)
     summaries, alphas = [], []
     for index, path in iteration_files(config, kind, subject):
-        row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
+        row = read_iteration(path, config)
         summaries.append(ComponentSummary(*component_counts(len(row.nodes), row.edges)))
         try:
             alphas.append(
@@ -294,6 +299,17 @@ SUBJECT_TABLE = RecordSpec(
 SCATTER = RecordSpec(
     "scatter", SubjectSummary, tuple(c for c in SUBJECT_TABLE.columns if c[2] is not int)
 )
+
+
+def _check_correlation(report: CorrelationReport) -> None:
+    """A report correlate can write: n of 3 or more, |r| below 1, p in [0, 1]."""
+    if report.n < 3 or not abs(report.r) < 1 or not 0 <= report.p_value <= 1:
+        raise ValueError(
+            f"need n >= 3, |r| < 1 and 0 <= p_value <= 1, "
+            f"got n = {report.n}, r = {report.r!r}, p_value = {report.p_value!r}"
+        )
+
+
 CORRELATIONS = RecordSpec(
     "correlation",
     CorrelationReport,
@@ -302,6 +318,7 @@ CORRELATIONS = RecordSpec(
         ("n", "n", int),
         *((name, name, float) for name in ("r", "mean_x", "mean_y", "t_stat", "p_value")),
     ),
+    check=_check_correlation,
 )
 COMPARISONS = RecordSpec(
     "comparison",
@@ -408,16 +425,12 @@ def render_comparisons(comparisons: Sequence[ComparisonReport], out_dir: str | P
 _EXPORT_BYTES_PER_WORKER = 1_000_000
 
 
-def _export_subject(
-    config: RunConfig, kind: str, subject: str, final: tuple[int, Path] | None
-) -> Path:
+def _export_subject(config: RunConfig, kind: str, subject: str, final: Path | None) -> Path:
     # imported here so that analyze and synth do not load the graph module
     from .graph import export_dot
 
     # None: export_graphs could not list the subject; listing it again raises
-    index, path = final or iteration_files(config, kind, subject)[-1]
-    spec = config.spec_for(kind, subject)
-    row = read_iteration(path, spec, index, config.edge_kinds, config.include_isolates)
+    row = read_iteration(final or iteration_files(config, kind, subject)[-1][1], config)
     names = row.nodes
     dot = export_dot(names, [(names[s], names[t], label) for s, t, label in row.edges])
     target = config.output_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
@@ -437,9 +450,9 @@ def export_graphs(config: RunConfig) -> list[Path]:
     tasks, size = [], 0
     for kind, subject in config.subjects():
         try:
-            index, path = iteration_files(config, kind, subject)[-1]
+            path = iteration_files(config, kind, subject)[-1][1]
             size += path.stat().st_size
-            tasks.append((kind, subject, (index, path)))
+            tasks.append((kind, subject, path))
         except (DataError, OSError):
             # its task raises the error, so that errors keep configuration order
             tasks.append((kind, subject, None))

@@ -45,6 +45,15 @@ def clean_text(raw: str) -> str:
     return " ".join(_tokens(raw))
 
 
+def _check_entry(where: str, token: str, valence: float) -> None:
+    """One lexicon entry: a token score_text can match, a finite valence."""
+    if token != token.lower() or not _TOKEN_RE.fullmatch(token):
+        rule = "must be one lowercase word as score_text splits text"
+        raise LexiconError(f"{where}: bad token {token!r} ({rule})")
+    if not math.isfinite(valence):
+        raise LexiconError(f"{where}: non-finite valence for {token!r}")
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Immutable token -> valence table."""
@@ -57,13 +66,7 @@ class Lexicon:
         if not self.entries:
             raise LexiconError(f"lexicon {self.name!r} is empty")
         for token, valence in self.entries.items():
-            if token != token.lower() or not _TOKEN_RE.fullmatch(token):
-                raise LexiconError(
-                    f"lexicon {self.name!r}: bad token {token!r} "
-                    "(must be one lowercase word as score_text splits text)"
-                )
-            if not math.isfinite(valence):
-                raise LexiconError(f"lexicon {self.name!r}: non-finite valence for {token!r}")
+            _check_entry(f"lexicon {self.name!r}", token, valence)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -73,7 +76,8 @@ class Lexicon:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Read a tab-separated ``token<TAB>valence`` file, named by its stem.
+    """Read a tab-separated ``token<TAB>valence`` file, named by the path
+    given, so that an error names the file and line.
 
     Blank lines and lines starting with '#' are skipped.  Duplicate tokens
     are an error.
@@ -83,7 +87,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise LexiconError(f"cannot read lexicon {path}: {err}") from err
-    return parse_lexicon(raw, name=path.stem)
+    return parse_lexicon(raw, name=str(path))
 
 
 def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:
@@ -104,6 +108,7 @@ def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:
             raise LexiconError(f"{name}:{lineno}: bad valence {parts[1]!r}") from None
         if token in entries:
             raise LexiconError(f"{name}:{lineno}: duplicate token {token!r}")
+        _check_entry(f"{name}:{lineno}", token, valence)
         entries[token] = valence
     if not entries:
         raise LexiconError(f"{name}: no entries")

@@ -278,7 +278,7 @@ def default_plan(config: RunConfig) -> list[SubjectPlan]:
                 # the tolerance must at least cover half a grid step
                 jitter=max(0.01, 0.3 / corpus_size),
             )
-            plans.append(SubjectPlan(config.spec_for(kind, subject), spec))
+            plans.append(SubjectPlan(QuerySpec(kind, subject), spec))
             offset += 1
     return plans
 

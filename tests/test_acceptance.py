@@ -203,10 +203,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     run("synth", "--config", config_path)
     fixtures = tree(tmp_path / "fixtures")
     assert len(fixtures) == 4 * 6 * 100
-    sample = parse_fixture(
-        tmp_path / "fixtures" / "topical" / "t1" / "iter_000",
-        spec=None,
-    )
+    sample = parse_fixture(tmp_path / "fixtures" / "topical" / "t1" / "iter_000")
     assert len(sample.statuses) <= 50
 
     run("synth", "--config", config_path)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import threadknit.cli
+import threadknit.ingest
 import threadknit.pipeline
 import threadknit.sentiment
 import threadknit.synth
@@ -217,7 +218,11 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("r", float("nan")), ("r", float("inf")), ("t_stat", float("-inf")), ("group", 7)],
+        [
+            ("r", float("nan")), ("r", float("inf")), ("t_stat", float("-inf")), ("group", 7),
+            # numbers correlate cannot have written
+            ("r", 1.5), ("n", -7), ("p_value", 7.0),
+        ],
     )
     def test_bad_correlation_record_is_one_error_line_exit_2(self, tmp_path, field, value):
         run_cli("correlate", "--bundled", "--out", tmp_path)
@@ -228,7 +233,8 @@ class TestCompareCommand:
         source.write_text(json.dumps(records), encoding="utf-8")
         code, err = run_cli_process(tmp_path, "compare", "--out", ".")
         assert code == 2
-        assert len(err) == 1 and err[0].startswith("error: ") and "record 1" in err[0]
+        assert len(err) == 1
+        assert err[0].startswith("error: correlations.json: record 1: bad correlation record: ")
         assert not (tmp_path / "comparisons.csv").exists()
         assert not (tmp_path / "comparisons.json").exists()
 
@@ -457,6 +463,7 @@ class TestErrorHandling:
         assert run_cli(command, "--config", config_arg(workdir)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(token) in err
+        assert f"{workdir / 'lexicon.tsv'}:1:" in err
         assert tree_bytes(workdir) == before
 
     @pytest.mark.parametrize("subject", ["東京", "!!!"])
@@ -542,6 +549,11 @@ PARAMETERS = {
     threadknit.pipeline.read_tables: ["config"],
     threadknit.pipeline.read_correlations: ["out_dir", "config"],
     threadknit.pipeline.compare_groups: ["reports", "n_override", "confidence"],
+    # the plan's one source is the config
+    threadknit.ingest.read_fixture: ["path"],
+    threadknit.pipeline.read_iteration: ["path", "config"],
+    threadknit.ingest.parse_fixture: ["path"],
+    threadknit.pipeline.iteration_files: ["config", "kind", "subject"],
 }
 
 
@@ -564,6 +576,9 @@ class TestInventory:
     @pytest.mark.parametrize("function", PARAMETERS, ids=lambda function: function.__name__)
     def test_stage_parameters_are_pinned(self, function):
         assert list(inspect.signature(function).parameters) == PARAMETERS[function]
+
+    def test_query_spec_only_names_a_subject(self):
+        assert threadknit.ingest.QuerySpec._fields == ("kind", "subject")
 
     def test_readme_commands_parse(self):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")

@@ -25,6 +25,7 @@ from threadknit.ingest import (
     subject_slug,
     write_fixture_fields,
 )
+from threadknit.pipeline import iteration_files, read_iteration
 
 from conftest import make_batch, make_spec, make_status
 from oracles import reference_fixture_line
@@ -60,7 +61,7 @@ def read_record(tmp_path, **record):
     """The Status read_fixture makes of a one-record file."""
     path = tmp_path / "iter_000"
     path.write_text(json.dumps(record), encoding="utf-8")
-    (fields,) = read_fixture(path, make_spec(), 0)
+    (fields,) = read_fixture(path)
     return Status._make(fields)
 
 
@@ -109,24 +110,40 @@ class TestStatus:
             read_record(tmp_path, id="1", text="x", author="")
 
 
+def plan_config(tmp_path, **overrides):
+    """A config of one subject, topical "Subject", with fixtures under ``tmp_path``."""
+    groups = [("topical", ("Subject",))]
+    settings = dict(fixtures_dir=tmp_path, output_dir=tmp_path / "out", groups=groups)
+    settings.update(overrides)
+    return RunConfig(**settings)
+
+
+def write_records(path, count):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_fixture_fields(path, [make_status(i, "a") for i in range(count)])
+    return path
+
+
 class TestQueryBuilding:
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            QuerySpec(kind="regional", subject="x")
+            plan_config(tmp_path, groups=[("regional", ("x",))])
 
 
 class TestIterationBatch:
-    def test_oversized_batch_rejected(self):
-        spec = make_spec(per_iteration_count=2)
-        statuses = tuple(make_status(i, "a") for i in range(3))
-        with pytest.raises(ValueError, match="batch exceeds per_iteration_count"):
-            IterationBatch(spec=spec, index=0, statuses=statuses)
+    """The plan is checked as analyze and export list and read a subject's
+    files under a config."""
 
-    def test_index_must_lie_in_plan(self):
-        with pytest.raises(ValueError):
-            IterationBatch(spec=make_spec(iterations=5), index=5)
-        with pytest.raises(ValueError):
-            IterationBatch(spec=make_spec(), index=-1)
+    def test_oversized_batch_rejected(self, tmp_path):
+        path = write_records(tmp_path / "iter_000", 3)
+        with pytest.raises(FixtureError, match="batch exceeds per_iteration_count"):
+            read_iteration(path, plan_config(tmp_path, per_iteration_count=2))
+
+    def test_index_must_lie_in_plan(self, tmp_path):
+        config = plan_config(tmp_path, iterations=5)
+        write_records(subject_dir(tmp_path, "topical", "Subject") / "iter_005", 1)
+        with pytest.raises(FixtureError, match="iteration index 5 outside plan of 5"):
+            iteration_files(config, "topical", "Subject")
 
     def test_empty_batch_is_valid(self):
         batch = IterationBatch(spec=make_spec(), index=0)
@@ -142,7 +159,7 @@ class TestParseFixture:
         ]
         path = tmp_path / "iter_000"
         path.write_text("\n".join(json.dumps(x) for x in lines), encoding="utf-8")
-        batch = parse_fixture(path, spec=make_spec())
+        batch = parse_fixture(path)
         assert [s.id for s in batch.statuses] == ["1", "2", "3"]
         assert batch.statuses[0].author == "alice"
         assert batch.statuses[0].mentions == ("bob",)
@@ -151,48 +168,48 @@ class TestParseFixture:
     def test_integer_id_is_kept_as_text(self, tmp_path):
         path = tmp_path / "iter_000"
         path.write_text(json.dumps({"id": 7, "text": "x", "author": "a"}), encoding="utf-8")
-        assert parse_fixture(path, spec=make_spec()).statuses[0].id == "7"
+        assert parse_fixture(path).statuses[0].id == "7"
 
     def test_index_comes_from_filename(self, tmp_path):
         path = tmp_path / "iter_017"
         path.write_text("", encoding="utf-8")
-        assert parse_fixture(path, spec=make_spec()).index == 17
+        assert parse_fixture(path).index == 17
 
     def test_empty_file_is_empty_batch(self, tmp_path):
         path = tmp_path / "iter_000"
         path.write_text("", encoding="utf-8")
-        assert parse_fixture(path, spec=make_spec()).statuses == ()
+        assert parse_fixture(path).statuses == ()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "iter_000"
         record = json.dumps({"id": "1", "text": "x", "author": "a"})
         path.write_text(f"\n{record}\n\n", encoding="utf-8")
-        assert len(parse_fixture(path, spec=make_spec()).statuses) == 1
+        assert len(parse_fixture(path).statuses) == 1
 
     def test_malformed_json_reports_line_number(self, tmp_path):
         path = tmp_path / "iter_000"
         good = json.dumps({"id": "1", "text": "x", "author": "a"})
         path.write_text(f"{good}\nnot json\n", encoding="utf-8")
         with pytest.raises(FixtureError, match=r":2:"):
-            parse_fixture(path, spec=make_spec())
+            parse_fixture(path)
 
     def test_missing_field_reports_line_and_field(self, tmp_path):
         path = tmp_path / "iter_000"
         path.write_text(json.dumps({"id": "1", "text": "x"}), encoding="utf-8")
         with pytest.raises(FixtureError, match="author"):
-            parse_fixture(path, spec=make_spec())
+            parse_fixture(path)
 
     def test_too_many_records_rejected(self, tmp_path):
-        spec = make_spec(per_iteration_count=950)
+        config = plan_config(tmp_path, per_iteration_count=950)
         record = json.dumps({"id": "1", "text": "x", "author": "a"})
         path = tmp_path / "iter_000"
         path.write_text("\n".join([record] * 951), encoding="utf-8")
         with pytest.raises(FixtureError, match="batch exceeds per_iteration_count"):
-            parse_fixture(path, spec=spec)
+            read_iteration(path, config)
 
     def test_missing_file_is_fixture_error(self, tmp_path):
         with pytest.raises(FixtureError):
-            parse_fixture(tmp_path / "iter_404", spec=make_spec())
+            parse_fixture(tmp_path / "iter_404")
 
     def test_created_at_variants(self, tmp_path):
         lines = [
@@ -202,7 +219,7 @@ class TestParseFixture:
         ]
         path = tmp_path / "iter_000"
         path.write_text("\n".join(json.dumps(x) for x in lines), encoding="utf-8")
-        batch = parse_fixture(path, spec=make_spec())
+        batch = parse_fixture(path)
         assert batch.statuses[0].created_at == datetime(
             2022, 12, 25, 10, 30, tzinfo=timezone.utc
         )
@@ -245,8 +262,7 @@ class TestWriteFixture:
         batch = make_batch(statuses)
         path = tmp_path_factory.mktemp("rt") / "iter_000"
         write_fixture_fields(path, batch.statuses)
-        again = parse_fixture(path, spec=batch.spec, index=batch.index)
-        assert again == batch
+        assert parse_fixture(path).statuses == batch.statuses
 
     @given(st.lists(statuses_strategy, max_size=12))
     def test_lines_match_json_dumps_of_each_record(self, tmp_path_factory, statuses):
@@ -260,7 +276,7 @@ class TestWriteFixture:
         batch = make_batch([make_status(1, "a", text=weird)])
         path = tmp_path / "iter_000"
         write_fixture_fields(path, batch.statuses)
-        assert parse_fixture(path, spec=batch.spec).statuses[0].text == weird
+        assert parse_fixture(path).statuses[0].text == weird
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "iter_000"
@@ -421,8 +437,7 @@ class TestLoadConfig:
             ("topical", ("Christianity", "NORAD", "Duke Energy")),
             ("individual", ("Elon Musk", "Kanye West", "Stefon Diggs")),
         )
-        spec = config.spec_for("individual", "Elon Musk")
-        assert spec.per_iteration_count == 40
+        assert QuerySpec("individual", "Elon Musk") in config.subjects()
 
     def test_defaults(self, tmp_path):
         path = tmp_path / "run.ini"

@@ -102,23 +102,30 @@ def reference(batch, kinds, include_isolates):
     return ConversationGraph(frozenset(nodes), tuple(Edge(*edge) for edge in edges))
 
 
-def object_path(path, spec, index, kinds, include_isolates, lexicon):
-    """Counts and alpha of the reference graph and batch; build_graph must
-    give the same graph."""
-    batch = parse_fixture(path, spec=spec, index=index)
+def object_path(path, config, lexicon):
+    """Counts and alpha of the reference graph and batch under the config's
+    edge kinds and isolates rule; build_graph must give the same graph."""
+    kinds, include_isolates = config.edge_kinds, config.include_isolates
+    batch = parse_fixture(path)
     graph = reference(batch, kinds, include_isolates)
     assert build_graph(batch, kinds=kinds, include_isolates=include_isolates) == graph
     return component_summary(graph), batch_alpha(batch, lexicon)
 
 
-def row_path(path, spec, index, kinds, include_isolates, lexicon):
+def row_path(path, index, config, lexicon):
     """What analyze takes from the row: counts and alpha."""
-    row = read_iteration(path, spec, index, kinds, include_isolates)
+    row = read_iteration(path, config)
     scores = [score_text(text, lexicon) for text in row.texts]
     return (
         ComponentSummary(*component_counts(len(row.nodes), row.edges)),
-        mean_score(scores, spec.subject, index),
+        mean_score(scores, path.parent.name, index),
     )
+
+
+def selections(config):
+    """The config under every edge-kind selection, isolates on and off."""
+    for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
+        yield replace(config, edge_kinds=kinds, include_isolates=isolates)
 
 
 class TestAgreesWithTheObjectPath:
@@ -126,37 +133,34 @@ class TestAgreesWithTheObjectPath:
         config = load_config(tree / "run.ini")
         checked = 0
         for kind, subject in config.subjects():
-            spec = config.spec_for(kind, subject)
             for index, path in iteration_files(config, kind, subject):
-                for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
-                    expected = object_path(path, spec, index, kinds, isolates, lexicon)
-                    got = row_path(path, spec, index, kinds, isolates, lexicon)
-                    assert got == expected, (path, kinds, isolates)
+                for selected in selections(config):
+                    expected = object_path(path, selected, lexicon)
+                    got = row_path(path, index, selected, lexicon)
+                    assert got == expected, (path, selected.edge_kinds, selected.include_isolates)
                     checked += 1
         assert checked == 3 * 3 * len(KIND_SUBSETS) * 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_reference_kind_mixed(self, tree, lexicon, seed):
         config = load_config(tree / "run.ini")
-        spec = config.spec_for("topical", "Alpha")
         index, path = iteration_files(config, "topical", "Alpha")[1]
         write_lines(path, mixed_records(seed, 40))
-        for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
-            expected = object_path(path, spec, index, kinds, isolates, lexicon)
-            assert row_path(path, spec, index, kinds, isolates, lexicon) == expected
+        for selected in selections(config):
+            expected = object_path(path, selected, lexicon)
+            assert row_path(path, index, selected, lexicon) == expected
 
 
 class TestExportAgreesWithTheObjectPath:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_reference_kind_mixed(self, tree, seed):
         config = load_config(tree / "run.ini")
-        spec = config.spec_for("topical", "Alpha")
-        index, path = iteration_files(config, "topical", "Alpha")[-1]
+        path = iteration_files(config, "topical", "Alpha")[-1][1]
         write_lines(path, mixed_records(seed, 40))
         written = tree / "out" / "graphs" / "topical" / "alpha.dot"
         for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
             export_graphs(replace(config, edge_kinds=kinds, include_isolates=isolates))
-            graph = reference(parse_fixture(path, spec=spec, index=index), kinds, isolates)
+            graph = reference(parse_fixture(path), kinds, isolates)
             expected = export_dot(graph.nodes, graph.edges)
             assert written.read_text(encoding="utf-8") == expected, (kinds, isolates)
 
@@ -297,6 +301,25 @@ class TestMalformedFixtures:
         assert main(["analyze", "--config", str(tree / "run.ini")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: invalid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    @pytest.mark.parametrize(
+        "name, lines, message",
+        [
+            ("iter_404", [GOOD], ": iteration index 404 outside plan of 3"),
+            # the final iteration, which export reads too
+            ("iter_002", [GOOD] * 41, ": batch exceeds per_iteration_count: 41 > 40"),
+        ],
+        ids=["outside the plan", "over per_iteration_count"],
+    )
+    def test_plan_checked_by_analyze_and_export(self, tree, capsys, command, name, lines, message):
+        path = tree / "fixtures" / "topical" / "alpha" / name
+        write_lines(path, lines)
+        before = tree_digest(tree)
+        capsys.readouterr()
+        assert main([command, "--config", str(tree / "run.ini")]) == 2
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+        assert tree_digest(tree) == before
 
     def test_undecodable_bytes(self, tree, capsys):
         path = tree / "fixtures" / "topical" / "alpha" / "iter_001"

@@ -189,9 +189,7 @@ class TestRunPipeline:
         config = planted_config(tmp_path)
         plan = default_plan(config)[0]
         index, path = iteration_files(config, "topical", "A")[-1]
-        row = read_iteration(
-            path, plan.query_spec, index, config.edge_kinds, config.include_isolates
-        )
+        row = read_iteration(path, config)
         assert index == config.iterations - 1
         assert len(row.nodes) >= plan.synth_spec.node_count
 
@@ -199,7 +197,7 @@ class TestRunPipeline:
 class TestIterationOrder:
     def write_chains(self, config, lengths):
         for index, length in lengths.items():
-            batch = chain_batch(index, length, "good", dict(subject="A", iterations=1001))
+            batch = chain_batch(index, length, "good", dict(subject="A"))
             write_batch(batch, config)
 
     def test_files_sorted_by_number_not_name(self, tmp_path):
@@ -217,7 +215,7 @@ class TestIterationOrder:
     def test_export_draws_the_highest_iteration(self, tmp_path, mini_lexicon):
         config = tiny_config(tmp_path, [("topical", ("A",))], iterations=1001)
         self.write_chains(config, {998: 5, 999: 4, 1000: 3})
-        last = chain_batch(1000, 3, "good", dict(subject="A", iterations=1001))
+        last = chain_batch(1000, 3, "good", dict(subject="A"))
         (written,) = export_graphs(config)
         graph = build_graph(last)
         assert written.read_text(encoding="utf-8") == export_dot(graph.nodes, graph.edges)
@@ -394,6 +392,13 @@ class TestReaders:
         reordered = replace(config, groups=groups[::-1])
         with pytest.raises(DataError, match="run correlate first"):
             read_correlations(config.output_dir, reordered)
+
+    def test_correlations_of_three_subjects_are_read(self, tmp_path):
+        """correlate writes n = 3, the least n a correlations record may hold."""
+        kind, rows = bundled_tables()[0]
+        reports = correlate_tables([(kind, rows[:3])])
+        render_correlations(reports, tmp_path)
+        assert reports[0].n == 3 and read_correlations(tmp_path) == reports
 
     def test_correlations_must_count_the_configured_subjects(self, tmp_path):
         tables = bundled_tables()

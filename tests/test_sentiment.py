@@ -164,7 +164,7 @@ class TestLexiconParsing:
         ],
     )
     def test_malformed_line_rejected(self, line):
-        with pytest.raises(LexiconError):
+        with pytest.raises(LexiconError, match=r"^lexicon:1: "):
             parse_lexicon(line + "\n")
 
     def test_load_from_file(self, tmp_path):

@@ -162,22 +162,22 @@ class TestSynthBatch:
 
     def test_graph_counts_recovered(self, lexicon):
         spec = self.batch_spec()
-        batch = planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(spec, make_spec(), 0, lexicon)
         summary = component_summary(build_graph(batch, ("mention",)))
         assert (summary.strong_count, summary.weak_count) == (3, 2)
 
     def test_batch_size_is_corpus_size(self, lexicon):
-        batch = planted_batch(self.batch_spec(), make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(self.batch_spec(), make_spec(), 0, lexicon)
         assert len(batch.statuses) == 30
 
     def test_mean_score_near_target(self, lexicon):
-        batch = planted_batch(self.batch_spec(), make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(self.batch_spec(), make_spec(), 0, lexicon)
         scores = [score_text(s.text, lexicon) for s in batch.statuses]
         assert abs(fmean(scores) - 0.25) <= 0.02 + 1e-9
 
     def test_iterations_differ_but_counts_hold(self, lexicon):
         spec = self.batch_spec()
-        qspec = make_spec(per_iteration_count=50)
+        qspec = make_spec()
         batches = [planted_batch(spec, qspec, i, lexicon) for i in range(3)]
         texts = [tuple(s.text for s in b.statuses) for b in batches]
         assert len(set(texts)) == 3
@@ -187,7 +187,7 @@ class TestSynthBatch:
 
     def test_deterministic_per_index(self, lexicon):
         spec = self.batch_spec()
-        qspec = make_spec(per_iteration_count=50)
+        qspec = make_spec()
         assert planted_batch(spec, qspec, 4, lexicon) == planted_batch(spec, qspec, 4, lexicon)
 
     def test_corpus_too_small_for_structure(self, lexicon):
@@ -195,7 +195,7 @@ class TestSynthBatch:
             seed=1, weak_component_sizes=[[4, 4], [4]], corpus_size=5
         )
         with pytest.raises(SynthError, match="cannot cover"):
-            planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+            planted_batch(spec, make_spec(), 0, lexicon)
 
     def test_corpus_exceeding_iteration_budget(self, tmp_path):
         # a plan needs at least 24 statuses per iteration, so it is refused when built
@@ -205,7 +205,7 @@ class TestSynthBatch:
 
     def test_structureless_batch(self, lexicon):
         spec = SynthSpec(seed=2, corpus_size=10, target_mean=0.0, jitter=0.0)
-        batch = planted_batch(spec, make_spec(per_iteration_count=50), 0, lexicon)
+        batch = planted_batch(spec, make_spec(), 0, lexicon)
         assert len(batch.statuses) == 10
 
 
@@ -285,7 +285,7 @@ class TestWriteFixtureTree:
         written = write_fixture_tree(config)
         assert [path.name for path in written] == ["iter_000", "iter_001"]
         for index, path in enumerate(written):
-            batch = parse_fixture(path, plan.query_spec, index)
+            batch = parse_fixture(path)
             summary = component_summary(build_graph(batch, ("mention",)))
             assert summary.strong_count == plan.synth_spec.strong_count
             assert summary.weak_count == plan.synth_spec.weak_count
@@ -370,12 +370,13 @@ class TestFixtureFields:
     @settings(max_examples=40)
     @given(spec=synth_specs, index=st.integers(min_value=0, max_value=4))
     def test_written_file_reads_back_as_generated(self, tmp_path_factory, lexicon, spec, index):
-        qspec = make_spec(per_iteration_count=200, iterations=5)
+        qspec = make_spec()
         fields = _batch_fields(spec, index, _palette(lexicon))
-        path = tmp_path_factory.mktemp("fields") / iteration_filename(index)
+        directory = tmp_path_factory.mktemp("fields") / qspec.kind / qspec.subject
+        path = directory / iteration_filename(index)
         write_fixture_fields(path, fields)
-        assert read_fixture(path, qspec, index) == fields
-        assert parse_fixture(path, qspec, index) == planted_batch(spec, qspec, index, lexicon)
+        assert read_fixture(path) == fields
+        assert parse_fixture(path) == planted_batch(spec, qspec, index, lexicon)
 
 
 @st.composite
