@@ -10,6 +10,7 @@ from .ingest import EDGE_KINDS, IterationBatch
 from .pipeline import iteration_row
 
 _BARE_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 class Edge(NamedTuple):
@@ -39,7 +40,7 @@ def build_graph(
 
 
 def _dot_id(name: str) -> str:
-    if _BARE_ID_RE.fullmatch(name):
+    if _BARE_ID_RE.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -29,19 +29,21 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 _ITER_RE = re.compile(r"iter_([0-9]{3,})")
 # for str patterns \s matches exactly the characters str.isspace() accepts
 _SPACE_RE = re.compile(r"\s")
+# a line break splits a CSV row; half a surrogate pair cannot be written as UTF-8
+_UNWRITABLE_RE = re.compile("[\r\n\ud800-\udfff]")
 
 
 def normalize_handle(raw: str) -> str:
     """Canonical form of a user handle: lowercase, no leading '@' sigils.
 
-    Raises ValueError for empty handles or handles containing whitespace
-    or an interior '@'.  Idempotent: normalizing a normalized handle is a
-    no-op.
+    Raises ValueError for empty handles or handles containing whitespace,
+    an interior '@' or half a surrogate pair.  Idempotent: normalizing a
+    normalized handle is a no-op.
     """
     handle = raw.strip().lstrip("@").lower()
     if not handle:
         raise ValueError(f"empty user handle: {raw!r}")
-    if "@" in handle or _SPACE_RE.search(handle):
+    if "@" in handle or _SPACE_RE.search(handle) or _UNWRITABLE_RE.search(handle):
         raise ValueError(f"invalid user handle: {raw!r}")
     return handle
 
@@ -340,6 +342,10 @@ class RunConfig:
                 raise ConfigError(f"group {kind!r} lists no subjects")
             slugs = set()
             for name in names:
+                if _UNWRITABLE_RE.search(name):
+                    raise ConfigError(
+                        f"group {kind!r} subject {name!r} holds a line break or a lone surrogate"
+                    )
                 try:
                     slug = subject_slug(name)
                 except ValueError:

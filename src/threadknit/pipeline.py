@@ -387,12 +387,12 @@ def _listed(reports: Sequence[CorrelationReport]) -> str:
 def read_correlations(
     out_dir: str | Path, config: RunConfig | None = None
 ) -> list[CorrelationReport]:
-    """The reports of ``correlations.json`` under ``out_dir``.
+    """The reports of ``correlations.csv`` under ``out_dir``.
 
     A missing file, a group that appears twice, or, given a config, reports
     other than correlate_tables(read_tables(config)) is a DataError.
     """
-    path = nonempty_path(out_dir, "output directory") / "correlations.json"
+    path = nonempty_path(out_dir, "output directory") / "correlations.csv"
     if not path.is_file():
         raise DataError(f"missing {path}; run correlate first")
     reports = read_records(CORRELATIONS, path)

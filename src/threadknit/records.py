@@ -1,5 +1,5 @@
 """Artifact files: one column spec per record type drives that type's CSV
-writer, its JSON writer and its reader, and every file is replaced
+writer and reader and its JSON writer, and every file is replaced
 atomically, so an interrupted write never leaves a truncated artifact.
 """
 
@@ -14,9 +14,6 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 from .errors import DataError
-
-# the Python values a field of each type may be read from
-_ACCEPTED = {str: (str,), int: (str, int), float: (str, int, float)}
 
 
 class RecordSpec(NamedTuple):
@@ -72,11 +69,9 @@ def write_json(spec: RecordSpec, records: Sequence[Any], path: str | Path) -> Pa
 
 
 def _field(row: dict, name: str, kind: type) -> Any:
-    if name not in row:
-        raise ValueError(f"missing field {name!r}")
     value = row[name]
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
-        raise ValueError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    if value is None:  # csv.DictReader fills cells missing from a short row with None
+        raise ValueError(f"field {name!r} must be {kind.__name__}, got None")
     parsed = kind(value)
     if kind is float and not math.isfinite(parsed):
         raise ValueError(f"field {name!r} is non-finite: {parsed!r}")
@@ -84,34 +79,25 @@ def _field(row: dict, name: str, kind: type) -> Any:
 
 
 def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
-    """Records from a file ``write_json`` (a ``.json`` path) or
-    ``write_csv`` wrote.  Any problem, from an unreadable file to a
-    non-finite float or no records at all, is a DataError naming ``path``."""
+    """Records from a file ``write_csv`` wrote.  Any problem, from an
+    unreadable file to a non-finite float or no records at all, is a
+    DataError naming ``path``."""
     path = Path(path)
     names = [name for name, _, _ in spec.columns]
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            text = handle.read()
-        if path.suffix == ".json":
-            rows, first, where = json.loads(text), 1, f"{path}: record "
-            if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-                raise DataError(f"{path}: expected a list of {spec.noun} records")
-        else:
-            reader = csv.DictReader(io.StringIO(text, newline=""))
+            reader = csv.DictReader(io.StringIO(handle.read(), newline=""))
             if reader.fieldnames != names:
                 raise DataError(
                     f"{path}: expected columns {', '.join(names)}, got {reader.fieldnames}"
                 )
-            rows, first, where = list(reader), 2, f"{path}:"
+            rows = list(reader)
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {spec.noun} records {path}: {err}") from err
-    except (ValueError, RecursionError) as err:
-        # besides JSONDecodeError: an integer too long to convert, or nesting too deep
-        raise DataError(f"{path}: invalid JSON: {getattr(err, 'msg', err)}") from err
     except csv.Error as err:
         raise DataError(f"{path}: malformed CSV: {err}") from err
     records = []
-    for number, row in enumerate(rows, first):
+    for number, row in enumerate(rows, 2):
         try:
             if None in row:  # csv.DictReader files cells past the header under None
                 raise ValueError(f"{len(row[None])} more cell(s) than the {len(names)} columns")
@@ -119,7 +105,7 @@ def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
             record = spec.make(**fields)
             spec.check(record)
         except ValueError as err:
-            raise DataError(f"{where}{number}: bad {spec.noun} record: {err}") from err
+            raise DataError(f"{path}:{number}: bad {spec.noun} record: {err}") from err
         records.append(record)
     if not records:
         raise DataError(f"{path}: no rows")

@@ -219,34 +219,26 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("r", float("nan")), ("r", float("inf")), ("t_stat", float("-inf")), ("group", 7),
+            ("r", "nan"), ("r", "inf"), ("t_stat", "-inf"),
             # numbers correlate cannot have written
-            ("r", 1.5), ("n", -7), ("p_value", 7.0),
+            ("r", "1.5"), ("n", "-7"), ("p_value", "7.0"),
+            # more digits than int() converts
+            pytest.param("n", "1" + "0" * 5000, id="n-10**5000"),
         ],
     )
     def test_bad_correlation_record_is_one_error_line_exit_2(self, tmp_path, field, value):
         run_cli("correlate", "--bundled", "--out", tmp_path)
-        source = tmp_path / "correlations.json"
-        records = json.loads(source.read_text(encoding="utf-8"))
-        records[0][field] = value
-        # json writes non-finite floats as NaN / Infinity, which json.loads accepts
-        source.write_text(json.dumps(records), encoding="utf-8")
+        source = tmp_path / "correlations.csv"
+        header, first, *rest = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = first.rstrip("\n").split(",")
+        cells[header.rstrip("\n").split(",").index(field)] = value
+        source.write_text("".join([header, ",".join(cells) + "\n", *rest]), encoding="utf-8")
         code, err = run_cli_process(tmp_path, "compare", "--out", ".")
         assert code == 2
         assert len(err) == 1
-        assert err[0].startswith("error: correlations.json: record 1: bad correlation record: ")
+        assert err[0].startswith("error: correlations.csv:2: bad correlation record: ")
         assert not (tmp_path / "comparisons.csv").exists()
         assert not (tmp_path / "comparisons.json").exists()
-
-    @pytest.mark.parametrize(
-        "text", ["[" * 100_000, '[{"n": 1' + "0" * 5000 + "}]"],
-        ids=["nesting too deep", "integer too long"],
-    )
-    def test_json_the_decoder_cannot_hold_is_one_error_line_exit_2(self, tmp_path, text):
-        (tmp_path / "correlations.json").write_text(text, encoding="utf-8")
-        code, err = run_cli_process(tmp_path, "compare", "--out", ".")
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error: correlations.json: invalid JSON: ")
 
     def test_before_correlate_exit_2(self, tmp_path, capsys):
         assert run_cli("compare", "--out", tmp_path) == 2
@@ -262,7 +254,7 @@ class TestCompareCommand:
         code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "correlations.json" in err[0] and "run correlate first" in err[0]
+        assert "correlations.csv" in err[0] and "run correlate first" in err[0]
         assert tree_bytes(workdir / "out") == before
 
     def test_correlations_of_fewer_subjects_is_one_error_line_exit_2(self, workdir):
@@ -296,7 +288,7 @@ class TestCompareCommand:
         code, err = run_cli_process(workdir, "compare", "--config", "run.ini")
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "correlations.json" in err[0] and "run correlate first" in err[0]
+        assert "correlations.csv" in err[0] and "run correlate first" in err[0]
         assert not list((workdir / "out").glob("comparisons.*"))
         assert run_cli("correlate", "--config", config_arg(workdir)) == 0
         assert run_cli("compare", "--config", config_arg(workdir)) == 0
@@ -304,9 +296,9 @@ class TestCompareCommand:
     @pytest.mark.parametrize("argv", [("--out", "out"), ("--config", "run.ini")], ids=" ".join)
     def test_repeated_group_is_one_error_line_exit_2(self, workdir, argv):
         assert run_cli("correlate", "--bundled", "--out", workdir / "out") == 0
-        source = workdir / "out" / "correlations.json"
-        records = json.loads(source.read_text(encoding="utf-8"))
-        source.write_text(json.dumps([records[0], records[0]]), encoding="utf-8")
+        source = workdir / "out" / "correlations.csv"
+        header, first, *_ = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        source.write_text(header + first + first, encoding="utf-8")
         before = tree_bytes(workdir / "out")
         code, err = run_cli_process(workdir, "compare", *argv)
         assert code == 2
@@ -430,14 +422,14 @@ class TestErrorHandling:
             ("run.ini", "synth", 1),
             ("lexicon.tsv", "synth", 2),
             ("out/tables/topical.csv", "correlate", 2),
-            ("out/correlations.json", "compare", 2),
+            pytest.param("out/correlations.csv", "compare", 2, id="correlations.csv-compare"),
         ],
     )
     def test_undecodable_input_is_one_error_line(self, workdir, capsys, target, command, code):
         config = CONFIG.replace("[run]\n", "[run]\nlexicon = lexicon.tsv\n")
         (workdir / "run.ini").write_text(config, encoding="utf-8")
         inputs = ("lexicon.tsv", "out/tables/topical.csv", "out/tables/event.csv")
-        for name in inputs + ("out/correlations.json",):
+        for name in inputs + ("out/correlations.csv",):
             (workdir / name).parent.mkdir(parents=True, exist_ok=True)
             (workdir / name).write_bytes(b"placeholder\n")
         (workdir / target).write_bytes(b"\xff\xfe bad bytes\n")
@@ -597,15 +589,18 @@ class TestInventory:
         (example,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
         (workdir / "example.py").write_text(example, encoding="utf-8")
         assert run_cli("synth", "--config", config_arg(workdir)) == 0
-        done = subprocess.run(
-            [sys.executable, "example.py"], cwd=workdir, capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        written = tree_bytes(workdir / "out")
-        for stage in ("analyze", "correlate", "compare"):
-            assert run_cli(stage, "--config", config_arg(workdir)) == 0
-        assert tree_bytes(workdir / "out") == written
+        # the default confidence, then one the example must hand to compare_groups
+        for config in (CONFIG, CONFIG.replace("[run]\n", "[run]\nconfidence = 0.9\n")):
+            (workdir / "run.ini").write_text(config, encoding="utf-8")
+            done = subprocess.run(
+                [sys.executable, "example.py"], cwd=workdir, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            written = tree_bytes(workdir / "out")
+            for stage in ("analyze", "correlate", "compare"):
+                assert run_cli(stage, "--config", config_arg(workdir)) == 0
+            assert tree_bytes(workdir / "out") == written
 
     def test_readme_run_example_lists_every_run_key(self):
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")

@@ -143,6 +143,13 @@ class TestDotExport:
         assert '"1user"' in dot
         assert '"we\\"ird"' in dot
 
+    def test_dot_keywords_quoted(self):
+        edges = [Edge("node", "Graph", "mention"), Edge("STRICT", "edge", "reply")]
+        assert export_dot({"node", "Graph", "STRICT", "edge"}, edges) == (
+            'digraph {\n  "Graph";\n  "STRICT";\n  "edge";\n  "node";\n'
+            '  "STRICT" -> "edge" [label=reply];\n  "node" -> "Graph" [label=mention];\n}\n'
+        )
+
     def test_edge_order_normalized(self):
         edges = [
             Edge("a", "b", "mention"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -397,6 +398,12 @@ class TestRunConfig:
             RunConfig(**{**GOOD_SETTINGS, **overrides})
         with pytest.raises(ConfigError, match=fragment):
             replace(RunConfig(**GOOD_SETTINGS), **overrides)
+
+    @pytest.mark.parametrize("subject", ["Alpha\rBeta", "Alpha\nBeta", "Alpha\ud800"])
+    def test_subject_a_table_row_cannot_hold_refused(self, subject):
+        groups = [("topical", (subject, "B"))]
+        with pytest.raises(ConfigError, match=f"group 'topical' subject {re.escape(repr(subject))}"):
+            RunConfig(**{**GOOD_SETTINGS, "groups": groups})
 
     def test_replace_reruns_the_checks(self):
         config = RunConfig(**GOOD_SETTINGS)

@@ -238,6 +238,12 @@ MALFORMED = [
     ),
     ("missing field", [GOOD, record()], ":2: missing field 'author'"),
     ("bad handle", [GOOD, record(author="two words")], ":2: invalid user handle: 'two words'"),
+    # valid JSON, but no UTF-8 file, such as a DOT graph, can hold the handle
+    (
+        "surrogate handle",
+        [GOOD, record(author="x\ud800")],
+        ":2: invalid user handle: 'x\\ud800'",
+    ),
     (
         "bad created_at",
         [GOOD, record(author="a", created_at="yesterday")],
@@ -320,6 +326,14 @@ class TestMalformedFixtures:
         assert main([command, "--config", str(tree / "run.ini")]) == 2
         assert capsys.readouterr().err == f"error: {path}{message}\n"
         assert tree_digest(tree) == before
+
+    def test_surrogate_handle_in_final_iteration_is_one_export_error(self, tree, capsys):
+        path = tree / "fixtures" / "topical" / "alpha" / "iter_002"
+        write_lines(path, [GOOD, record(author="x\ud800")])
+        capsys.readouterr()
+        assert main(["export", "--config", str(tree / "run.ini")]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: invalid user handle: 'x\\ud800'\n"
+        assert not (tree / "out" / "graphs").exists()
 
     def test_undecodable_bytes(self, tree, capsys):
         path = tree / "fixtures" / "topical" / "alpha" / "iter_001"

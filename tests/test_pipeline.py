@@ -32,7 +32,7 @@ from threadknit.pipeline import (
     render_tables,
     worker_count,
 )
-from threadknit.records import read_records, write_csv, write_json
+from threadknit.records import read_records, write_csv
 from threadknit.stats import compare_correlations, zou_interval
 from threadknit.synth import default_plan, write_fixture_tree
 
@@ -321,9 +321,9 @@ class TestWriters:
             + render_comparisons(compare_groups(reports), out_dir)
         )
 
-    def test_correlations_json_round_trip(self, tmp_path):
+    def test_correlations_csv_round_trip(self, tmp_path):
         reports = correlate_tables(bundled_tables())
-        path = write_json(CORRELATIONS, reports, tmp_path / "c.json")
+        path = write_csv(CORRELATIONS, reports, tmp_path / "c.csv")
         assert read_records(CORRELATIONS, path) == reports
 
     def test_correlations_csv_header(self, tmp_path):
@@ -359,13 +359,11 @@ class TestWriters:
         header = (tmp_path / "comparisons.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "group_a,group_b,z_score,p_value,zou_low,zou_high"
 
-    def test_bad_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"not": "a list"}', encoding="utf-8")
-        with pytest.raises(DataError, match="expected a list"):
-            read_records(CORRELATIONS, path)
-        path.write_text('[{"group": "x"}]', encoding="utf-8")
-        with pytest.raises(DataError, match="bad correlation record"):
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("group,n,r,mean_x,mean_y,t_stat,p_value\nx\n", encoding="utf-8")
+        message = "bad.csv:2: bad correlation record: field 'n' must be int, got None"
+        with pytest.raises(DataError, match=message):
             read_records(CORRELATIONS, path)
 
 

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
-import pytest
+import tempfile
+from pathlib import Path
 
-from threadknit.records import write_atomic
+import pytest
+from hypothesis import given, strategies as st
+
+from threadknit.components import SubjectSummary
+from threadknit.errors import ConfigError
+from threadknit.ingest import QUERY_KINDS, RunConfig
+from threadknit.pipeline import CORRELATIONS, SUBJECT_TABLE
+from threadknit.records import read_records, write_atomic, write_csv
+from threadknit.stats import CorrelationReport
 
 
 class TestWriteAtomic:
@@ -28,3 +37,52 @@ class TestWriteAtomic:
         with pytest.raises(KeyboardInterrupt):
             write_atomic(tmp_path / "sub" / "new.json", serialise)
         assert list((tmp_path / "sub").iterdir()) == []
+
+
+def accepted_subject(subject):
+    try:
+        RunConfig("fixtures", "out", groups=[("topical", (subject,))])
+    except ConfigError:
+        return False
+    return True
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# any code point, surrogates included, that RunConfig takes in a subject
+subjects = st.text(st.characters(exclude_categories=())).filter(accepted_subject)
+
+
+@st.composite
+def subject_rows(draw):
+    strong = draw(st.integers(min_value=1))
+    weak = draw(st.integers(1, strong))
+    return SubjectSummary(draw(subjects), strong, weak, weak / strong, draw(finite))
+
+
+correlation_reports = st.builds(
+    CorrelationReport,
+    group=st.sampled_from(QUERY_KINDS),
+    n=st.integers(min_value=3),
+    r=st.floats(-1, 1, exclude_min=True, exclude_max=True),
+    mean_x=finite,
+    mean_y=finite,
+    t_stat=finite,
+    p_value=st.floats(0, 1),
+)
+
+
+class TestRoundTrip:
+    """Every record a stage reads back is one write_csv can write and
+    read_records reads back unchanged."""
+
+    @pytest.mark.parametrize(
+        "spec, records",
+        [(SUBJECT_TABLE, subject_rows()), (CORRELATIONS, correlation_reports)],
+        ids=["subject table", "correlations"],
+    )
+    @given(data=st.data())
+    def test_write_csv_then_read_records(self, spec, records, data):
+        rows = data.draw(st.lists(records, min_size=1, max_size=5))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = write_csv(spec, rows, Path(scratch) / "records.csv")
+            assert read_records(spec, path) == rows
