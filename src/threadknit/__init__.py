@@ -18,11 +18,11 @@ _EXPORTS = {
     "round_half_away summarize_subject",
     "errors": "ConfigError DataError DegeneracyError FixtureError LexiconError SynthError "
     "ThreadknitError",
-    "graph": "ConversationGraph Edge build_graph export_dot",
+    "graph": "ConversationGraph Edge build_graph",
     "ingest": "IterationBatch QuerySpec RunConfig Status load_config normalize_handle "
     "parse_fixture subject_slug write_fixture_fields",
     "pipeline": "analyze_groups analyze_subject bundled_tables canonical_pairs compare_groups "
-    "correlate_tables export_graphs read_correlations read_iteration read_tables",
+    "correlate_tables export_dot export_graphs read_correlations read_iteration read_tables",
     "records": "",
     "sentiment": "Lexicon aggregate_alpha batch_alpha bundled_lexicon clean_text load_lexicon "
     "score_text",

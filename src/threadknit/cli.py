@@ -159,14 +159,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        code, error = 1, err
     except (DegeneracyError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        code, error = 3, err
     except (ThreadknitError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, error = 2, err
+    # one line, also where the message quotes a line break read from a file
+    print("error:", str(error).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

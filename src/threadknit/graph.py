@@ -1,16 +1,13 @@
-"""One iteration's interaction graph as objects, for library callers, and
-its DOT rendering.  The graph rule itself is ``pipeline.iteration_row``."""
+"""One iteration's interaction graph as objects, for library callers.  The
+graph rule is ``pipeline.iteration_row``, and its DOT rendering ``export_dot``."""
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .ingest import EDGE_KINDS, IterationBatch
-from .pipeline import iteration_row
-
-_BARE_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+# export_dot is re-exported for library callers and for perfbench's tracing, which wraps it here
+from .pipeline import export_dot, iteration_row
 
 
 class Edge(NamedTuple):
@@ -37,27 +34,3 @@ def build_graph(
     return ConversationGraph(
         frozenset(names), tuple(Edge(names[s], names[t], kind) for s, t, kind in edges)
     )
-
-
-def _dot_id(name: str) -> str:
-    if _BARE_ID_RE.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
-        return name
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(nodes: Iterable[str], edges: Iterable[Sequence[str]]) -> str:
-    """Render a graph in DOT, canonically ordered.
-
-    ``edges`` are (source, target, kind, ...) tuples, such as a
-    ConversationGraph's Edges; nothing past the kind is printed.  Nodes
-    appear sorted, then edges sorted, so two graphs that are equal up to
-    edge order render to identical bytes.
-    """
-    lines = ["digraph {"]
-    lines += [f"  {_dot_id(node)};" for node in sorted(nodes)]
-    lines += [
-        f"  {_dot_id(source)} -> {_dot_id(target)} [label={_dot_id(kind)}];"
-        for source, target, kind, *_ in sorted(edges)
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ each artifact's reader sits next to its writer.
 from __future__ import annotations
 
 import os
+import re
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -26,6 +27,7 @@ from .ingest import (
     QUERY_KINDS,
     RunConfig,
     edge_kind_set,
+    iteration_filename,
     iteration_index,
     nonempty_path,
     read_fixture,
@@ -416,6 +418,34 @@ def render_comparisons(comparisons: Sequence[ComparisonReport], out_dir: str | P
     return _write_both(COMPARISONS, comparisons, out_dir / "comparisons")
 
 
+_BARE_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_id(name: str) -> str:
+    if _BARE_ID_RE.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def export_dot(nodes: Iterable[str], edges: Iterable[Sequence[str]]) -> str:
+    """Render a graph in DOT, canonically ordered.
+
+    ``edges`` are (source, target, kind, ...) tuples, such as a
+    ConversationGraph's Edges; nothing past the kind is printed.  Nodes
+    appear sorted, then edges sorted, so two graphs that are equal up to
+    edge order render to identical bytes.
+    """
+    lines = ["digraph {"]
+    lines += [f"  {_dot_id(node)};" for node in sorted(nodes)]
+    lines += [
+        f"  {_dot_id(source)} -> {_dot_id(target)} [label={_dot_id(kind)}];"
+        for source, target, kind, *_ in sorted(edges)
+    ]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # one export worker per this many bytes of final-iteration files.  CLI export on 2
 # vCPUs, 24 paper-shaped files cut to sizes, median wall time serial -> 2 workers in
 # two passes of 10 and 15 runs: 80 KB 0.20 -> 0.24/0.26 s; 0.47 MB 0.22 -> 0.25/0.30;
@@ -425,12 +455,8 @@ def render_comparisons(comparisons: Sequence[ComparisonReport], out_dir: str | P
 _EXPORT_BYTES_PER_WORKER = 1_000_000
 
 
-def _export_subject(config: RunConfig, kind: str, subject: str, final: Path | None) -> Path:
-    # imported here so that analyze and synth do not load the graph module
-    from .graph import export_dot
-
-    # None: export_graphs could not list the subject; listing it again raises
-    row = read_iteration(final or iteration_files(config, kind, subject)[-1][1], config)
+def _export_subject(config: RunConfig, kind: str, subject: str) -> Path:
+    row = read_iteration(iteration_files(config, kind, subject)[-1][1], config)
     names = row.nodes
     dot = export_dot(names, [(names[s], names[t], label) for s, t, label in row.edges])
     target = config.output_dir / "graphs" / kind / f"{subject_slug(subject)}.dot"
@@ -438,24 +464,18 @@ def _export_subject(config: RunConfig, kind: str, subject: str, final: Path | No
 
 
 def export_graphs(config: RunConfig) -> list[Path]:
-    """Write the final-iteration graph of every subject as canonical DOT.
-
-    Files go under ``graphs/`` in ``config.output_dir``.  Each is read
-    through read_iteration, as analyze reads it, and no text is scored.
-    Subjects go through run_in_workers with one worker per
-    ``_EXPORT_BYTES_PER_WORKER`` bytes of final-iteration files, so a small
-    tree stays in-process; where workers are started by spawning, call this
-    under ``if __name__ == "__main__":``.
-    """
-    tasks, size = [], 0
-    for kind, subject in config.subjects():
+    """Write the final-iteration graph of every subject as canonical DOT
+    under ``graphs/`` in ``config.output_dir``, read through read_iteration
+    as analyze reads it; no text is scored.  Subjects go through
+    run_in_workers, as analyze's do, with one worker per ``_EXPORT_BYTES_PER_WORKER``
+    bytes of the plan's final files (``iter_<iterations-1>``), so a small tree
+    stays in-process; where workers are started by spawning, call this under
+    ``if __name__ == "__main__":``."""
+    tasks = list(config.subjects())
+    final, size = iteration_filename(config.iterations - 1), 0
+    for kind, subject in tasks:
         try:
-            path = iteration_files(config, kind, subject)[-1][1]
-            size += path.stat().st_size
-            tasks.append((kind, subject, path))
-        except (DataError, OSError):
-            # its task raises the error, so that errors keep configuration order
-            tasks.append((kind, subject, None))
-    return run_in_workers(
-        _export_subject, tasks, max(1, size // _EXPORT_BYTES_PER_WORKER), config
-    )
+            size += (subject_dir(config.fixtures_dir, kind, subject) / final).stat().st_size
+        except OSError:  # counts 0; the task lists what the subject holds
+            pass
+    return run_in_workers(_export_subject, tasks, max(1, size // _EXPORT_BYTES_PER_WORKER), config)

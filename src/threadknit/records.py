@@ -6,7 +6,6 @@ atomically, so an interrupted write never leaves a truncated artifact.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -68,14 +67,15 @@ def write_json(spec: RecordSpec, records: Sequence[Any], path: str | Path) -> Pa
     return write_atomic(path, lambda handle: handle.write(text))
 
 
-def _field(row: dict, name: str, kind: type) -> Any:
-    value = row[name]
-    if value is None:  # csv.DictReader fills cells missing from a short row with None
-        raise ValueError(f"field {name!r} must be {kind.__name__}, got None")
-    parsed = kind(value)
-    if kind is float and not math.isfinite(parsed):
-        raise ValueError(f"field {name!r} is non-finite: {parsed!r}")
-    return parsed
+def _cell(cell: str, name: str, kind: type) -> Any:
+    try:
+        value = kind(cell)
+    except ValueError:  # int() and float() advice names no field; str() never fails
+        shown = repr(cell[:40]) + ("..." if len(cell) > 40 else "")
+        raise ValueError(f"field {name!r} must be {kind.__name__}, got {shown}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"field {name!r} is non-finite: {value!r}")
+    return value
 
 
 def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
@@ -86,12 +86,11 @@ def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
     names = [name for name, _, _ in spec.columns]
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(io.StringIO(handle.read(), newline=""))
-            if reader.fieldnames != names:
-                raise DataError(
-                    f"{path}: expected columns {', '.join(names)}, got {reader.fieldnames}"
-                )
-            rows = list(reader)
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header != names:
+                raise DataError(f"{path}: expected columns {', '.join(names)}, got {header}")
+            rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {spec.noun} records {path}: {err}") from err
     except csv.Error as err:
@@ -99,9 +98,10 @@ def read_records(spec: RecordSpec, path: str | Path) -> list[Any]:
     records = []
     for number, row in enumerate(rows, 2):
         try:
-            if None in row:  # csv.DictReader files cells past the header under None
-                raise ValueError(f"{len(row[None])} more cell(s) than the {len(names)} columns")
-            fields = {attr: _field(row, name, kind) for name, attr, kind in spec.columns}
+            if len(row) != len(names):
+                raise ValueError(f"{len(row)} cell(s) for {len(names)} columns")
+            cells = zip(spec.columns, row)
+            fields = {attr: _cell(cell, name, kind) for (name, attr, kind), cell in cells}
             record = spec.make(**fields)
             spec.check(record)
         except ValueError as err:

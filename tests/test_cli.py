@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -10,9 +11,13 @@ import shlex
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import threadknit.cli
 import threadknit.ingest
@@ -222,8 +227,8 @@ class TestCompareCommand:
             ("r", "nan"), ("r", "inf"), ("t_stat", "-inf"),
             # numbers correlate cannot have written
             ("r", "1.5"), ("n", "-7"), ("p_value", "7.0"),
-            # more digits than int() converts
-            pytest.param("n", "1" + "0" * 5000, id="n-10**5000"),
+            # not an int, and more digits than int() converts
+            ("n", "6e0"), pytest.param("n", "1" + "0" * 5000, id="n-10**5000"),
         ],
     )
     def test_bad_correlation_record_is_one_error_line_exit_2(self, tmp_path, field, value):
@@ -237,6 +242,7 @@ class TestCompareCommand:
         assert code == 2
         assert len(err) == 1
         assert err[0].startswith("error: correlations.csv:2: bad correlation record: ")
+        assert re.search(rf"\b{field}\b", err[0]) and "set_int_max_str_digits" not in err[0]
         assert not (tmp_path / "comparisons.csv").exists()
         assert not (tmp_path / "comparisons.json").exists()
 
@@ -517,10 +523,121 @@ class TestErrorHandling:
         assert len(err) == 1 and err[0].startswith("error: ") and "--group" in err[0]
         assert tree_bytes(workdir) == before
 
+    def test_line_break_quoted_from_a_table_stays_on_the_error_line(self, workdir, capsys):
+        for stage in ("synth", "analyze"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        table = workdir / "out" / "tables" / "topical.csv"
+        text = table.read_text(encoding="utf-8")
+        table.write_text(text.replace("Alpha,", '"Al\npha",', 1), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("correlate", "--config", config_arg(workdir)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "holds subjects Al\\npha, Beta Co" in err
+
     def test_parser_raises_config_error_directly(self):
         parser = build_parser()
         with pytest.raises(ConfigError):
             parser.parse_args(["synth"])
+
+
+# cells a corruption writes: the reader's known traps first, then any short text
+SEED_CELLS = (
+    "nan", "inf", "6e0", "1e309", "0x10", "\u0663", "1_000", "", '"', "1\n2", '"1\n2"', "\x00",
+    "9" * 5001,
+)
+CELLS = st.one_of(st.sampled_from(SEED_CELLS), st.text(max_size=8))
+UNDECODABLE = (b"\xff", b"\x80", b"\xed\xa0\x80")
+
+
+@pytest.fixture(scope="module")
+def handoff(tmp_path_factory):
+    """The CLI config's out/ after synth, analyze and correlate, and its bytes."""
+    workdir = tmp_path_factory.mktemp("handoff")
+    (workdir / "run.ini").write_text(CONFIG, encoding="utf-8")
+    with redirect_stdout(StringIO()):
+        for stage in ("synth", "analyze", "correlate"):
+            assert run_cli(stage, "--config", workdir / "run.ini") == 0
+    return workdir, tree_bytes(workdir / "out")
+
+
+@st.composite
+def corruptions(draw, text):
+    """``text`` with one cell replaced, added or dropped, or with undecodable
+    bytes inserted: (how, new bytes, a replaced data cell's column or None, its text)."""
+    rows = [line.split(",") for line in text.splitlines()]
+    how = draw(st.sampled_from(["replace", "add", "drop", "bytes"]))
+    if how == "bytes":
+        raw = text.encode("utf-8")
+        at = draw(st.integers(0, len(raw)))
+        return how, raw[:at] + draw(st.sampled_from(UNDECODABLE)) + raw[at:], None, None
+    row = draw(st.integers(0, len(rows) - 1))
+    # an added cell may go after the last one
+    column = draw(st.integers(0, len(rows[row]) - (how != "add")))
+    replaced = None
+    if how == "replace":
+        replaced = rows[row][column] = draw(CELLS)
+    elif how == "add":
+        rows[row].insert(column, draw(CELLS))
+    else:
+        del rows[row][column]
+    data = "".join(",".join(cells) + "\n" for cells in rows).encode("utf-8")
+    return how, data, (column if row and how == "replace" else None), replaced
+
+
+class TestHandoffFuzz:
+    """A corrupted subject table or correlations.csv ends in an exit code,
+    one error line naming the file, and no change under out/."""
+
+    @pytest.mark.parametrize(
+        "name, stage, spec, written",
+        [
+            ("tables/topical.csv", "correlate", threadknit.pipeline.SUBJECT_TABLE, "correlations"),
+            ("correlations.csv", "compare", threadknit.pipeline.CORRELATIONS, "comparisons"),
+        ],
+    )
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_corrupted_handoff_file(self, handoff, name, stage, spec, written, data):
+        workdir, before = handoff
+        out = workdir / "out"
+        target = out / name
+        how, corrupted, column, cell = data.draw(corruptions(before[Path(name)].decode("utf-8")))
+        target.write_bytes(corrupted)
+        flag = ["--config", workdir / "run.ini"] if stage == "correlate" else ["--out", out]
+        stderr = StringIO()
+        try:
+            with redirect_stdout(StringIO()), redirect_stderr(stderr):
+                code = run_cli(stage, *flag)
+            changed = {
+                path for path, content in tree_bytes(out).items()
+                if before.get(path) != content and path != Path(name)
+            }
+        finally:
+            for path in tree_bytes(out).keys() - before.keys():
+                (out / path).unlink()
+            for path, content in before.items():
+                (out / path).write_bytes(content)
+        # only a replaced cell can leave a file that write_csv could have written
+        assert code in ({0, 1, 2, 3} if how == "replace" else {2})
+        if code == 0:
+            assert {path.stem for path in changed} <= {written}
+            return
+        # a line ends at a line feed only; text such as "\x1e" may be quoted from the file
+        *lines, end = stderr.getvalue().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: ") and end == "", lines
+        assert not changed
+        assert "set_int_max_str_digits" not in lines[0]
+        if code == 2:
+            assert target.name in lines[0]
+        if column is not None and not {",", '"', "\r", "\n"} & set(cell):
+            label, _, kind = spec.columns[column]
+            try:
+                bad = kind is float and not math.isfinite(kind(cell))
+            except ValueError:
+                bad = True
+            if bad:
+                assert f"field {label!r}" in lines[0]
 
 
 # every subcommand's options: adding or removing one is a deliberate edit here

@@ -339,6 +339,12 @@ class TestTables:
             ("A,4,10,2.5,0.25", "impossible counts"),
             ("A,10,-1,-0.1,0.25", "impossible counts"),
             ("A,10,0,0.0,0.25", "zero together"),
+            # numbers write_csv cannot have written name their field, not int()'s advice
+            ("A,6e0,4,0.4,0.25", "field 'strong_count' must be int, got '6e0'"),
+            (
+                "A,10," + "1" * 5001 + ",0.4,0.25",
+                rf"field 'weak_count' must be int, got '{'1' * 40}'\.\.\.$",
+            ),
         ],
     )
     def test_non_finite_values_and_impossible_counts_rejected(self, tmp_path, row, message):
@@ -348,5 +354,6 @@ class TestTables:
             + row + "\n",
             encoding="utf-8",
         )
-        with pytest.raises(DataError, match=f"t.csv:3: .*{message}"):
+        with pytest.raises(DataError, match=f"t.csv:3: .*{message}") as raised:
             read_records(SUBJECT_TABLE, path)
+        assert "set_int_max_str_digits" not in str(raised.value)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -59,10 +60,11 @@ def test_unknown_name_is_an_attribute_error():
         threadknit.no_such_name
 
 
-@pytest.mark.parametrize("module", ["synth", "components", "cli"])
+@pytest.mark.parametrize("module", ["synth", "components", "cli", "pipeline"])
 def test_module_does_not_load_the_graph_module(module):
-    """Only build_graph and export_dot need graph; synth, components and cli
-    reach the row and the counts without it."""
+    """Only the object view, build_graph and its NamedTuples, needs graph;
+    synth, components, cli and pipeline, which renders DOT, reach the row,
+    the counts and export_dot without it."""
     code = f"import sys, threadknit.{module}; print('threadknit.graph' in sys.modules)"
     src = Path(threadknit.__file__).resolve().parent.parent
     done = subprocess.run(
@@ -70,3 +72,48 @@ def test_module_does_not_load_the_graph_module(module):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The sibling modules a module imports, inside functions too, but not
+    in ``if TYPE_CHECKING:`` blocks."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    type_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and "TYPE_CHECKING" in ast.unparse(block.test)
+        for statement in block.body
+        for node in ast.walk(statement)
+    }
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and id(node) not in type_only:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imported.update(name.split(".")[0] for name in names)
+    return imported
+
+
+def test_modules_import_one_another_without_a_cycle():
+    package = Path(threadknit.__file__).resolve().parent
+    graph = {
+        path.stem: _relative_imports(path)
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    # depth-first search; a module met again while still on the path closes a cycle
+    done: set[str] = set()
+
+    def cycle_from(module: str, path: list[str]) -> list[str] | None:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done or module not in graph:
+            return None
+        for imported in sorted(graph[module]):
+            if (found := cycle_from(imported, path + [module])) is not None:
+                return found
+        done.add(module)
+        return None
+
+    for module in graph:
+        cycle = cycle_from(module, [])
+        assert cycle is None, "import cycle: " + " -> ".join(cycle)

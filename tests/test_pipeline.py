@@ -362,7 +362,7 @@ class TestWriters:
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("group,n,r,mean_x,mean_y,t_stat,p_value\nx\n", encoding="utf-8")
-        message = "bad.csv:2: bad correlation record: field 'n' must be int, got None"
+        message = r"bad.csv:2: bad correlation record: 1 cell\(s\) for 7 columns"
         with pytest.raises(DataError, match=message):
             read_records(CORRELATIONS, path)
 
@@ -433,7 +433,7 @@ class TestExportGraphs:
 
         # a lone surrogate cannot be encoded, so writing the DOT text fails
         # after its file was opened
-        monkeypatch.setattr("threadknit.graph.export_dot", lambda *graph: "digraph {\ud800}\n")
+        monkeypatch.setattr("threadknit.pipeline.export_dot", lambda *graph: "digraph {\ud800}\n")
         with pytest.raises(UnicodeEncodeError):
             export_graphs(config)
         assert {p: p.read_bytes() for p in graphs.rglob("*") if p.is_file()} == before
