@@ -219,10 +219,11 @@ def read_fixture(path: Path) -> list[tuple]:
             continue
         try:
             record = json.loads(line)
-        except (ValueError, RecursionError) as err:
-            # besides JSONDecodeError: an integer too long to convert, or nesting too deep
-            message = getattr(err, "msg", err)
+        except ValueError as err:  # JSONDecodeError, or an integer too long to convert
+            message = getattr(err, "msg", "integer too long")
             raise FixtureError(f"{path}:{lineno}: invalid JSON: {message}") from err
+        except RecursionError as err:
+            raise FixtureError(f"{path}:{lineno}: invalid JSON: nesting too deep") from err
         try:
             records.append(_record_fields(record, handles))
         except ValueError as err:

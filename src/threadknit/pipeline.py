@@ -198,12 +198,6 @@ def analyze_groups(config: RunConfig, jobs: int = 1) -> list[tuple[str, list[Sub
     started by spawning, call this under ``if __name__ == "__main__":``.
     """
     lexicon = resolve_lexicon(config)
-    for kind, subjects in config.groups:
-        if len(subjects) < 3:
-            raise DegeneracyError(
-                f"group {kind!r} has {len(subjects)} subject(s); "
-                "correlation needs at least 3"
-            )
     rows = iter(run_in_workers(analyze_subject, list(config.subjects()), jobs, config, lexicon))
     return [(kind, [next(rows) for _ in subjects]) for kind, subjects in config.groups]
 

@@ -70,6 +70,9 @@ def write_json(spec: RecordSpec, records: Sequence[Any], path: str | Path) -> Pa
 def _cell(cell: str, name: str, kind: type) -> Any:
     try:
         value = kind(cell)
+        # only the text write_csv writes: int() and float() also take '1_000', ' 10 ' or '١٠'
+        if (repr if kind is float else str)(value) != cell:
+            raise ValueError
     except ValueError:  # int() and float() advice names no field; str() never fails
         shown = repr(cell[:40]) + ("..." if len(cell) > 40 else "")
         raise ValueError(f"field {name!r} must be {kind.__name__}, got {shown}") from None

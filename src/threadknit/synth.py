@@ -14,14 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Sequence
 
-from .errors import ConfigError, SynthError
+from .errors import SynthError
 from .ingest import (
     QuerySpec,
     RunConfig,
     iteration_filename,
-    iteration_index,
     subject_dir,
     write_fixture_fields,
 )
@@ -314,22 +312,6 @@ def _plan_corpus_size(
     return min(wanted, 50, per_iteration_count)
 
 
-def _refuse_stale_files(root, plans: Sequence[SubjectPlan], iterations: int) -> None:
-    """ConfigError naming the first ``iter_NNN`` file in a planned subject
-    directory that the plan will not overwrite: analyze would read it."""
-    planned = {iteration_filename(index) for index in range(iterations)}
-    for plan in plans:
-        directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
-        if not directory.is_dir():
-            continue
-        for entry in sorted(directory.iterdir()):
-            if iteration_index(entry.name) is not None and entry.name not in planned:
-                raise ConfigError(
-                    f"{entry}: stale iteration file outside this plan's "
-                    f"{iterations} iterations; remove it or write the tree elsewhere"
-                )
-
-
 def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) -> list:
     """Write one planned subject's iterations; returns the files written."""
     directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
@@ -349,18 +331,17 @@ def write_fixture_tree(config: RunConfig) -> list:
     """Materialize the default_plan tree, steered with the configured
     lexicon; returns the files written.
 
-    Nothing is written when a planned subject directory already holds an
-    iteration file the plan would leave behind (a ConfigError).  Subjects go
+    Only the planned files are written: any other file is left as it is,
+    and the stages that read the tree refuse one outside the plan.  Subjects go
     through run_in_workers with one worker per ``_FILES_PER_WORKER`` planned
     files, with the same bytes, so a small tree stays in-process; the first
     failing subject in plan order raises, and later ones may be written.
     Where workers are started by spawning, call this under
     ``if __name__ == "__main__":``.
     """
-    # the lexicon first: a bad one is reported ahead of a bad plan or a stale file
+    # the lexicon first: a bad one is reported ahead of a bad plan
     lexicon = resolve_lexicon(config)
     plans = default_plan(config)
-    _refuse_stale_files(config.fixtures_dir, plans, config.iterations)
     jobs = max(1, len(plans) * config.iterations // _FILES_PER_WORKER)
     shared = (config.fixtures_dir, config.iterations, _palette(lexicon))
     subjects = run_in_workers(_write_subject, [(plan,) for plan in plans], jobs, *shared)

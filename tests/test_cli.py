@@ -229,6 +229,9 @@ class TestCompareCommand:
             ("r", "1.5"), ("n", "-7"), ("p_value", "7.0"),
             # not an int, and more digits than int() converts
             ("n", "6e0"), pytest.param("n", "1" + "0" * 5000, id="n-10**5000"),
+            # int() and float() read these too, but write_csv never writes them
+            ("mean_y", "1_000"), ("n", "\u0661\u0660"), ("n", " 10 "), ("n", "010"),
+            ("mean_x", "0.10"),
         ],
     )
     def test_bad_correlation_record_is_one_error_line_exit_2(self, tmp_path, field, value):
@@ -418,9 +421,16 @@ class TestErrorHandling:
             "[groups]\ntopical = Solo, Duo\n",
             encoding="utf-8",
         )
-        run_cli("synth", "--config", ini)
-        assert run_cli("analyze", "--config", ini) == 3
-        assert "at least 3" in capsys.readouterr().err
+        assert run_cli("synth", "--config", ini) == 0
+        # analyze tables a group of any size; correlating it needs three subjects
+        assert run_cli("analyze", "--config", ini) == 0
+        table = (tmp_path / "out" / "tables" / "topical.csv").read_text(encoding="utf-8")
+        assert [line.split(",")[0] for line in table.splitlines()[1:]] == ["Solo", "Duo"]
+        capsys.readouterr()
+        assert run_cli("correlate", "--config", ini) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'topical'" in err
+        assert not list((tmp_path / "out").glob("correlations.*"))
 
     @pytest.mark.parametrize(
         "target, command, code",
@@ -475,19 +485,25 @@ class TestErrorHandling:
         assert "'geographic'" in err[0] and repr(subject) in err[0]
         assert not (tmp_path / "fixtures").exists()
 
-    def test_stale_iteration_files_stop_synth(self, workdir, capsys):
+    def test_stale_iteration_file_is_refused_by_analyze_and_export(self, workdir, capsys):
+        """synth writes its plan and nothing else; the stages that read the
+        tree refuse the iteration file a shorter plan leaves behind."""
         assert run_cli("synth", "--config", config_arg(workdir)) == 0
         fixtures = workdir / "fixtures"
         before = tree_bytes(fixtures)
         (workdir / "run.ini").write_text(
             CONFIG.replace("iterations = 3", "iterations = 2"), encoding="utf-8"
         )
-        capsys.readouterr()
-        assert run_cli("synth", "--config", config_arg(workdir)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(fixtures / "topical" / "alpha" / "iter_002") in err
+        assert run_cli("synth", "--config", config_arg(workdir)) == 0
         assert tree_bytes(fixtures) == before
+        stale = fixtures / "topical" / "alpha" / "iter_002"
+        for command in ("analyze", "export"):
+            capsys.readouterr()
+            assert run_cli(command, "--config", config_arg(workdir)) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {stale}: iteration index 2 outside plan of 2\n"
+        assert not (workdir / "out" / "tables").exists()
+        assert not (workdir / "out" / "graphs").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -543,8 +559,8 @@ class TestErrorHandling:
 
 # cells a corruption writes: the reader's known traps first, then any short text
 SEED_CELLS = (
-    "nan", "inf", "6e0", "1e309", "0x10", "\u0663", "1_000", "", '"', "1\n2", '"1\n2"', "\x00",
-    "9" * 5001,
+    "nan", "inf", "6e0", "1e309", "0x10", "\u0663", "\u0661\u0660", "1_000", " 10 ", "010", "0.10",
+    "", '"', "1\n2", '"1\n2"', "\x00", "9" * 5001,
 )
 CELLS = st.one_of(st.sampled_from(SEED_CELLS), st.text(max_size=8))
 UNDECODABLE = (b"\xff", b"\x80", b"\xed\xa0\x80")
@@ -633,11 +649,103 @@ class TestHandoffFuzz:
         if column is not None and not {",", '"', "\r", "\n"} & set(cell):
             label, _, kind = spec.columns[column]
             try:
-                bad = kind is float and not math.isfinite(kind(cell))
+                value = kind(cell)
+                # write_csv writes str(int) and repr(float), and only finite floats
+                bad = (repr if kind is float else str)(value) != cell
+                bad = bad or kind is float and not math.isfinite(value)
             except ValueError:
                 bad = True
             if bad:
                 assert f"field {label!r}" in lines[0]
+
+
+# a fixture field's new value, as JSON text: the reader's known traps first
+SEED_VALUES = (
+    "1" + "0" * 5000, '"x\\ud800"', '"2022-12-25"', '"2022-12-25T00:00:00+05:00"',
+    '"2022-12-25+05:00"', '"0001-01-01T00:00:00+01:00"', "20221225",
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.sampled_from(["", "@", "a b", "x\ud800"]), st.text(max_size=8),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+VALUES = st.one_of(st.sampled_from(SEED_VALUES), st.builds(json.dumps, JSON_VALUES))
+FIELDS = ("id", "text", "author", "created_at", "reply_to", "mentions", "retweet_of", "quote_of")
+# stands in for a field's value in json.dumps's output, then is replaced by the drawn text
+PLACEHOLDER = json.dumps("\x00value\x00")
+
+
+@pytest.fixture(scope="module")
+def fixture_tree(tmp_path_factory):
+    """The CLI config's fixture tree after synth, and each iteration file's bytes."""
+    workdir = tmp_path_factory.mktemp("fixture-fuzz")
+    (workdir / "run.ini").write_text(CONFIG, encoding="utf-8")
+    with redirect_stdout(StringIO()):
+        assert run_cli("synth", "--config", workdir / "run.ini") == 0
+    return workdir, tree_bytes(workdir / "fixtures")
+
+
+@st.composite
+def line_corruptions(draw, text):
+    """``text`` with one line's field set or dropped, the line replaced, or
+    undecodable bytes inserted into it, as the file's new bytes."""
+    lines = text.split("\n")
+    at = draw(st.integers(0, len(lines) - 2))  # the text ends with a line feed
+    how = draw(st.sampled_from(["set", "drop", "replace", "bytes"]))
+    if how == "bytes":
+        before = "\n".join(lines[:at + 1]).encode("utf-8")
+        cut = draw(st.integers(len(before) - len(lines[at].encode("utf-8")), len(before)))
+        raw = text.encode("utf-8")
+        return raw[:cut] + draw(st.sampled_from(UNDECODABLE)) + raw[cut:]
+    record = json.loads(lines[at])
+    if how == "set":
+        record[draw(st.sampled_from(FIELDS))] = json.loads(PLACEHOLDER)
+        lines[at] = json.dumps(record).replace(PLACEHOLDER, draw(VALUES))
+    elif how == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+        lines[at] = json.dumps(record)
+    else:
+        truncated = lines[at][: draw(st.integers(0, len(lines[at]) - 1))]
+        seeds = st.sampled_from(["{", "[]", "[" * 100_000, truncated])
+        lines[at] = draw(seeds | st.text(max_size=8))
+    return "\n".join(lines).encode("utf-8")
+
+
+class TestFixtureFuzz:
+    """A corrupted line of one iteration file ends analyze in an exit code
+    and, on failure, one error line naming the file and nothing under --out."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_corrupted_fixture_line(self, fixture_tree, data):
+        workdir, before = fixture_tree
+        name = data.draw(st.sampled_from(sorted(before)))
+        target = workdir / "fixtures" / name
+        target.write_bytes(data.draw(line_corruptions(before[name].decode("utf-8"))))
+        out = workdir / "runs" / "out"
+        stderr = StringIO()
+        try:
+            with redirect_stdout(StringIO()), redirect_stderr(stderr):
+                code = run_cli("analyze", "--config", workdir / "run.ini", "--out", out)
+            written = tree_bytes(out)
+        finally:
+            target.write_bytes(before[name])
+            shutil.rmtree(out, ignore_errors=True)
+        err = stderr.getvalue()
+        assert code in {0, 2, 3}
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+        if code == 0:
+            return
+        # a line ends at a line feed only; text such as "\x1e" may be quoted from the file
+        *lines, end = err.split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: ") and end == "", lines
+        assert not written
+        if code == 2:
+            assert str(target) in lines[0]
 
 
 # every subcommand's options: adding or removing one is a deliberate edit here

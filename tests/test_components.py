@@ -341,6 +341,12 @@ class TestTables:
             ("A,10,0,0.0,0.25", "zero together"),
             # numbers write_csv cannot have written name their field, not int()'s advice
             ("A,6e0,4,0.4,0.25", "field 'strong_count' must be int, got '6e0'"),
+            # int() and float() read these too, but write_csv never writes them
+            ("A,10,4,0.4,1_000", "field 'sentiment_alpha' must be float, got '1_000'"),
+            ("A,\u0661\u0660,4,0.4,0.25", "field 'strong_count' must be int, got '\u0661\u0660'"),
+            ("A, 10 ,4,0.4,0.25", "field 'strong_count' must be int, got ' 10 '"),
+            ("A,10,010,1.0,0.25", "field 'weak_count' must be int, got '010'"),
+            ("A,10,1,0.10,0.25", r"field 'ratio_beta' must be float, got '0\.10'"),
             (
                 "A,10," + "1" * 5001 + ",0.4,0.25",
                 rf"field 'weak_count' must be int, got '{'1' * 40}'\.\.\.$",

@@ -296,17 +296,22 @@ class TestMalformedFixtures:
         assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     @pytest.mark.parametrize(
-        "line",
-        ['{"id": 1' + "0" * 5000 + ', "text": "hi", "author": "a"}', "[" * 100_000],
+        "line, message",
+        [
+            ('{"id": 1' + "0" * 5000 + ', "text": "hi", "author": "a"}', "integer too long"),
+            ("[" * 100_000, "nesting too deep"),
+        ],
         ids=["integer too long", "nesting too deep"],
     )
-    def test_json_the_decoder_cannot_hold(self, tree, capsys, line):
+    def test_json_the_decoder_cannot_hold(self, tree, capsys, line, message):
         path = tree / "fixtures" / "topical" / "alpha" / "iter_001"
         write_lines(path, [GOOD, line])
         capsys.readouterr()
         assert main(["analyze", "--config", str(tree / "run.ini")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:2: invalid JSON: ") and err.count("\n") == 1
+        # no advice a CLI user cannot follow, such as sys.set_int_max_str_digits()
+        assert err == f"error: {path}:2: invalid JSON: {message}\n"
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("command", ["analyze", "export"])
     @pytest.mark.parametrize(

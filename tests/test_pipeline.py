@@ -153,9 +153,12 @@ class TestRunPipeline:
         assert [s.subject for s in tables[0][1]] == ["E1", "E2", "E3"]
 
     def test_small_group_rejected(self, tmp_path):
-        config = tiny_config(tmp_path, [("topical", ("A", "B"))])
+        """analyze tables a group of any size; correlating it needs three subjects."""
+        config = planted_config(tmp_path, [("topical", ("A", "B"))])
+        tables = analyze_groups(config)
+        assert [(kind, len(rows)) for kind, rows in tables] == [("topical", 2)]
         with pytest.raises(DegeneracyError, match="topical"):
-            analyze_groups(config)
+            correlate_tables(tables)
 
     def test_missing_fixtures_is_data_error(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import threadknit.ingest as ingest_module
 import threadknit.synth as synth_module
 from threadknit.components import component_counts, component_summary
-from threadknit.errors import ConfigError, SynthError
+from threadknit.errors import DataError, SynthError
 from threadknit.graph import build_graph
 from threadknit.ingest import (
     IterationBatch,
@@ -23,6 +23,7 @@ from threadknit.ingest import (
     references,
     write_fixture_fields,
 )
+from threadknit.pipeline import iteration_files
 from threadknit.sentiment import score_text
 from threadknit.synth import (
     SubjectPlan,
@@ -301,31 +302,24 @@ class TestWriteFixtureTree:
         config = _tiny_config(tmp_path, [("event", ("Alpha",))], iterations=2)
         assert len(write_fixture_tree(config)) == 2
 
-    def test_stale_iteration_file_stops_the_tree_before_any_write(self, tmp_path):
+    @pytest.mark.parametrize(
+        "files_per_worker", [synth_module._FILES_PER_WORKER, 1], ids=["in-process", "pooled"]
+    )
+    def test_stale_iteration_file_is_left_in_place(
+        self, tmp_path, two_cores, monkeypatch, files_per_worker
+    ):
         config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co"))], iterations=2)
         subject = tmp_path / "fixtures" / "topical" / "beta-co"
         subject.mkdir(parents=True)
         (subject / "notes.txt").write_text("not an iteration file\n", encoding="utf-8")
-        # analyze would read iter_0001 as a second iteration 1
+        # a second iteration 1 beside the planned iter_001
         (subject / "iter_0001").write_text("", encoding="utf-8")
-        with pytest.raises(ConfigError, match="iter_0001"):
-            write_fixture_tree(config)
-        files = sorted(p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file())
-        assert files == ["iter_0001", "notes.txt"]
-        (subject / "iter_0001").unlink()
+        monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", files_per_worker)
         assert len(write_fixture_tree(config)) == 4
-
-    def test_stale_iteration_file_stops_a_pooled_tree_before_any_write(
-        self, tmp_path, two_cores, monkeypatch
-    ):
-        config = _tiny_config(tmp_path, [("topical", ("Alpha", "Beta Co", "Gamma"))], iterations=2)
-        subject = tmp_path / "fixtures" / "topical" / "gamma"
-        subject.mkdir(parents=True)
-        (subject / "iter_002").write_text("", encoding="utf-8")
-        monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", 1)
-        with pytest.raises(ConfigError, match="iter_002"):
-            write_fixture_tree(config)
-        assert [p.name for p in (tmp_path / "fixtures").rglob("*") if p.is_file()] == ["iter_002"]
+        assert (subject / "notes.txt").read_text(encoding="utf-8") == "not an iteration file\n"
+        assert (subject / "iter_0001").read_bytes() == b""
+        with pytest.raises(DataError, match="iter_0001 and .*iter_001 are both iteration 1"):
+            iteration_files(config, "topical", "Beta Co")
 
     def test_first_failing_plan_raises_for_any_jobs(self, tmp_path, two_cores, monkeypatch):
         config = _tiny_config(tmp_path, [("topical", tuple("ABCDE"))], iterations=2)
