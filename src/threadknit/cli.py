@@ -136,7 +136,10 @@ def _cmd_compare(args) -> int:
         out_dir = _bare_out_dir(args)
         confidence = RunConfig.confidence if args.confidence is None else args.confidence
         reports = read_correlations(out_dir)
-    comparisons = compare_groups(reports, n_override=args.n_override, confidence=confidence)
+    try:
+        comparisons = compare_groups(reports, n_override=args.n_override, confidence=confidence)
+    except DegeneracyError as err:
+        raise DegeneracyError(f"comparing {out_dir / 'correlations.csv'}: {err}") from err
     render_comparisons(comparisons, out_dir)
     for rep in comparisons:
         print(

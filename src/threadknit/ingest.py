@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, FixtureError
 from .records import write_atomic
@@ -31,6 +31,12 @@ _ITER_RE = re.compile(r"iter_([0-9]{3,})")
 _SPACE_RE = re.compile(r"\s")
 # a line break splits a CSV row; half a surrogate pair cannot be written as UTF-8
 _UNWRITABLE_RE = re.compile("[\r\n\ud800-\udfff]")
+# the created_at forms: a date alone, or a date, T and HH:MM[:SS[.fraction]],
+# then optionally Z or ±HH:MM
+_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:T[0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]+)?)?(?:Z|[+-][0-9]{2}:[0-9]{2})?)?"
+)
 
 
 def normalize_handle(raw: str) -> str:
@@ -65,8 +71,9 @@ def iteration_index(name: str) -> int | None:
 def _parse_timestamp(text: str | None) -> datetime:
     if text is None:
         return EPOCH
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
+    # fromisoformat alone would take any character between date and time
+    if not _TIMESTAMP_RE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
     moment = datetime.fromisoformat(text)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
@@ -91,25 +98,8 @@ class Status(NamedTuple):
     quote_of: str | None = None
 
 
-# the reference kinds, in the order references() gives them
+# the reference kinds, in the order iteration_row takes a status's references
 EDGE_KINDS = ("reply", "mention", "retweet", "quote")
-
-
-def references(
-    reply_to: str | None,
-    mentions: Sequence[str],
-    retweet_of: str | None,
-    quote_of: str | None,
-) -> list[tuple[str, str]]:
-    """(kind, target handle) pairs of one status's references, in a fixed
-    order: reply, mentions, retweet, quote."""
-    pairs = [] if reply_to is None else [("reply", reply_to)]
-    pairs.extend(("mention", mention) for mention in mentions)
-    if retweet_of is not None:
-        pairs.append(("retweet", retweet_of))
-    if quote_of is not None:
-        pairs.append(("quote", quote_of))
-    return pairs
 
 
 def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
@@ -138,30 +128,27 @@ class IterationBatch(NamedTuple):
     statuses: tuple[Status, ...] = ()
 
 
-_OPTIONAL_STRING_FIELDS = ("reply_to", "retweet_of", "quote_of")
+class _Handles(dict):
+    """normalize_handle memoised: ``handles[raw]`` is the handle ``raw`` names."""
+
+    def __missing__(self, raw: str) -> str:
+        handle = self[raw] = normalize_handle(raw)
+        return handle
 
 
-def _normalized(raw: str, handles: dict[str, str]) -> str:
-    handle = handles.get(raw)
-    if handle is None:
-        handle = handles[raw] = normalize_handle(raw)
-    return handle
-
-
-def _record_fields(record: Any, handles: dict[str, str]) -> tuple:
+def _record_fields(record: Any, handles: _Handles) -> tuple:
     """Check one decoded record; its Status fields in order, normalized.
 
     The one place a record is checked.  Raises ValueError naming the first
-    problem.  ``handles`` memoises normalize_handle.  Only an absent field
-    or null counts as unset; each type is checked exactly, as json.loads
-    builds it.
+    problem.  Only an absent field or null counts as unset; each type is
+    checked exactly, as json.loads builds it.
     """
     if type(record) is not dict:
         raise ValueError("record is not an object")
-    for name in ("id", "text", "author"):
-        if name not in record:
-            raise ValueError(f"missing field {name!r}")
-    text = record["text"]
+    try:
+        status_id, text, author = record["id"], record["text"], record["author"]
+    except KeyError as err:  # the first one missing, in this order
+        raise ValueError(f"missing field {err.args[0]!r}") from None
     if type(text) is not str:
         raise ValueError("field 'text' must be a string")
     get = record.get
@@ -173,35 +160,57 @@ def _record_fields(record: Any, handles: dict[str, str]) -> tuple:
     for mention in mentions:
         if type(mention) is not str:
             raise ValueError("field 'mentions' must be a list of handles")
-    optional = get("reply_to"), get("retweet_of"), get("quote_of")
-    for name, value in zip(_OPTIONAL_STRING_FIELDS, optional):
-        if value is not None and type(value) is not str:
-            raise ValueError(f"field {name!r} must be a string or null")
+    reply_to = get("reply_to")
+    if reply_to is not None and type(reply_to) is not str:
+        raise ValueError("field 'reply_to' must be a string or null")
+    retweet_of = get("retweet_of")
+    if retweet_of is not None and type(retweet_of) is not str:
+        raise ValueError("field 'retweet_of' must be a string or null")
+    quote_of = get("quote_of")
+    if quote_of is not None and type(quote_of) is not str:
+        raise ValueError("field 'quote_of' must be a string or null")
     created_at = get("created_at")
     if created_at is not None and type(created_at) is not str:
         raise ValueError("field 'created_at' must be a string or null")
     created_at = _parse_timestamp(created_at)
-    status_id = record["id"]
     if type(status_id) is not str:
         if type(status_id) is not int:
             raise ValueError("field 'id' must be a string or an integer")
         status_id = str(status_id)
     if not status_id:
         raise ValueError("status id must be nonempty")
-    author = record["author"]
     if type(author) is not str:
         raise ValueError("field 'author' must be a string")
-    author = _normalized(author, handles)
-    reply_to, retweet_of, quote_of = [
-        None if value is None else _normalized(value, handles) for value in optional
-    ]
-    mentions = tuple([_normalized(m, handles) for m in mentions])
+    author = handles[author]
+    if reply_to is not None:
+        reply_to = handles[reply_to]
+    if retweet_of is not None:
+        retweet_of = handles[retweet_of]
+    if quote_of is not None:
+        quote_of = handles[quote_of]
+    mentions = tuple(map(handles.__getitem__, mentions)) if mentions else ()
     return status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of
 
 
-def read_fixture(path: Path) -> list[tuple]:
-    """Checked Status fields of every record in one iteration file, one
-    plain tuple in Status field order per record.
+# json.loads skips leading whitespace, runs this same scanner and then refuses
+# trailing data, so a line that the scanner reads whole from index 0 has
+# neither, and the scanner's value is what json.loads returns
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _decode(line: str) -> Any:
+    """json.loads(line), through json's own scanner; every line that the
+    scanner does not read whole, so every error, goes through json.loads."""
+    try:
+        value, end = _SCAN(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
+
+
+def fixture_records(path: Path) -> Iterator[tuple]:
+    """Checked Status fields of each record in one iteration file, one plain
+    tuple in Status field order per record, yielded as the lines are read.
 
     Every problem is a FixtureError naming ``path`` and, for a bad record,
     its line.  Only records are checked; the plan is the stages' to check.
@@ -210,25 +219,29 @@ def read_fixture(path: Path) -> list[tuple]:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise FixtureError(f"{path}: {err}") from err
-    handles: dict[str, str] = {}
-    records = []
+    handles = _Handles()
     # split on newlines only: JSON strings may legally contain other
     # line-separator code points (e.g. U+2028), which str.splitlines cuts
     for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            record = json.loads(line)
+            record = _decode(line)
         except ValueError as err:  # JSONDecodeError, or an integer too long to convert
             message = getattr(err, "msg", "integer too long")
             raise FixtureError(f"{path}:{lineno}: invalid JSON: {message}") from err
         except RecursionError as err:
             raise FixtureError(f"{path}:{lineno}: invalid JSON: nesting too deep") from err
         try:
-            records.append(_record_fields(record, handles))
+            fields = _record_fields(record, handles)
         except ValueError as err:
             raise FixtureError(f"{path}:{lineno}: {err}") from err
-    return records
+        yield fields
+
+
+def read_fixture(path: Path) -> list[tuple]:
+    """The fixture_records of one iteration file, as a list."""
+    return list(fixture_records(path))
 
 
 def parse_fixture(path: str | Path) -> IterationBatch:

@@ -24,14 +24,14 @@ from .components import (
 )
 from .errors import ConfigError, DataError, DegeneracyError, FixtureError, ThreadknitError
 from .ingest import (
+    EDGE_KINDS,
     QUERY_KINDS,
     RunConfig,
     edge_kind_set,
+    fixture_records,
     iteration_filename,
     iteration_index,
     nonempty_path,
-    read_fixture,
-    references,
     subject_dir,
     subject_slug,
 )
@@ -54,11 +54,12 @@ def resolve_lexicon(config: RunConfig) -> Lexicon:
 
 
 def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[int, Path]]:
-    """A subject's ``iter_NNN`` files with their indices, in index order.
+    """A subject's ``iter_NNN`` files with their indices, in index order:
+    one for each index of the plan, ``0 … config.iterations - 1``.
 
     Two files with one index (``iter_000`` and ``iter_0000``) are a
     DataError naming both; an index of ``config.iterations`` or more is a
-    FixtureError.
+    FixtureError; a missing index is a DataError naming the file it lacks.
     """
     directory = subject_dir(config.fixtures_dir, kind, subject)
     if not directory.is_dir():
@@ -76,6 +77,11 @@ def iteration_files(config: RunConfig, kind: str, subject: str) -> list[tuple[in
     index, path = files[-1]
     if index >= config.iterations:
         raise FixtureError(f"{path}: iteration index {index} outside plan of {config.iterations}")
+    # the indices are distinct and below the plan's count: all there, or one missing
+    if len(files) < config.iterations:
+        first = next((k for k, (index, _) in enumerate(files) if index != k), len(files))
+        missing = directory / iteration_filename(first)
+        raise DataError(f"{missing}: missing; the plan has {config.iterations} iterations")
     return files
 
 
@@ -93,37 +99,49 @@ def iteration_row(
     records: Iterable[Sequence], kinds: Iterable[str], include_isolates: bool
 ) -> IterationRow:
     """The texts and interaction graph of one iteration's records: tuples in
-    Status field order, as read_fixture returns them.
+    Status field order, as fixture_records yields them.
 
     Each reference of a selected kind is one edge from the author to the
-    referenced handle (a multigraph; self-loops kept).  Referenced handles
-    are always nodes, authors only with an edge or ``include_isolates``.
-    Handles become node numbers as they are met.
+    referenced handle (a multigraph; self-loops kept), in the order reply,
+    mentions, retweet, quote.  Referenced handles are always nodes, authors
+    only with an edge or ``include_isolates``.  Handles become node numbers
+    as they are met.
     """
-    kindset = edge_kind_set(kinds)
+    reply, mention, retweet, quote = map(edge_kind_set(kinds).__contains__, EDGE_KINDS)
     numbers: dict[str, int] = {}
+    number = numbers.setdefault
     edges: list[tuple[int, int, str]] = []
     texts = []
+
+    def link(source: str, target: str, kind: str) -> None:
+        edges.append((number(source, len(numbers)), number(target, len(numbers)), kind))
+
     for _, text, author, _, reply_to, mentions, retweet_of, quote_of in records:
         texts.append(text)
-        for kind, target in references(reply_to, mentions, retweet_of, quote_of):
-            if kind in kindset:
-                source = numbers.setdefault(author, len(numbers))
-                edges.append((source, numbers.setdefault(target, len(numbers)), kind))
+        if reply and reply_to is not None:
+            link(author, reply_to, "reply")
+        if mention:
+            for target in mentions:
+                link(author, target, "mention")
+        if retweet and retweet_of is not None:
+            link(author, retweet_of, "retweet")
+        if quote and quote_of is not None:
+            link(author, quote_of, "quote")
         if include_isolates:
-            numbers.setdefault(author, len(numbers))
+            number(author, len(numbers))
     return IterationRow(texts, list(numbers), edges)
 
 
 def read_iteration(path: Path, config: RunConfig) -> IterationRow:
     """The iteration_row of one iteration file's records under the config,
-    which analyze counts and scores and export renders; more than
-    ``config.per_iteration_count`` records is a FixtureError."""
-    records = read_fixture(path)
-    if len(records) > config.per_iteration_count:
-        count = f"{len(records)} > {config.per_iteration_count}"
+    which analyze counts and scores and export renders, built as the records
+    are read; more than ``config.per_iteration_count`` records is a
+    FixtureError, raised once the whole file is checked."""
+    row = iteration_row(fixture_records(path), config.edge_kinds, config.include_isolates)
+    if len(row.texts) > config.per_iteration_count:
+        count = f"{len(row.texts)} > {config.per_iteration_count}"
         raise FixtureError(f"{path}: batch exceeds per_iteration_count: {count}")
-    return iteration_row(records, config.edge_kinds, config.include_isolates)
+    return row
 
 
 def analyze_subject(
@@ -257,17 +275,11 @@ def compare_groups(
     out = []
     for i, j in canonical_pairs(len(reports)):
         a, b = reports[i], reports[j]
-        out.append(
-            compare_correlations(
-                a.group,
-                a.r,
-                n_override if n_override is not None else a.n,
-                b.group,
-                b.r,
-                n_override if n_override is not None else b.n,
-                confidence=confidence,
-            )
-        )
+        n_a, n_b = (a.n, b.n) if n_override is None else (n_override, n_override)
+        try:
+            out.append(compare_correlations(a.group, a.r, n_a, b.group, b.r, n_b, confidence))
+        except DegeneracyError as err:
+            raise DegeneracyError(f"groups {a.group!r} and {b.group!r}: {err}") from err
     return out
 
 

@@ -112,7 +112,12 @@ def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:
         entries[token] = valence
     if not entries:
         raise LexiconError(f"{name}: no entries")
-    return Lexicon(name=name, entries=entries)
+    # each entry is checked above, where its line is known; Lexicon() would
+    # check every one again
+    lexicon = object.__new__(Lexicon)
+    object.__setattr__(lexicon, "name", name)
+    object.__setattr__(lexicon, "entries", entries)
+    return lexicon
 
 
 def bundled_lexicon() -> Lexicon:

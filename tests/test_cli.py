@@ -319,6 +319,20 @@ class TestCompareCommand:
         run_cli("correlate", "--bundled", "--out", tmp_path)
         assert run_cli("compare", "--out", tmp_path, "--n-override", "3") == 3
 
+    def test_group_of_three_names_its_file_and_groups_exit_3(self, workdir):
+        assert run_cli("correlate", "--bundled", "--out", workdir / "out") == 0
+        source = workdir / "out" / "correlations.csv"
+        text = source.read_text(encoding="utf-8")
+        source.write_text(text.replace("\nevent,6,", "\nevent,3,", 1), encoding="utf-8")
+        before = tree_bytes(workdir / "out")
+        code, err = run_cli_process(workdir, "compare", "--out", "out")
+        assert code == 3
+        assert err == [
+            f"error: comparing {Path('out') / 'correlations.csv'}: groups 'topical' and 'event': "
+            "z test needs group sizes above 3, got 6 and 3"
+        ]
+        assert tree_bytes(workdir / "out") == before
+
     def test_bad_confidence_exit_1(self, tmp_path):
         run_cli("correlate", "--bundled", "--out", tmp_path)
         assert run_cli("compare", "--out", tmp_path, "--confidence", "95") == 1
@@ -644,7 +658,7 @@ class TestHandoffFuzz:
         assert len(lines) == 1 and lines[0].startswith("error: ") and end == "", lines
         assert not changed
         assert "set_int_max_str_digits" not in lines[0]
-        if code == 2:
+        if code in (2, 3):
             assert target.name in lines[0]
         if column is not None and not {",", '"', "\r", "\n"} & set(cell):
             label, _, kind = spec.columns[column]
@@ -662,7 +676,7 @@ class TestHandoffFuzz:
 # a fixture field's new value, as JSON text: the reader's known traps first
 SEED_VALUES = (
     "1" + "0" * 5000, '"x\\ud800"', '"2022-12-25"', '"2022-12-25T00:00:00+05:00"',
-    '"2022-12-25+05:00"', '"0001-01-01T00:00:00+01:00"', "20221225",
+    '"2022-12-25+05:00"', '"2022-12-25x05:00"', '"0001-01-01T00:00:00+01:00"', "20221225",
 )
 JSON_VALUES = st.recursive(
     st.one_of(

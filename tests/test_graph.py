@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threadknit.graph import ConversationGraph, Edge, build_graph, export_dot
-from threadknit.ingest import EDGE_KINDS, Status, references
+from threadknit.ingest import EDGE_KINDS, Status
 from threadknit.pipeline import iteration_row
 
 from conftest import make_batch, make_status
+from oracles import reference_graph
 
 handles = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
 
@@ -101,10 +102,7 @@ class TestGraphInvariants:
     @given(st.lists(references_strategy, max_size=15, unique_by=lambda s: s.id))
     def test_edge_count_equals_reference_count(self, statuses):
         row = iteration_row(statuses, EDGE_KINDS, True)
-        expected = sum(
-            len(references(s.reply_to, s.mentions, s.retweet_of, s.quote_of)) for s in statuses
-        )
-        assert len(row.edges) == expected
+        assert len(row.edges) == len(reference_graph(statuses, EDGE_KINDS, True)[1])
         assert row.texts == [s.text for s in statuses]
 
     @given(st.lists(references_strategy, max_size=15, unique_by=lambda s: s.id))

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from threadknit.errors import ConfigError, FixtureError
 from threadknit.ingest import (
+    EDGE_KINDS,
     EPOCH,
     IterationBatch,
     QuerySpec,
@@ -21,15 +22,14 @@ from threadknit.ingest import (
     normalize_handle,
     parse_fixture,
     read_fixture,
-    references,
     subject_dir,
     subject_slug,
     write_fixture_fields,
 )
-from threadknit.pipeline import iteration_files, read_iteration
+from threadknit.pipeline import iteration_files, iteration_row, read_iteration
 
 from conftest import make_batch, make_spec, make_status
-from oracles import reference_fixture_line
+from oracles import reference_fixture_line, reference_graph
 
 handles = st.from_regex(r"[a-z0-9_]{1,12}", fullmatch=True)
 
@@ -96,13 +96,19 @@ class TestStatus:
         assert status.created_at == datetime(2022, 12, 25, 12, 0, tzinfo=timezone.utc)
 
     def test_reference_order_is_reply_mentions_retweet_quote(self):
-        assert references("r", ("m1", "m2"), "rt", "q") == [
-            ("reply", "r"),
-            ("mention", "m1"),
-            ("mention", "m2"),
-            ("retweet", "rt"),
-            ("quote", "q"),
+        fields = make_status(
+            0, "a", reply_to="r", mentions=("m1", "m2"), retweet_of="rt", quote_of="q"
+        )
+        expected = [
+            ("a", "r", "reply"),
+            ("a", "m1", "mention"),
+            ("a", "m2", "mention"),
+            ("a", "rt", "retweet"),
+            ("a", "q", "quote"),
         ]
+        assert reference_graph([fields], EDGE_KINDS, True)[1] == expected
+        row = iteration_row([fields], EDGE_KINDS, True)
+        assert [(row.nodes[s], row.nodes[t], kind) for s, t, kind in row.edges] == expected
 
     def test_requires_id_and_author(self, tmp_path):
         with pytest.raises(FixtureError, match="status id must be nonempty"):
@@ -228,6 +234,34 @@ class TestParseFixture:
             2022, 12, 25, 8, 30, tzinfo=timezone.utc
         )
         assert batch.statuses[2].created_at == EPOCH
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2022-12-25", datetime(2022, 12, 25)),
+            ("2022-12-25T05:06", datetime(2022, 12, 25, 5, 6)),
+            ("2022-12-25T05:06:07.25Z", datetime(2022, 12, 25, 5, 6, 7, 250_000)),
+            ("2022-12-25T05:06:07-01:30", datetime(2022, 12, 25, 6, 36, 7)),
+        ],
+    )
+    def test_created_at_forms(self, tmp_path, text, expected):
+        status = read_record(tmp_path, id="1", text="x", author="a", created_at=text)
+        assert status.created_at == expected.replace(tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # an offset only after a time, and only T between date and time
+            "2022-12-25+05:00", "2022-12-25x05:00", "2022-12-25Z", "2022-12-25 05:00",
+            "2022-12-25t05:00", "2022-12-25T05", "2022-12-25T05:00z",
+            "2022-12-25T05:00+0500", "2022-12-25T05:00:00+05:00:30", "2022-12-25T05:00:00,5",
+            "20221225", "2022-W52-7", "\u0662022-12-25", " 2022-12-25", "2022-12-25\n",
+        ],
+    )
+    def test_other_created_at_forms_refused(self, tmp_path, text):
+        with pytest.raises(FixtureError) as caught:
+            read_record(tmp_path, id="1", text="x", author="a", created_at=text)
+        assert str(caught.value) == f"{tmp_path / 'iter_000'}:1: Invalid isoformat string: {text!r}"
 
     def test_spec_inferred_from_layout(self, tmp_path):
         path = tmp_path / "geographic" / "nyc" / "iter_004"

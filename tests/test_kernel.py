@@ -332,6 +332,21 @@ class TestMalformedFixtures:
         assert capsys.readouterr().err == f"error: {path}{message}\n"
         assert tree_digest(tree) == before
 
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    @pytest.mark.parametrize(
+        "removed", [("iter_001",), ("iter_002", "iter_000"), ("iter_002",)], ids=" ".join
+    )
+    def test_every_planned_iteration_is_required(self, tree, capsys, command, removed):
+        directory = tree / "fixtures" / "topical" / "alpha"
+        for name in removed:
+            (directory / name).unlink()
+        before = tree_digest(tree)
+        capsys.readouterr()
+        assert main([command, "--config", str(tree / "run.ini")]) == 2
+        first = directory / min(removed)
+        assert capsys.readouterr().err == f"error: {first}: missing; the plan has 3 iterations\n"
+        assert tree_digest(tree) == before
+
     def test_surrogate_handle_in_final_iteration_is_one_export_error(self, tree, capsys):
         path = tree / "fixtures" / "topical" / "alpha" / "iter_002"
         write_lines(path, [GOOD, record(author="x\ud800")])

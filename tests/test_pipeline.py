@@ -205,19 +205,22 @@ class TestIterationOrder:
 
     def test_files_sorted_by_number_not_name(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=1001)
-        self.write_chains(config, {1000: 3, 999: 4, 998: 5, 10: 6})
+        # every planned iteration is there; these four carry the order under test
+        self.write_chains(config, {**dict.fromkeys(range(1001), 2), 1000: 3, 999: 4, 998: 5, 10: 6})
         # only ASCII digits, and nothing after them, make an iteration name
         for name in ("iter_\u0661\u0662\u0663", "iter_000\n"):
             assert iteration_index(name) is None
             (subject_dir(config.fixtures_dir, "topical", "A") / name).write_text("", "utf-8")
         files = iteration_files(config, "topical", "A")
-        assert [(index, path.name) for index, path in files] == [
+        assert [index for index, _ in files] == list(range(1001))
+        assert [(index, path.name) for index, path in files if index in (10, 998, 999, 1000)] == [
             (10, "iter_010"), (998, "iter_998"), (999, "iter_999"), (1000, "iter_1000")
         ]
 
     def test_export_draws_the_highest_iteration(self, tmp_path, mini_lexicon):
         config = tiny_config(tmp_path, [("topical", ("A",))], iterations=1001)
-        self.write_chains(config, {998: 5, 999: 4, 1000: 3})
+        # the other planned iterations are 4-node chains, which keep the means at (4, 1)
+        self.write_chains(config, {**dict.fromkeys(range(998), 4), 998: 5, 999: 4, 1000: 3})
         last = chain_batch(1000, 3, "good", dict(subject="A"))
         (written,) = export_graphs(config)
         graph = build_graph(last)
@@ -311,6 +314,9 @@ class TestCompareGroups:
             compare_groups(reports[:1])
         with pytest.raises(DegeneracyError):
             compare_groups(reports, n_override=3)
+        small = [replace(reports[0], n=3), *reports[1:]]
+        with pytest.raises(DegeneracyError, match="^groups 'topical' and 'event': z test"):
+            compare_groups(small)
 
 
 class TestWriters:

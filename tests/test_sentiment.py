@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import threadknit.sentiment as sentiment_module
 from threadknit.errors import DegeneracyError, LexiconError
 from threadknit.sentiment import (
     Lexicon,
@@ -180,6 +182,28 @@ class TestLexiconParsing:
     def test_empty_lexicon_rejected(self):
         with pytest.raises(LexiconError):
             parse_lexicon("# nothing\n")
+
+    def test_each_entry_checked_once(self, monkeypatch):
+        checked = []
+        check = sentiment_module._check_entry
+        monkeypatch.setattr(
+            sentiment_module, "_check_entry", lambda *args: checked.append(args) or check(*args)
+        )
+        lex = parse_lexicon("calm\t0.5\nstorm\t-1\n", name="t")
+        assert checked == [("t:1", "calm", 0.5), ("t:2", "storm", -1.0)]
+        assert lex == Lexicon(name="t", entries={"calm": 0.5, "storm": -1.0})
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({}, "lexicon 'lib' is empty"),
+            ({"calm": 0.5, "x-ray": 1.0}, "lexicon 'lib': bad token 'x-ray'"),
+            ({"joy": math.nan}, "lexicon 'lib': non-finite valence for 'joy'"),
+        ],
+    )
+    def test_library_lexicon_is_checked(self, entries, message):
+        with pytest.raises(LexiconError, match=f"^{re.escape(message)}"):
+            Lexicon(name="lib", entries=entries)
 
 
 class TestBundledLexicon:

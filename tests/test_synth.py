@@ -14,13 +14,13 @@ from threadknit.components import component_counts, component_summary
 from threadknit.errors import DataError, SynthError
 from threadknit.graph import build_graph
 from threadknit.ingest import (
+    EDGE_KINDS,
     IterationBatch,
     RunConfig,
     Status,
     iteration_filename,
     parse_fixture,
     read_fixture,
-    references,
     write_fixture_fields,
 )
 from threadknit.pipeline import iteration_files
@@ -38,7 +38,7 @@ from threadknit.synth import (
 )
 
 from conftest import CLI_GROUPS, PERFBENCH_GROUPS, make_spec, tree_digest
-from oracles import reference_closest_valence
+from oracles import reference_closest_valence, reference_graph
 
 
 def corpus_texts(spec, lexicon):
@@ -147,8 +147,7 @@ class TestSynthCorpus:
         spec = SynthSpec(seed=6, corpus_size=15, target_mean=0.2, jitter=0.05)
         fields = _batch_fields(spec, 0, _palette(lexicon))
         assert len(fields) == 15
-        for _, _, _, _, reply_to, mentions, retweet_of, quote_of in fields:
-            assert references(reply_to, mentions, retweet_of, quote_of) == []
+        assert reference_graph(fields, EDGE_KINDS, True)[1] == []
 
 
 class TestSynthBatch:
