@@ -24,8 +24,7 @@ _EXPORTS = {
     "pipeline": "analyze_groups analyze_subject bundled_tables canonical_pairs compare_groups "
     "correlate_tables export_dot export_graphs read_correlations read_iteration read_tables",
     "records": "",
-    "sentiment": "Lexicon aggregate_alpha batch_alpha bundled_lexicon clean_text load_lexicon "
-    "score_text",
+    "sentiment": "Lexicon batch_alpha bundled_lexicon clean_text load_lexicon score_text",
     "stats": "ComparisonReport CorrelationReport compare_correlations correlation_report "
     "correlation_significance fisher_z indep_groups_z_test infer_group_n normal_cdf "
     "normal_quantile pearson_r t_cdf zou_interval",

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import fsum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DegeneracyError
-from .sentiment import aggregate_alpha
 
 if TYPE_CHECKING:
     from .graph import ConversationGraph
@@ -142,13 +142,6 @@ def beta_ratio(strong_count: int, weak_count: int) -> float:
     return weak_count / strong_count
 
 
-def average_count(counts: Sequence[int]) -> int:
-    """Mean of per-iteration counts, rounded half away from zero, exactly."""
-    if not counts:
-        raise DegeneracyError("no iteration counts to average")
-    return round_half_away(Fraction(sum(counts), len(counts)))
-
-
 @dataclass(frozen=True)
 class SubjectSummary:
     """One subject's averaged counts, beta ratio, and mean sentiment."""
@@ -165,11 +158,13 @@ def summarize_subject(
     summaries: Sequence[ComponentSummary],
     alphas: Sequence[float],
 ) -> SubjectSummary:
-    """Aggregate per-iteration component counts and sentiment means.
+    """One subject's row from its iterations' component counts and alphas:
+    the one statement of the row rule.
 
-    Counts are averaged and rounded to whole components before the beta
-    division; the sentiment mean is aggregated unrounded.  A subject whose
-    mean weak count rounds to 0 has no beta: DegeneracyError.
+    Each count is the exact mean over iterations, rounded half away from
+    zero, and beta divides the rounded counts; alpha is the mean of the
+    iteration alphas, unrounded.  A subject whose mean weak count rounds
+    to 0 has no beta: DegeneracyError.
     """
     if not summaries or not alphas:
         raise DegeneracyError(f"subject {subject!r}: nothing to summarize")
@@ -178,8 +173,9 @@ def summarize_subject(
             f"subject {subject!r}: {len(summaries)} component summaries "
             f"vs {len(alphas)} sentiment values"
         )
-    strong = average_count([s.strong_count for s in summaries])
-    weak = average_count([s.weak_count for s in summaries])
+    n = len(summaries)
+    strong = round_half_away(Fraction(sum(s.strong_count for s in summaries), n))
+    weak = round_half_away(Fraction(sum(s.weak_count for s in summaries), n))
     if weak == 0:
         raise DegeneracyError(
             f"subject {subject!r}: mean counts round to {strong} strong and 0 weak "
@@ -190,5 +186,5 @@ def summarize_subject(
         strong_count=strong,
         weak_count=weak,
         beta=beta_ratio(strong, weak),
-        alpha=aggregate_alpha(alphas),
+        alpha=fsum(alphas) / n,
     )

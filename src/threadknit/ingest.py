@@ -23,8 +23,6 @@ from .stats import check_confidence
 
 QUERY_KINDS = ("topical", "event", "geographic", "individual")
 
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 _ITER_RE = re.compile(r"iter_([0-9]{3,})")
 # for str patterns \s matches exactly the characters str.isspace() accepts
@@ -68,9 +66,7 @@ def iteration_index(name: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
-def _parse_timestamp(text: str | None) -> datetime:
-    if text is None:
-        return EPOCH
+def _parse_timestamp(text: str) -> datetime:
     # fromisoformat alone would take any character between date and time
     if not _TIMESTAMP_RE.fullmatch(text):
         raise ValueError(f"Invalid isoformat string: {text!r}")
@@ -86,12 +82,13 @@ def _parse_timestamp(text: str | None) -> datetime:
 class Status(NamedTuple):
     """One message and its references, as read_fixture returns its fields:
     the reader checks and normalizes them (handles lowercased without '@',
-    ``created_at`` in UTC, the Unix epoch when the record has none)."""
+    ``created_at`` in UTC); a field the record leaves unset is None, or ()
+    for ``mentions``."""
 
     id: str
     text: str
     author: str
-    created_at: datetime = EPOCH
+    created_at: datetime | None = None
     reply_to: str | None = None
     mentions: tuple[str, ...] = ()
     retweet_of: str | None = None
@@ -170,9 +167,10 @@ def _record_fields(record: Any, handles: _Handles) -> tuple:
     if quote_of is not None and type(quote_of) is not str:
         raise ValueError("field 'quote_of' must be a string or null")
     created_at = get("created_at")
-    if created_at is not None and type(created_at) is not str:
-        raise ValueError("field 'created_at' must be a string or null")
-    created_at = _parse_timestamp(created_at)
+    if created_at is not None:
+        if type(created_at) is not str:
+            raise ValueError("field 'created_at' must be a string or null")
+        created_at = _parse_timestamp(created_at)
     if type(status_id) is not str:
         if type(status_id) is not int:
             raise ValueError("field 'id' must be a string or an integer")
@@ -269,14 +267,14 @@ def write_fixture_fields(path: str | Path, records: Iterable[tuple]) -> Path:
     """Write records in Status field order, such as Statuses, as a fixture
     file, one JSON object per line; the inverse of read_fixture.
 
-    Keys follow the Status field order; ``created_at`` is omitted when it
-    is EPOCH and the other optional fields when unset, so reading the file
-    back returns the same fields.
+    Keys follow the Status field order, and an unset optional field is
+    omitted, so reading the file back returns the same fields.  A file in
+    this form is rewritten byte for byte.
     """
     lines = []
     for status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of in records:
         line = f'{{"id": {_QUOTE(status_id)}, "text": {_QUOTE(text)}, "author": {_QUOTE(author)}'
-        if created_at != EPOCH:
+        if created_at is not None:
             line += f', "created_at": {_QUOTE(created_at.isoformat())}'
         if reply_to is not None:
             line += f', "reply_to": {_QUOTE(reply_to)}'

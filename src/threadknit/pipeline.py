@@ -36,7 +36,7 @@ from .ingest import (
     subject_slug,
 )
 from .records import RecordSpec, read_records, write_atomic, write_csv, write_json
-from .sentiment import Lexicon, bundled_lexicon, load_lexicon, mean_score, score_text
+from .sentiment import Lexicon, bundled_lexicon, load_lexicon, mean_score
 from .stats import (
     ComparisonReport,
     CorrelationReport,
@@ -153,9 +153,7 @@ def analyze_subject(
         row = read_iteration(path, config)
         summaries.append(ComponentSummary(*component_counts(len(row.nodes), row.edges)))
         try:
-            alphas.append(
-                mean_score([score_text(text, lexicon) for text in row.texts], subject, index)
-            )
+            alphas.append(mean_score(row.texts, lexicon, subject, index))
         except DegeneracyError as err:
             raise DataError(f"{path}: {err}") from err
     return summarize_subject(subject, summaries, alphas)

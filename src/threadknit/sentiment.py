@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from importlib import resources
 from math import fsum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DegeneracyError, LexiconError
-from .ingest import IterationBatch
+
+if TYPE_CHECKING:
+    from .ingest import IterationBatch
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -92,7 +94,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:
     entries: dict[str, float] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    # split on newlines only, as fixture_records does: str.splitlines also
+    # cuts at U+2028, form feeds and the like, which would miscount lines
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -101,9 +105,12 @@ def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:
             raise LexiconError(
                 f"{name}:{lineno}: expected 'token<TAB>valence', got {line!r}"
             )
-        token = parts[0].strip()
+        token, text = parts[0].strip(), parts[1].strip()
         try:
-            valence = float(parts[1])
+            # float() also takes '1_0' and non-ASCII digits such as '١'
+            if "_" in text or not text.isascii():
+                raise ValueError
+            valence = float(text)
         except ValueError:
             raise LexiconError(f"{name}:{lineno}: bad valence {parts[1]!r}") from None
         if token in entries:
@@ -136,14 +143,10 @@ def score_text(text: str, lexicon: Lexicon) -> float:
     return fsum([entries.get(token, 0.0) for token in _tokens(text)])
 
 
-def batch_alpha(batch: IterationBatch, lexicon: Lexicon) -> float:
-    """Mean per-status score for one iteration.  Undefined for an empty batch."""
-    scores = [score_text(status.text, lexicon) for status in batch.statuses]
-    return mean_score(scores, batch.spec.subject, batch.index)
-
-
-def mean_score(scores: Sequence[float], subject: str, index: int) -> float:
-    """Alpha of one iteration from its per-status scores."""
+def mean_score(texts: Iterable[str], lexicon: Lexicon, subject: str, index: int) -> float:
+    """Alpha of one iteration: the mean score_text of its texts.  Undefined
+    for an iteration with no texts."""
+    scores = [score_text(text, lexicon) for text in texts]
     if not scores:
         raise DegeneracyError(
             f"subject {subject!r} iteration {index}: "
@@ -152,8 +155,6 @@ def mean_score(scores: Sequence[float], subject: str, index: int) -> float:
     return fsum(scores) / len(scores)
 
 
-def aggregate_alpha(alphas: Sequence[float]) -> float:
-    """Mean of per-iteration alphas, carried unrounded."""
-    if not alphas:
-        raise DegeneracyError("no iteration alphas to aggregate")
-    return fsum(alphas) / len(alphas)
+def batch_alpha(batch: IterationBatch, lexicon: Lexicon) -> float:
+    """The mean_score of one batch's statuses."""
+    return mean_score([s.text for s in batch.statuses], lexicon, batch.spec.subject, batch.index)

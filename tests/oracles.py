@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from datetime import datetime, timezone
 from fractions import Fraction
 from math import fsum
 from typing import Mapping, Sequence
@@ -121,11 +120,10 @@ def closure_component_counts(
 
 def reference_fixture_line(fields: Sequence) -> str:
     """One fixture line for a status's fields (in Status field order): a
-    record dict through json.dumps, created_at left out at the Unix epoch
-    and the other optional fields when unset."""
+    record dict through json.dumps, each optional field left out when unset."""
     status_id, text, author, created_at, reply_to, mentions, retweet_of, quote_of = fields
     record = {"id": status_id, "text": text, "author": author}
-    if created_at != datetime(1970, 1, 1, tzinfo=timezone.utc):
+    if created_at is not None:
         record["created_at"] = created_at.isoformat()
     if reply_to is not None:
         record["reply_to"] = reply_to

@@ -488,6 +488,17 @@ class TestErrorHandling:
         assert f"{workdir / 'lexicon.tsv'}:1:" in err
         assert tree_bytes(workdir) == before
 
+    @pytest.mark.parametrize("valence", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+    def test_valence_that_is_not_ascii_number_text_is_exit_2(self, workdir, capsys, valence):
+        (workdir / "lexicon.tsv").write_text(f"calm\t0.5\ngood\t{valence}\n", encoding="utf-8")
+        config = CONFIG.replace("[run]\n", "[run]\nlexicon = lexicon.tsv\n")
+        (workdir / "run.ini").write_text(config, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("synth", "--config", config_arg(workdir)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {workdir / 'lexicon.tsv'}:2: bad valence {valence!r}\n"
+        assert not (workdir / "fixtures").exists()
+
     @pytest.mark.parametrize("subject", ["東京", "!!!"])
     def test_subject_without_slug_is_one_error_line(self, tmp_path, subject):
         (tmp_path / "run.ini").write_text(

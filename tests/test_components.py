@@ -11,7 +11,6 @@ from threadknit.components import (
     _strong_labels,
     _weak_labels,
     SubjectSummary,
-    average_count,
     beta_ratio,
     component_counts,
     component_summary,
@@ -222,13 +221,6 @@ class TestRounding:
         rounded = round_half_away(q)
         assert abs(Fraction(rounded) - q) <= Fraction(1, 2)
 
-    def test_average_count(self):
-        assert average_count([336, 338, 334]) == 336
-        assert average_count([507, 508]) == 508  # 507.5 rounds away from zero
-        assert average_count([1, 2]) == 2
-        with pytest.raises(DegeneracyError):
-            average_count([])
-
 
 class TestBetaRatio:
     def test_weak_over_strong_orientation(self):
@@ -266,6 +258,30 @@ class TestSummarize:
         assert (summary.strong_count, summary.weak_count) == (11, 4)
         assert summary.beta == 4 / 11
         assert summary.alpha == 0.5
+
+    @pytest.mark.parametrize(
+        "counts, mean",
+        [([336, 338, 334], 336), ([507, 508], 508), ([1, 2], 2)],
+        ids=["336", "507.5", "1.5"],
+    )
+    def test_count_means_rounded_half_away(self, counts, mean):
+        summaries = [ComponentSummary(count, count) for count in counts]
+        summary = summarize_subject("x", summaries, [0.0] * len(counts))
+        assert (summary.strong_count, summary.weak_count) == (mean, mean)
+
+    def test_alpha_is_the_mean_of_the_iteration_alphas(self):
+        def alpha(alphas):
+            return summarize_subject("x", [ComponentSummary(1, 1)] * len(alphas), alphas).alpha
+
+        assert alpha([0.1, 0.2, 0.3]) == pytest.approx(0.2, abs=1e-15)
+        assert alpha([1.5]) == 1.5
+        with pytest.raises(DegeneracyError):
+            summarize_subject("x", [ComponentSummary(1, 1)], [])
+
+    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=40))
+    def test_alpha_bounded_by_extremes(self, alphas):
+        summary = summarize_subject("x", [ComponentSummary(1, 1)] * len(alphas), alphas)
+        assert min(alphas) - 1e-9 <= summary.alpha <= max(alphas) + 1e-9
 
     def test_alpha_mean_unrounded(self):
         summary = summarize_subject(

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from threadknit.errors import ConfigError, FixtureError
 from threadknit.ingest import (
     EDGE_KINDS,
-    EPOCH,
     IterationBatch,
     QuerySpec,
     RunConfig,
@@ -32,6 +31,7 @@ from conftest import make_batch, make_spec, make_status
 from oracles import reference_fixture_line, reference_graph
 
 handles = st.from_regex(r"[a-z0-9_]{1,12}", fullmatch=True)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class TestNormalizeHandle:
@@ -84,11 +84,11 @@ class TestStatus:
         assert status.retweet_of == "erin"
         assert status.quote_of == "frank"
 
-    def test_created_at_defaults_to_epoch_utc(self, tmp_path):
+    def test_absent_created_at_is_none(self, tmp_path):
         status = read_record(tmp_path, id="1", text="x", author="a")
-        assert status.created_at == EPOCH
-        assert status.created_at.tzinfo is not None
+        assert status.created_at is None
         assert Status(id="1", text="x", author="a") == status
+        assert read_record(tmp_path, id="1", text="x", author="a", created_at=None) == status
 
     def test_naive_timestamp_coerced_to_utc(self, tmp_path):
         status = read_record(tmp_path, id="1", text="x", author="a", created_at="2022-12-25T12:00")
@@ -233,7 +233,7 @@ class TestParseFixture:
         assert batch.statuses[1].created_at == datetime(
             2022, 12, 25, 8, 30, tzinfo=timezone.utc
         )
-        assert batch.statuses[2].created_at == EPOCH
+        assert batch.statuses[2].created_at is None
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -279,6 +279,7 @@ statuses_strategy = st.builds(
     text=st.text(max_size=80),
     author=handles,
     created_at=st.one_of(
+        st.none(),
         st.just(EPOCH),
         st.integers(min_value=0, max_value=2**31).map(
             lambda s: EPOCH + timedelta(seconds=s)
@@ -305,6 +306,16 @@ class TestWriteFixture:
         write_fixture_fields(path, statuses)
         expected = "".join(map(reference_fixture_line, statuses))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_epoch_and_unset_created_at_round_trip(self, tmp_path):
+        path = tmp_path / "iter_000"
+        text = (
+            '{"id": "1", "text": "x", "author": "a", "created_at": "1970-01-01T00:00:00+00:00"}\n'
+            '{"id": "2", "text": "x", "author": "a"}\n'
+        )
+        path.write_text(text, encoding="utf-8")
+        write_fixture_fields(path, read_fixture(path))
+        assert path.read_text(encoding="utf-8") == text
 
     def test_unicode_text_survives(self, tmp_path):
         weird = "San José   line sep \n".replace("\n", " ")

@@ -27,7 +27,7 @@ from threadknit.components import ComponentSummary, component_counts, component_
 from threadknit.graph import EDGE_KINDS, ConversationGraph, Edge, build_graph, export_dot
 from threadknit.ingest import RunConfig, load_config, parse_fixture
 from threadknit.pipeline import export_graphs, iteration_files, read_iteration
-from threadknit.sentiment import batch_alpha, mean_score, score_text
+from threadknit.sentiment import batch_alpha, mean_score
 from threadknit.synth import write_fixture_tree
 
 from conftest import CLI_GROUPS, PERFBENCH_GROUPS, tree_digest
@@ -115,10 +115,9 @@ def object_path(path, config, lexicon):
 def row_path(path, index, config, lexicon):
     """What analyze takes from the row: counts and alpha."""
     row = read_iteration(path, config)
-    scores = [score_text(text, lexicon) for text in row.texts]
     return (
         ComponentSummary(*component_counts(len(row.nodes), row.edges)),
-        mean_score(scores, path.parent.name, index),
+        mean_score(row.texts, lexicon, path.parent.name, index),
     )
 
 

@@ -20,7 +20,7 @@ EXPORTED = (
     "ComparisonReport", "ComponentSummary", "ConfigError", "ConversationGraph",
     "CorrelationReport", "DataError", "DegeneracyError", "Edge", "FixtureError",
     "IterationBatch", "Lexicon", "LexiconError", "QuerySpec", "RunConfig", "Status",
-    "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError", "aggregate_alpha",
+    "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError",
     "analyze_groups", "analyze_subject", "batch_alpha", "beta_ratio", "build_graph",
     "bundled_lexicon", "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations",
     "compare_groups", "component_counts",
@@ -117,3 +117,9 @@ def test_modules_import_one_another_without_a_cycle():
     for module in graph:
         cycle = cycle_from(module, [])
         assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+@pytest.mark.parametrize("module", ["records", "stats", "sentiment", "components"])
+def test_leaf_modules_import_no_sibling_but_errors(module):
+    package = Path(threadknit.__file__).resolve().parent
+    assert _relative_imports(package / f"{module}.py") <= {"errors"}

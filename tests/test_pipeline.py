@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import json
+import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from threadknit.cli import main
 from threadknit.errors import ConfigError, DataError, DegeneracyError
 from threadknit.graph import build_graph, export_dot
 from threadknit.ingest import (
     RunConfig,
     iteration_filename,
     iteration_index,
+    load_config,
     subject_dir,
     write_fixture_fields,
 )
@@ -37,6 +43,7 @@ from threadknit.stats import compare_correlations, zou_interval
 from threadknit.synth import default_plan, write_fixture_tree
 
 from conftest import make_batch, make_status
+from oracles import closure_component_counts, reference_score_text
 
 # Frozen correlations of the bundled reference tables (r, p at n = 6).
 BUNDLED_EXPECTED = {
@@ -123,6 +130,96 @@ class TestAnalyzeSubject:
         subject_dir(config.fixtures_dir, "topical", "A").mkdir(parents=True)
         with pytest.raises(DataError, match="zero iterations"):
             analyze_subject(config, mini_lexicon, "topical", "A")
+
+
+ROW_RULE_CONFIG = """[run]
+fixtures = fixtures
+output = out
+per_iteration_count = 12
+iterations = 2
+seed = 5
+
+[groups]
+topical = Half, T1, T2, T3
+event = E1, E2, E3
+"""
+
+
+def random_records(rng, count):
+    """Records with random references among a few handles and texts of
+    lexicon words and noise, so that counts and alphas vary by iteration."""
+    handles = [f"u{k}" for k in range(count)]
+    words = ["love", "hate", "good", "bad", "calm", "storm", "the", "naïve", "#win", "@u1"]
+    records = []
+    for number in range(rng.randint(1, count)):
+        record = {"id": str(number), "author": rng.choice(handles)}
+        record["text"] = " ".join(rng.choices(words, k=rng.randint(0, 5)))
+        if rng.random() < 0.4:
+            record["reply_to"] = rng.choice(handles)
+        record["mentions"] = rng.sample(handles, rng.randint(0, 2))
+        if rng.random() < 0.2:
+            record["quote_of"] = rng.choice(handles)
+        records.append(record)
+    return records
+
+
+def chain_records(pairs, text):
+    """One reply per (author, target) pair, each with ``text``."""
+    return [
+        {"id": str(number), "text": text, "author": author, "reply_to": target}
+        for number, (author, target) in enumerate(pairs)
+    ]
+
+
+class TestRowRule:
+    """Every row analyze writes, against the row rule recomputed from each
+    iteration's records by the oracles: counts from the transitive closure,
+    scores cleaned character by character, and exact rational means."""
+
+    @staticmethod
+    def expected_row(config, kind, subject, entries):
+        counts, alphas = [], []
+        for _, path in iteration_files(config, kind, subject):
+            row = read_iteration(path, config)
+            pairs = [(row.nodes[source], row.nodes[target]) for source, target, _ in row.edges]
+            counts.append(closure_component_counts(row.nodes, pairs))
+            scores = [reference_score_text(text, entries) for text in row.texts]
+            alphas.append(math.fsum(scores) / len(scores))
+        means = [Fraction(sum(column), len(counts)) for column in zip(*counts)]
+        # half away from zero, for the positive means a count can have
+        strong, weak = (math.floor(mean + Fraction(1, 2)) for mean in means)
+        return counts, means, (subject, strong, weak, weak / strong, math.fsum(alphas) / len(alphas))
+
+    def test_every_row_is_the_rule_applied_to_its_iterations(self, tmp_path, lexicon):
+        (tmp_path / "run.ini").write_text(ROW_RULE_CONFIG, encoding="utf-8")
+        config = load_config(tmp_path / "run.ini")
+        # Half: strong 4 then 5 (a self-reply is one node), weak 2 then 3; the
+        # means 9/2 and 5/2 round to 5 and 3, not to 4 and 2 as half-to-even would
+        half = [chain_records(["ab", "cd"], "hate"), chain_records(["ab", "cd", "ff"], "good")]
+        rng = random.Random(7)
+        for kind, subject in config.subjects():
+            directory = subject_dir(config.fixtures_dir, kind, subject)
+            directory.mkdir(parents=True)
+            for index in range(config.iterations):
+                records = (
+                    half[index]
+                    if subject == "Half"
+                    else random_records(rng, config.per_iteration_count)
+                )
+                (directory / iteration_filename(index)).write_text(
+                    "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
+                )
+        assert main(["analyze", "--config", str(tmp_path / "run.ini")]) == 0
+        varied = 0
+        for kind, rows in read_tables(config):
+            for row in rows:
+                counts, means, expected = self.expected_row(config, kind, row.subject, lexicon.entries)
+                varied += len(set(counts)) > 1
+                assert (row.subject, row.strong_count, row.weak_count, row.beta, row.alpha) == expected
+                if row.subject == "Half":
+                    assert means == [Fraction(9, 2), Fraction(5, 2)]
+                    assert (row.strong_count, row.weak_count) == (5, 3)
+        assert varied >= 5
 
 
 class TestRunPipeline:

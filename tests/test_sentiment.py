@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from math import fsum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,11 +11,11 @@ import threadknit.sentiment as sentiment_module
 from threadknit.errors import DegeneracyError, LexiconError
 from threadknit.sentiment import (
     Lexicon,
-    aggregate_alpha,
     batch_alpha,
     bundled_lexicon,
     clean_text,
     load_lexicon,
+    mean_score,
     parse_lexicon,
     score_text,
 )
@@ -134,16 +135,13 @@ class TestBatchAlpha:
         with pytest.raises(DegeneracyError, match="Subject"):
             batch_alpha(make_batch([]), mini_lexicon)
 
-    def test_aggregate(self):
-        assert aggregate_alpha([0.1, 0.2, 0.3]) == pytest.approx(0.2, abs=1e-15)
-        assert aggregate_alpha([1.5]) == 1.5
-        with pytest.raises(DegeneracyError):
-            aggregate_alpha([])
-
-    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=40))
-    def test_aggregate_bounded_by_extremes(self, alphas):
-        agg = aggregate_alpha(alphas)
-        assert min(alphas) - 1e-9 <= agg <= max(alphas) + 1e-9
+    def test_mean_score_is_the_mean_text_score(self, mini_lexicon):
+        texts = [raw for raw, _ in HAND_SCORED_TEXTS]
+        expected = fsum(score_text(text, mini_lexicon) for text in texts) / len(texts)
+        assert mean_score(texts, mini_lexicon, "s", 0) == expected
+        assert mean_score(iter(texts), mini_lexicon, "s", 0) == expected
+        with pytest.raises(DegeneracyError, match="subject 's' iteration 3: .*empty batch"):
+            mean_score([], mini_lexicon, "s", 3)
 
 
 class TestLexiconParsing:
@@ -168,6 +166,28 @@ class TestLexiconParsing:
     def test_malformed_line_rejected(self, line):
         with pytest.raises(LexiconError, match=r"^lexicon:1: "):
             parse_lexicon(line + "\n")
+
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    )
+    def test_lines_split_on_newline_only(self, separator):
+        lex = parse_lexicon(f"# notes{separator}more notes\ngood\t1.0\n", name="lex.tsv")
+        assert lex.entries == {"good": 1.0}
+        with pytest.raises(LexiconError, match=r"^lex\.tsv:3: bad token 'x-ray'"):
+            parse_lexicon(f"# notes{separator}more\ngood\t1.0\nx-ray\t1\n", name="lex.tsv")
+
+    @pytest.mark.parametrize("valence", ["1_0", "\u0661", "1\u0660", "\uff11", "\u00b2"])
+    def test_valence_is_ascii_number_text(self, valence):
+        with pytest.raises(LexiconError, match=f"^lex:2: bad valence {re.escape(repr(valence))}$"):
+            parse_lexicon(f"calm\t0.5\ngood\t{valence}\n", name="lex")
+
+    @pytest.mark.parametrize("valence", ["nan", " inf", "-Infinity"])
+    def test_non_finite_valence_keeps_its_message(self, valence):
+        with pytest.raises(LexiconError, match="^lex:1: non-finite valence for 'good'$"):
+            parse_lexicon(f"good\t{valence}\n", name="lex")
+
+    def test_valence_may_carry_whitespace(self):
+        assert parse_lexicon("good\t 2 \n").entries == {"good": 2.0}
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
