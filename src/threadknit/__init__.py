@@ -18,17 +18,18 @@ _EXPORTS = {
     "round_half_away summarize_subject",
     "errors": "ConfigError DataError DegeneracyError FixtureError LexiconError SynthError "
     "ThreadknitError",
+    "config": "RunConfig load_config subject_slug",
     "graph": "ConversationGraph Edge build_graph",
-    "ingest": "IterationBatch QuerySpec RunConfig Status load_config normalize_handle "
-    "parse_fixture subject_slug write_fixture_fields",
-    "pipeline": "analyze_groups analyze_subject bundled_tables canonical_pairs compare_groups "
-    "correlate_tables export_dot export_graphs read_correlations read_iteration read_tables",
+    "ingest": "IterationBatch QuerySpec Status normalize_handle parse_fixture write_fixture_fields",
+    "pipeline": "analyze_groups analyze_subject export_dot export_graphs read_iteration",
     "records": "",
     "sentiment": "Lexicon batch_alpha bundled_lexicon clean_text load_lexicon score_text",
     "stats": "ComparisonReport CorrelationReport compare_correlations correlation_report "
     "correlation_significance fisher_z indep_groups_z_test infer_group_n normal_cdf "
     "normal_quantile pearson_r t_cdf zou_interval",
     "synth": "SynthSpec write_fixture_tree",
+    "tables": "bundled_tables canonical_pairs compare_groups correlate_tables read_correlations "
+    "read_tables",
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -13,23 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+# each stage imports its own modules when it runs, so that a short stage
+# does not load the fixture reader, the scorer or the statistics it never calls
+from .config import RunConfig, load_config, nonempty_path, plain_number
 from .errors import ConfigError, DegeneracyError, ThreadknitError
-from .ingest import RunConfig, load_config, nonempty_path
-from .pipeline import (
-    analyze_groups,
-    bundled_tables,
-    compare_groups,
-    correlate_tables,
-    export_graphs,
-    read_correlations,
-    read_tables,
-    render_comparisons,
-    render_correlations,
-    render_tables,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _number(kind: type):
+    """An argparse type for plain number text, read as a config file's
+    numbers are; named after ``kind``, as argparse's messages name a type."""
+
+    def read(text: str):
+        return plain_number(kind, text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="threadknit", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -48,13 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser("synth", help="generate a synthetic fixture tree")
     synth.add_argument("--config", required=True, type=Path)
     synth.add_argument("--out", help="fixture root (default: config fixtures)")
-    synth.add_argument("--seed", type=int, help="override the configured seed")
+    synth.add_argument("--seed", type=_number(int), help="override the configured seed")
     synth.set_defaults(func=_cmd_synth)
 
     analyze = commands.add_parser("analyze", help="build subject tables from fixtures")
     analyze.add_argument("--config", required=True, type=Path)
     analyze.add_argument("--out", help="output root (default: config output)")
-    analyze.add_argument("--jobs", type=int, default=1, help="concurrent subject analyses")
+    analyze.add_argument("--jobs", type=_number(int), default=1, help="concurrent subject analyses")
     analyze.set_defaults(func=_cmd_analyze)
 
     correlate = commands.add_parser("correlate", help="correlate beta against alpha per group")
@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare = commands.add_parser("compare", help="pairwise z tests and intervals")
     compare.add_argument("--config", type=Path)
     compare.add_argument("--out")
-    compare.add_argument("--n-override", type=int, metavar="N")
-    compare.add_argument("--confidence", type=float)
+    compare.add_argument("--n-override", type=_number(int), metavar="N")
+    compare.add_argument("--confidence", type=_number(float))
     compare.set_defaults(func=_cmd_compare)
 
     export = commands.add_parser("export", help="write final-iteration graphs as DOT")
@@ -82,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args, **flags) -> RunConfig:
     """The configured run with the flags given on the command line applied:
     RunConfig checks each flag as it checks the config key it replaces."""
+    from dataclasses import replace
+
     config = load_config(args.config)
     return replace(config, **{field: value for field, value in flags.items() if value is not None})
 
@@ -92,7 +94,6 @@ def _bare_out_dir(args) -> Path:
 
 
 def _cmd_synth(args) -> int:
-    # only this stage needs the generator
     from .synth import write_fixture_tree
 
     config = _load(args, seed=args.seed, fixtures_dir=args.out)
@@ -102,6 +103,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .pipeline import analyze_groups
+    from .tables import render_tables
+
     config = _load(args, output_dir=args.out)
     tables = analyze_groups(config, jobs=args.jobs)
     written = render_tables(tables, config.output_dir)
@@ -112,6 +116,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from .tables import bundled_tables, correlate_tables, read_tables, render_correlations
+
     if args.bundled:
         out_dir, tables = _bare_out_dir(args), bundled_tables()
     else:
@@ -128,6 +134,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .tables import compare_groups, read_correlations, render_comparisons
+
     if args.config is not None:
         config = _load(args, output_dir=args.out, confidence=args.confidence)
         out_dir, confidence = config.output_dir, config.confidence
@@ -150,6 +158,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .pipeline import export_graphs
+
     config = _load(args, output_dir=args.out)
     files = export_graphs(config)
     print(f"wrote {len(files)} graph files under {config.output_dir}")

@@ -9,13 +9,14 @@ components; the division happens after rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DegeneracyError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .graph import ConversationGraph
 
 
@@ -123,6 +124,9 @@ def round_half_away(value: float | Fraction | int) -> int:
     Exact: the tie rule is applied to the true rational value, not to a
     float approximation of it.
     """
+    # fractions loads decimal: only the stages that round a mean import it
+    from fractions import Fraction
+
     q = Fraction(value)
     if q < 0:
         return -round_half_away(-q)
@@ -173,6 +177,8 @@ def summarize_subject(
             f"subject {subject!r}: {len(summaries)} component summaries "
             f"vs {len(alphas)} sentiment values"
         )
+    from fractions import Fraction
+
     n = len(summaries)
     strong = round_half_away(Fraction(sum(s.strong_count for s in summaries), n))
     weak = round_half_away(Fraction(sum(s.weak_count for s in summaries), n))

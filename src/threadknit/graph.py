@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .ingest import EDGE_KINDS, IterationBatch
+from .config import EDGE_KINDS
+from .ingest import IterationBatch
 # export_dot is re-exported for library callers and for perfbench's tracing, which wraps it here
 from .pipeline import export_dot, iteration_row
 

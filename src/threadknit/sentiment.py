@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from importlib import resources
 from math import fsum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -129,6 +128,9 @@ def parse_lexicon(raw: str, name: str = "lexicon") -> Lexicon:
 
 def bundled_lexicon() -> Lexicon:
     """The lexicon shipped with the package."""
+    # export loads this module but reads no lexicon
+    from importlib import resources
+
     raw = resources.files("threadknit").joinpath("data/lexicon.tsv").read_text("utf-8")
     return parse_lexicon(raw, name="bundled")
 

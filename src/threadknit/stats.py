@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from statistics import NormalDist
 from typing import Sequence
 
 from .errors import ConfigError, DegeneracyError
@@ -32,6 +31,9 @@ def normal_quantile(p: float) -> float:
     """Inverse of ``normal_cdf`` for 0 < p < 1."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile defined on (0, 1), got {p!r}")
+    # statistics, with the fractions and decimal it loads, only for compare
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(p)
 
 

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 from .errors import SynthError
-from .ingest import (
-    QuerySpec,
-    RunConfig,
-    iteration_filename,
-    subject_dir,
-    write_fixture_fields,
-)
+from .config import RunConfig
+from .ingest import QuerySpec, iteration_filename, subject_dir, write_fixture_fields
 from .pipeline import resolve_lexicon, run_in_workers
 from .sentiment import Lexicon
 

@@ -18,13 +18,10 @@ import pytest
 
 from threadknit.cli import main
 from threadknit.components import beta_ratio, component_counts
-from threadknit.ingest import RunConfig, parse_fixture
-from threadknit.pipeline import (
-    analyze_groups,
-    bundled_tables,
-    canonical_pairs,
-    correlate_tables,
-)
+from threadknit.config import RunConfig
+from threadknit.ingest import parse_fixture
+from threadknit.pipeline import analyze_groups
+from threadknit.tables import bundled_tables, canonical_pairs, correlate_tables
 from threadknit.sentiment import score_text
 from threadknit.stats import (
     fisher_z,

@@ -24,9 +24,10 @@ import threadknit.ingest
 import threadknit.pipeline
 import threadknit.sentiment
 import threadknit.synth
+import threadknit.tables
 from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
-from threadknit.ingest import RUN_KEYS
+from threadknit.config import RUN_KEYS
 
 from conftest import CLI_GROUPS, PERFBENCH_GROUPS
 
@@ -203,7 +204,7 @@ class TestCorrelateCommand:
         def diverge(tables):
             raise ArithmeticError("incomplete beta failed to converge")
 
-        monkeypatch.setattr(threadknit.cli, "correlate_tables", diverge)
+        monkeypatch.setattr(threadknit.tables, "correlate_tables", diverge)
         assert run_cli("correlate", "--bundled", "--out", workdir) == 3
         assert capsys.readouterr().err == "error: incomplete beta failed to converge\n"
 
@@ -401,6 +402,33 @@ class TestErrorHandling:
 
     def test_unknown_command_exit_1(self, capsys):
         assert run_cli("frobnicate") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("synth", "--config", "run.ini", "--seed", " 2_0"), "--seed"),
+            (("synth", "--config", "run.ini", "--seed", "\u0661"), "--seed"),
+            (("analyze", "--config", "run.ini", "--jobs", "\u0662"), "--jobs"),
+            (("compare", "--out", "out", "--n-override", "1_0"), "--n-override"),
+            (("compare", "--out", "out", "--confidence", "0.9_5"), "--confidence"),
+            (("compare", "--out", "out", "--confidence", "0.\u0669"), "--confidence"),
+        ],
+    )
+    def test_numeric_flag_is_plain_ascii_text_exit_1(self, workdir, monkeypatch, capsys, argv, flag):
+        """int() and float() read ' 2_0' as 20 and '١' as 1; a flag may not."""
+        monkeypatch.chdir(workdir)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"argument {flag}: invalid" in err and repr(argv[-1]) in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["run.ini"]
+
+    def test_numeric_flags_read_plain_text_with_whitespace(self):
+        parser = build_parser()
+        assert parser.parse_args(["synth", "--config", "x", "--seed", " -3 "]).seed == -3
+        assert parser.parse_args(["analyze", "--config", "x", "--jobs", "2 "]).jobs == 2
+        args = parser.parse_args(["compare", "--n-override", " 10", "--confidence", "0.950"])
+        assert (args.n_override, args.confidence) == (10, 0.95)
 
     def test_missing_config_file_exit_1(self, tmp_path, capsys):
         assert run_cli("synth", "--config", tmp_path / "nope.ini") == 1
@@ -633,8 +661,8 @@ class TestHandoffFuzz:
     @pytest.mark.parametrize(
         "name, stage, spec, written",
         [
-            ("tables/topical.csv", "correlate", threadknit.pipeline.SUBJECT_TABLE, "correlations"),
-            ("correlations.csv", "compare", threadknit.pipeline.CORRELATIONS, "comparisons"),
+            ("tables/topical.csv", "correlate", threadknit.tables.SUBJECT_TABLE, "correlations"),
+            ("correlations.csv", "compare", threadknit.tables.CORRELATIONS, "comparisons"),
         ],
     )
     @settings(max_examples=300)
@@ -788,9 +816,9 @@ PARAMETERS = {
     threadknit.synth.write_fixture_tree: ["config"],
     threadknit.sentiment.load_lexicon: ["path"],
     threadknit.pipeline.export_graphs: ["config"],
-    threadknit.pipeline.read_tables: ["config"],
-    threadknit.pipeline.read_correlations: ["out_dir", "config"],
-    threadknit.pipeline.compare_groups: ["reports", "n_override", "confidence"],
+    threadknit.tables.read_tables: ["config"],
+    threadknit.tables.read_correlations: ["out_dir", "config"],
+    threadknit.tables.compare_groups: ["reports", "n_override", "confidence"],
     # the plan's one source is the config
     threadknit.ingest.read_fixture: ["path"],
     threadknit.pipeline.read_iteration: ["path", "config"],
@@ -1124,6 +1152,57 @@ class TestJobs:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0 and done.stdout.strip() == "[]"
+
+
+class TestStageImports:
+    """Each stage loads only the code it runs.  Every stage runs in a fresh
+    ``python -S`` interpreter, whose site hook cannot preload modules."""
+
+    # the package modules of correlate --config and compare --config
+    TABLE_STAGE = {
+        "threadknit", "threadknit.cli", "threadknit.errors", "threadknit.config",
+        "threadknit.tables", "threadknit.records", "threadknit.stats", "threadknit.components",
+    }
+    LAZY = {"statistics", "fractions", "decimal", "datetime", "concurrent.futures", "importlib.resources"}
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """The modules loaded by correlate, compare and export, each run with
+        --config on the CLI config's tree."""
+        workdir = tmp_path_factory.mktemp("imports")
+        (workdir / "run.ini").write_text(CONFIG, encoding="utf-8")
+        with redirect_stdout(StringIO()):
+            for stage in ("synth", "analyze", "correlate"):
+                assert run_cli(stage, "--config", workdir / "run.ini") == 0
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from threadknit.cli import main; "
+            "code = main(sys.argv[2:]); print(code, *sorted(sys.modules))"
+        )
+        modules = {}
+        for stage in ("correlate", "compare", "export"):
+            done = subprocess.run(
+                [sys.executable, "-S", "-c", code, str(SRC), stage, "--config", "run.ini"],
+                cwd=workdir, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            status, *names = done.stdout.splitlines()[-1].split()
+            assert status == "0"
+            modules[stage] = set(names)
+        return modules
+
+    def package(self, modules):
+        return {name for name in modules if name.split(".")[0] == "threadknit"}
+
+    def test_correlate_loads_the_table_stage_alone(self, loaded):
+        assert self.package(loaded["correlate"]) == self.TABLE_STAGE
+        assert not loaded["correlate"] & self.LAZY
+
+    def test_compare_adds_only_statistics(self, loaded):
+        assert self.package(loaded["compare"]) == self.TABLE_STAGE
+        assert not loaded["compare"] & (self.LAZY - {"statistics", "fractions", "decimal"})
+
+    def test_export_loads_no_table_stage(self, loaded):
+        assert not loaded["export"] & {"threadknit.tables", "statistics", "fractions"}
 
 
 class TestFullChain:

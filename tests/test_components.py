@@ -19,7 +19,7 @@ from threadknit.components import (
 )
 from threadknit.errors import DataError, DegeneracyError
 from threadknit.graph import ConversationGraph, Edge
-from threadknit.pipeline import SUBJECT_TABLE
+from threadknit.tables import SUBJECT_TABLE
 from threadknit.records import read_records, write_csv, write_json
 
 from oracles import closure_component_counts, closure_relations

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threadknit.graph import ConversationGraph, Edge, build_graph, export_dot
-from threadknit.ingest import EDGE_KINDS, Status
+from threadknit.config import EDGE_KINDS
+from threadknit.ingest import Status
 from threadknit.pipeline import iteration_row
 
 from conftest import make_batch, make_status

@@ -9,20 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from threadknit.config import EDGE_KINDS, RunConfig, load_config, subject_slug
 from threadknit.errors import ConfigError, FixtureError
 from threadknit.ingest import (
-    EDGE_KINDS,
     IterationBatch,
     QuerySpec,
-    RunConfig,
     Status,
     iteration_filename,
-    load_config,
     normalize_handle,
     parse_fixture,
     read_fixture,
     subject_dir,
-    subject_slug,
     write_fixture_fields,
 )
 from threadknit.pipeline import iteration_files, iteration_row, read_iteration
@@ -372,6 +369,16 @@ BAD_CONFIGS = [
     ("[groups]\ntopical =\n", "no subjects", {"groups": [("topical", ())]}),
     ("[groups]\ntopical = A, a\n", "repeats subject", {"groups": [("topical", ("A", "a"))]}),
     ("[run]\niterations = soon\n[groups]\ntopical = A\n", "integer", None),
+    # int() and float() read '1_0' as 10 and '١' as 1; a config number may not
+    *(
+        (f"[run]\n{key} = {value}\n[groups]\ntopical = A\n", f"{key} must be {what}, got {value!r}$",
+         None)
+        for key, what, value in [
+            ("iterations", "an integer", "1_0"), ("seed", "an integer", "\u0661"),
+            ("seed", "an integer", "-\u0663"), ("per_iteration_count", "an integer", "\uff11"),
+            ("confidence", "a number", "0.9_5"), ("confidence", "a number", "0.\u0669"),
+        ]
+    ),
     ("[run]\nconfidence = 1.5\n[groups]\ntopical = A\n", "confidence", {"confidence": 1.5}),
     (
         "[run]\nedge_kinds = telepathy\n[groups]\ntopical = A\n",
@@ -511,3 +518,10 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    def test_plain_numbers_with_whitespace_are_read(self, tmp_path):
+        path = tmp_path / "run.ini"
+        body = "[run]\nconfidence = 0.950\nseed = -3\niterations =  10 \n[groups]\ntopical = A, B\n"
+        path.write_text(body, encoding="utf-8")
+        config = load_config(path)
+        assert (config.confidence, config.seed, config.iterations) == (0.95, -3, 10)

@@ -25,7 +25,8 @@ import threadknit.sentiment as sentiment_module
 from threadknit.cli import main
 from threadknit.components import ComponentSummary, component_counts, component_summary
 from threadknit.graph import EDGE_KINDS, ConversationGraph, Edge, build_graph, export_dot
-from threadknit.ingest import RunConfig, load_config, parse_fixture
+from threadknit.config import RunConfig, load_config
+from threadknit.ingest import parse_fixture
 from threadknit.pipeline import export_graphs, iteration_files, read_iteration
 from threadknit.sentiment import batch_alpha, mean_score
 from threadknit.synth import write_fixture_tree

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,12 @@ import pytest
 
 import threadknit
 
+from conftest import CLI_GROUPS
+from test_cli import CONFIG
+
 SUBMODULES = (
-    "components", "errors", "graph", "ingest", "pipeline", "records", "sentiment", "stats", "synth",
+    "components", "config", "errors", "graph", "ingest", "pipeline", "records", "sentiment",
+    "stats", "synth", "tables",
 )
 
 EXPORTED = (
@@ -60,11 +65,11 @@ def test_unknown_name_is_an_attribute_error():
         threadknit.no_such_name
 
 
-@pytest.mark.parametrize("module", ["synth", "components", "cli", "pipeline"])
+@pytest.mark.parametrize("module", ["synth", "components", "cli", "pipeline", "config", "tables"])
 def test_module_does_not_load_the_graph_module(module):
     """Only the object view, build_graph and its NamedTuples, needs graph;
-    synth, components, cli and pipeline, which renders DOT, reach the row,
-    the counts and export_dot without it."""
+    synth, components, cli, config, tables and pipeline, which renders DOT,
+    reach the row, the counts and export_dot without it."""
     code = f"import sys, threadknit.{module}; print('threadknit.graph' in sys.modules)"
     src = Path(threadknit.__file__).resolve().parent.parent
     done = subprocess.run(
@@ -72,6 +77,24 @@ def test_module_does_not_load_the_graph_module(module):
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr
+
+
+def test_perfbench_plan_truth_reads_the_config(tmp_path):
+    """perfbench/plantruth.py imports load_config and subject_slug from
+    threadknit.ingest and calls dataclasses.replace on the config: the
+    synth-default workload's setup fails unless that still works."""
+    (tmp_path / "run.ini").write_text(CONFIG, encoding="utf-8")
+    src = Path(threadknit.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "plantruth.py"), "run.ini", "5"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    truth = json.loads(done.stdout)
+    assert truth["iterations"] == 3
+    subjects = [(kind, name) for kind, names in CLI_GROUPS for name in names]
+    assert [(row["kind"], row["subject"]) for row in truth["subjects"]] == subjects
 
 
 def _relative_imports(path: Path) -> set[str]:

@@ -11,36 +11,32 @@ import pytest
 from threadknit.cli import main
 from threadknit.errors import ConfigError, DataError, DegeneracyError
 from threadknit.graph import build_graph, export_dot
-from threadknit.ingest import (
-    RunConfig,
-    iteration_filename,
-    iteration_index,
-    load_config,
-    subject_dir,
-    write_fixture_fields,
-)
+from threadknit.config import RunConfig, load_config
+from threadknit.ingest import iteration_filename, iteration_index, subject_dir, write_fixture_fields
 from threadknit.pipeline import (
-    CORRELATIONS,
-    SCATTER,
     analyze_groups,
     analyze_subject,
-    bundled_tables,
-    canonical_pairs,
-    compare_groups,
-    correlate_tables,
     export_graphs,
     iteration_files,
-    read_correlations,
     read_iteration,
-    read_tables,
-    render_comparisons,
-    render_correlations,
-    render_tables,
     worker_count,
 )
 from threadknit.records import read_records, write_csv
 from threadknit.stats import compare_correlations, zou_interval
 from threadknit.synth import default_plan, write_fixture_tree
+from threadknit.tables import (
+    CORRELATIONS,
+    SCATTER,
+    bundled_tables,
+    canonical_pairs,
+    compare_groups,
+    correlate_tables,
+    read_correlations,
+    read_tables,
+    render_comparisons,
+    render_correlations,
+    render_tables,
+)
 
 from conftest import make_batch, make_status
 from oracles import closure_component_counts, reference_score_text

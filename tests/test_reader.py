@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from threadknit.ingest import EDGE_KINDS, RunConfig, _TIMESTAMP_RE, _decode, read_fixture
+from threadknit.config import EDGE_KINDS, RunConfig
+from threadknit.ingest import _TIMESTAMP_RE, _decode, read_fixture
 from threadknit.pipeline import iteration_files, read_iteration
 from threadknit.synth import write_fixture_tree
 

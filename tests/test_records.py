@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from threadknit.components import SubjectSummary
 from threadknit.errors import ConfigError
-from threadknit.ingest import QUERY_KINDS, RunConfig
-from threadknit.pipeline import CORRELATIONS, SUBJECT_TABLE
+from threadknit.config import QUERY_KINDS, RunConfig
 from threadknit.records import read_records, write_atomic, write_csv
 from threadknit.stats import CorrelationReport
+from threadknit.tables import CORRELATIONS, SUBJECT_TABLE
 
 
 class TestWriteAtomic:

@@ -13,10 +13,9 @@ import threadknit.synth as synth_module
 from threadknit.components import component_counts, component_summary
 from threadknit.errors import DataError, SynthError
 from threadknit.graph import build_graph
+from threadknit.config import EDGE_KINDS, RunConfig
 from threadknit.ingest import (
-    EDGE_KINDS,
     IterationBatch,
-    RunConfig,
     Status,
     iteration_filename,
     parse_fixture,
