@@ -14,16 +14,15 @@ from importlib import import_module
 
 # submodule -> the names it exports
 _EXPORTS = {
-    "components": "ComponentSummary SubjectSummary beta_ratio component_counts component_summary "
-    "round_half_away summarize_subject",
+    "components": "ComponentSummary SubjectSummary beta_ratio component_counts round_half_away "
+    "summarize_subject",
     "errors": "ConfigError DataError DegeneracyError FixtureError LexiconError SynthError "
     "ThreadknitError",
     "config": "RunConfig load_config subject_slug",
-    "graph": "ConversationGraph Edge build_graph",
-    "ingest": "IterationBatch QuerySpec Status normalize_handle parse_fixture write_fixture_fields",
+    "ingest": "QuerySpec Status normalize_handle write_fixture_fields",
     "pipeline": "analyze_groups analyze_subject export_dot export_graphs read_iteration",
     "records": "",
-    "sentiment": "Lexicon batch_alpha bundled_lexicon clean_text load_lexicon score_text",
+    "sentiment": "Lexicon bundled_lexicon clean_text load_lexicon score_text",
     "stats": "ComparisonReport CorrelationReport compare_correlations correlation_report "
     "correlation_significance fisher_z indep_groups_z_test infer_group_n normal_cdf "
     "normal_quantile pearson_r t_cdf zou_interval",

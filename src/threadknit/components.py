@@ -112,7 +112,7 @@ class ComponentSummary:
 
 
 def component_summary(graph: ConversationGraph) -> ComponentSummary:
-    """Count both kinds of component for one graph."""
+    """Count both kinds of component for one graph, for ``perfbench/test_perfbench.py``."""
     number = {node: position for position, node in enumerate(sorted(graph.nodes))}
     edges = [(number[edge.source], number[edge.target]) for edge in graph.edges]
     return ComponentSummary(*component_counts(len(number), edges))

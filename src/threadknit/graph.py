@@ -1,13 +1,15 @@
-"""One iteration's interaction graph as objects, for library callers.  The
-graph rule is ``pipeline.iteration_row``, and its DOT rendering ``export_dot``."""
+"""One iteration's interaction graph as objects, kept for
+``perfbench/test_perfbench.py``, which counts a batch's graph through
+``build_graph``.  The stages read an iteration through
+``pipeline.read_iteration``; the graph rule is ``pipeline.iteration_row``."""
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .config import EDGE_KINDS
 from .ingest import IterationBatch
-# export_dot is re-exported for library callers and for perfbench's tracing, which wraps it here
+# export_dot is re-exported for perfbench's tracing, which wraps it here
 from .pipeline import export_dot, iteration_row
 
 
@@ -18,20 +20,17 @@ class Edge(NamedTuple):
 
 
 class ConversationGraph(NamedTuple):
-    """Who referenced whom: handles, and one Edge per selected reference in file order."""
+    """Who referenced whom: handles, and one Edge per reference in file order."""
 
     nodes: frozenset[str]
     edges: tuple[Edge, ...]
 
 
-def build_graph(
-    batch: IterationBatch,
-    kinds: Iterable[str] = EDGE_KINDS,
-    include_isolates: bool = True,
-) -> ConversationGraph:
-    """The interaction graph of one iteration: ``iteration_row`` of the
-    batch's statuses, with node numbers mapped back to handles."""
-    _, names, edges = iteration_row(batch.statuses, kinds, include_isolates)
+def build_graph(batch: IterationBatch) -> ConversationGraph:
+    """The interaction graph of one batch, every edge kind and isolated
+    author included: ``iteration_row`` of its statuses, with node numbers
+    mapped back to handles.  Kept for ``perfbench/test_perfbench.py``."""
+    _, names, edges = iteration_row(batch.statuses, EDGE_KINDS, True)
     return ConversationGraph(
         frozenset(names), tuple(Edge(names[s], names[t], kind) for s, t, kind in edges)
     )

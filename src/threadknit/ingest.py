@@ -66,7 +66,7 @@ def _parse_timestamp(text: str) -> datetime:
 
 
 class Status(NamedTuple):
-    """One message and its references, as read_fixture returns its fields:
+    """One message and its references, as fixture_records yields its fields:
     the reader checks and normalizes them (handles lowercased without '@',
     ``created_at`` in UTC); a field the record leaves unset is None, or ()
     for ``mentions``."""
@@ -89,7 +89,8 @@ class QuerySpec(NamedTuple):
 
 
 class IterationBatch(NamedTuple):
-    """The statuses of one iteration file of a subject."""
+    """The statuses of one iteration file of a subject, as parse_fixture
+    returns them for ``perfbench/test_perfbench.py``."""
 
     spec: QuerySpec
     index: int
@@ -208,13 +209,9 @@ def fixture_records(path: Path) -> Iterator[tuple]:
         yield fields
 
 
-def read_fixture(path: Path) -> list[tuple]:
-    """The fixture_records of one iteration file, as a list."""
-    return list(fixture_records(path))
-
-
 def parse_fixture(path: str | Path) -> IterationBatch:
-    """Read one iteration file (one JSON status per line) into a batch.
+    """Read one iteration file into a batch, for ``perfbench/test_perfbench.py``;
+    the stages read one through ``pipeline.read_iteration``.
 
     Kind, subject and index are read off a ``<kind>/<subject>/iter_NNN``
     path; for any other file name the subject is the file's stem and the
@@ -224,7 +221,7 @@ def parse_fixture(path: str | Path) -> IterationBatch:
     path = Path(path)
     index = iteration_index(path.name)
     subject = (index is not None and path.parent.name) or path.stem or path.name
-    statuses = tuple(map(Status._make, read_fixture(path)))
+    statuses = tuple(map(Status._make, fixture_records(path)))
     return IterationBatch(QuerySpec(path.parent.parent.name, subject), index or 0, statuses)
 
 
@@ -236,7 +233,7 @@ _QUOTE = json.encoder.encode_basestring
 
 def write_fixture_fields(path: str | Path, records: Iterable[tuple]) -> Path:
     """Write records in Status field order, such as Statuses, as a fixture
-    file, one JSON object per line; the inverse of read_fixture.
+    file, one JSON object per line; the inverse of fixture_records.
 
     Keys follow the Status field order, and an unset optional field is
     omitted, so reading the file back returns the same fields.  A file in

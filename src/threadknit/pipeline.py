@@ -166,8 +166,8 @@ def run_in_workers(call: Callable, tasks: Sequence[tuple], jobs: int, *shared) -
     workers = worker_count(jobs, len(tasks), usable_cores())
     if workers <= 1:
         return [call(*shared, *task) for task in tasks]
-    # imported here so that the other stages do not pay for it at start-up;
-    # default start method: fork on Linux up to Python 3.13, which re-imports nothing
+    # imported here so that the other stages do not pay for it at start-up; every
+    # start method (fork, forkserver, spawn) writes the same bytes, which the tests pin
     from concurrent.futures import process
 
     pool = process.ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(call, shared))
@@ -212,10 +212,9 @@ class _DotIds(dict):
 def export_dot(nodes: Iterable[str], edges: Iterable[Sequence[str]]) -> str:
     """Render a graph in DOT, canonically ordered.
 
-    ``edges`` are (source, target, kind, ...) tuples, such as a
-    ConversationGraph's Edges; nothing past the kind is printed.  Nodes
-    appear sorted, then edges sorted, so two graphs that are equal up to
-    edge order render to identical bytes.
+    ``edges`` are (source, target, kind, ...) tuples; nothing past the
+    kind is printed.  Nodes appear sorted, then edges sorted, so two graphs
+    that are equal up to edge order render to identical bytes.
     """
     ids = _DotIds()
     lines = ["digraph {"]

@@ -158,5 +158,5 @@ def mean_score(texts: Iterable[str], lexicon: Lexicon, subject: str, index: int)
 
 
 def batch_alpha(batch: IterationBatch, lexicon: Lexicon) -> float:
-    """The mean_score of one batch's statuses."""
+    """The mean_score of one batch's statuses; kept for ``perfbench/test_perfbench.py``."""
     return mean_score([s.text for s in batch.statuses], lexicon, batch.spec.subject, batch.index)

@@ -231,6 +231,11 @@ def _batch_fields(spec: SynthSpec, index: int, palette: _Palette) -> list[tuple]
     ]
 
 
+# statuses planted per iteration: every shape default_plan builds needs at
+# most this many, one per edge, one per isolated node and 8 more
+_CORPUS_SIZE = 24
+
+
 @dataclass(frozen=True)
 class SubjectPlan:
     """Planted ground truth for one subject in a synthetic fixture tree."""
@@ -249,6 +254,11 @@ def default_plan(config: RunConfig) -> list[SubjectPlan]:
     that, small groups can land exactly collinear and make the downstream
     significance test degenerate at r = -1.
     """
+    if _CORPUS_SIZE > config.per_iteration_count:
+        raise SynthError(
+            f"planted structure needs {_CORPUS_SIZE} statuses per iteration, "
+            f"more than per_iteration_count {config.per_iteration_count}"
+        )
     plans: list[SubjectPlan] = []
     offset = 0
     for group_index, (kind, subjects) in enumerate(config.groups):
@@ -260,16 +270,15 @@ def default_plan(config: RunConfig) -> list[SubjectPlan]:
                 frac = 1.0
             weak_total = 1 + round(frac * (strong_total - 1))
             sizes = _spread_components(strong_total, weak_total, subject_index)
-            corpus_size = _plan_corpus_size(sizes, config.per_iteration_count)
             wobble = 0.05 if subject_index % 2 == 0 else -0.05
             spec = SynthSpec(
                 seed=config.seed + 1009 * offset,
                 weak_component_sizes=sizes,
-                corpus_size=corpus_size,
+                corpus_size=_CORPUS_SIZE,
                 target_mean=round(0.9 - 1.1 * (weak_total / strong_total) + wobble, 4),
                 # achievable means sit on a grid of step 0.5/corpus_size, so
                 # the tolerance must at least cover half a grid step
-                jitter=max(0.01, 0.3 / corpus_size),
+                jitter=max(0.01, 0.3 / _CORPUS_SIZE),
             )
             plans.append(SubjectPlan(QuerySpec(kind, subject), spec))
             offset += 1
@@ -288,23 +297,6 @@ def _spread_components(
     if len(sizes) > 1:
         sizes[1][0] = 2
     return tuple(tuple(s) for s in sizes)
-
-
-def _plan_corpus_size(
-    sizes: tuple[tuple[int, ...], ...], per_iteration_count: int
-) -> int:
-    edges = sum(s for group in sizes for s in group if s > 1)
-    edges += sum(len(group) - 1 for group in sizes)
-    lonely = sum(
-        1 for group in sizes if len(group) == 1 and group[0] == 1
-    )
-    wanted = max(edges + lonely + 8, 24)
-    if wanted > per_iteration_count:
-        raise SynthError(
-            f"planted structure needs {wanted} statuses per iteration, "
-            f"more than per_iteration_count {per_iteration_count}"
-        )
-    return min(wanted, 50, per_iteration_count)
 
 
 def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) -> list:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 import threadknit.pipeline as pipeline_module
-from threadknit.ingest import IterationBatch, QuerySpec, Status
+from threadknit.ingest import Status
 from threadknit.sentiment import Lexicon, bundled_lexicon
 
 settings.register_profile("suite", deadline=None)
@@ -71,16 +71,6 @@ def two_cores(monkeypatch):
 @pytest.fixture(scope="session")
 def mini_lexicon() -> Lexicon:
     return Lexicon(name="mini", entries=MINI_LEXICON_ENTRIES)
-
-
-def make_spec(**overrides) -> QuerySpec:
-    base = dict(kind="topical", subject="Subject")
-    base.update(overrides)
-    return QuerySpec(**base)
-
-
-def make_batch(statuses, index=0, **spec_overrides) -> IterationBatch:
-    return IterationBatch(spec=make_spec(**spec_overrides), index=index, statuses=tuple(statuses))
 
 
 def make_status(i, author, text="hello", **kwargs) -> Status:

@@ -19,7 +19,7 @@ import pytest
 from threadknit.cli import main
 from threadknit.components import beta_ratio, component_counts
 from threadknit.config import RunConfig
-from threadknit.ingest import parse_fixture
+from threadknit.ingest import fixture_records
 from threadknit.pipeline import analyze_groups
 from threadknit.tables import bundled_tables, canonical_pairs, correlate_tables
 from threadknit.sentiment import score_text
@@ -200,8 +200,8 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     run("synth", "--config", config_path)
     fixtures = tree(tmp_path / "fixtures")
     assert len(fixtures) == 4 * 6 * 100
-    sample = parse_fixture(tmp_path / "fixtures" / "topical" / "t1" / "iter_000")
-    assert len(sample.statuses) <= 50
+    sample = list(fixture_records(tmp_path / "fixtures" / "topical" / "t1" / "iter_000"))
+    assert len(sample) <= 50
 
     run("synth", "--config", config_path)
     assert tree(tmp_path / "fixtures") == fixtures

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import threadknit.cli
+import threadknit.graph
 import threadknit.ingest
 import threadknit.pipeline
 import threadknit.sentiment
@@ -29,7 +30,7 @@ from threadknit.cli import build_parser, main
 from threadknit.errors import ConfigError
 from threadknit.config import RUN_KEYS
 
-from conftest import CLI_GROUPS, PERFBENCH_GROUPS
+from conftest import CLI_GROUPS, MINI_LEXICON_ENTRIES, PERFBENCH_GROUPS
 
 SRC = Path(threadknit.cli.__file__).resolve().parent.parent
 
@@ -801,6 +802,171 @@ class TestFixtureFuzz:
             assert str(target) in lines[0]
 
 
+def assert_one_outcome(code, err, named):
+    """An exit code, and on failure one error line, naming ``named`` on exit 2."""
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err
+    if code == 0:
+        return
+    # a line ends at a line feed only; text such as "\x1e" may be quoted from the file
+    *lines, end = err.split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ") and end == "", lines
+    if code == 2:
+        assert re.search(named, lines[0]), lines[0]
+
+
+LEXICON_CONFIG = """\
+[run]
+per_iteration_count = 24
+iterations = 1
+lexicon = lexicon.tsv
+
+[groups]
+topical = Alpha, Beta
+"""
+LEXICON = "# token<TAB>valence\n" + "".join(
+    f"{token}\t{valence}\n" for token, valence in MINI_LEXICON_ENTRIES.items()
+)
+# a lexicon line's new token or valence: the parser's known traps first
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["", "Good", "go od", "don't", "'tis", "x_y", "na\u00efve", "\u0130", "a\u0301"]
+    ),
+    st.text(max_size=6),
+)
+VALENCES = st.one_of(
+    st.sampled_from(
+        ["nan", "-inf", "1e309", "1_0", "\u0661", "0x1", "", " 2 ", "-0", "1e-320", "1e300", "5."]
+    ),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def lexicon_mutations(draw):
+    """LEXICON with one to three of: a line's tab changed, its token or its
+    valence replaced, a BOM, a comment, a U+2028 or a duplicated line."""
+    lines = LEXICON.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 2))  # the text ends with a line feed
+        token, _, valence = lines[at].partition("\t")
+        how = draw(st.sampled_from(["tab", "token", "valence", "bom", "comment", "u2028", "twice"]))
+        if how == "tab":
+            lines[at] = token + draw(st.sampled_from(["", " ", "\t\t", "\t \t"])) + valence
+        elif how == "token":
+            lines[at] = f"{draw(TOKENS)}\t{valence}"
+        elif how == "valence":
+            lines[at] = f"{token}\t{draw(VALENCES)}"
+        elif how == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        elif how == "comment":
+            lines.insert(at, draw(st.sampled_from(["#", "  # indented", "#\t1", "# x\tbad\t2"])))
+        elif how == "u2028":
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + "\u2028" + lines[at][cut:]
+        else:
+            lines.insert(at, draw(st.sampled_from([lines[at], f"{token}\t{draw(VALENCES)}"])))
+    return "\n".join(lines).encode("utf-8")
+
+
+class TestLexiconFuzz:
+    """A mutated lexicon ends synth, then analyze, in an exit code and, on
+    failure, one error line, naming the lexicon on exit 2, and nothing under out/."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("lexicon-fuzz")
+        (workdir / "run.ini").write_text(LEXICON_CONFIG, encoding="utf-8")
+        return workdir
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_mutated_lexicon(self, workdir, data):
+        lexicon = workdir / "lexicon.tsv"
+        lexicon.write_bytes(data.draw(lexicon_mutations()))
+        out = workdir / "out"
+        try:
+            for stage in ("synth", "analyze"):
+                stderr = StringIO()
+                with redirect_stdout(StringIO()), redirect_stderr(stderr):
+                    code = run_cli(stage, "--config", workdir / "run.ini")
+                assert_one_outcome(code, stderr.getvalue(), re.escape(str(lexicon)))
+                if code:
+                    assert not out.exists()
+                    break
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
+
+
+CONFIG_KEYS = st.one_of(
+    st.sampled_from([*RUN_KEYS, "topical", "event", "Seed", "iters"]), st.text(max_size=6)
+)
+SECTIONS = st.one_of(st.sampled_from(["run", "groups", "Run", "extra"]), st.text(max_size=5))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            "", "0", "-1", "1e3", "1_0", "\u0661", "nan", "inf", "1.0", "yes", "maybe",
+            "reply, mention", "telepathy", "Alpha, Alpha", "\u00c9lan", "a\u2028b", "/", "..",
+            "9" * 5000,
+        ]
+    ),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def config_mutations(draw):
+    """CONFIG with one to three of: a key renamed, added or dropped, a value
+    replaced, a section header added or renamed, a [DEFAULT] section; then
+    encoded as UTF-8, UTF-8 with a BOM, Latin-1 or UTF-16."""
+    lines = CONFIG.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        # past the first header, which a section mutation may rename or a BOM hide
+        at = draw(st.integers(1, len(lines) - 1))
+        key, equals, value = lines[at].partition("=")
+        how = draw(st.sampled_from(["key", "value", "add", "drop", "section", "default"]))
+        if how == "key" and equals:
+            lines[at] = f"{draw(CONFIG_KEYS)} ={value}"
+        elif how == "value" and equals:
+            lines[at] = f"{key}= {draw(CONFIG_VALUES)}"
+        elif how == "drop":
+            del lines[at]
+        elif how == "section" and lines[at].startswith("["):
+            lines[at] = f"[{draw(SECTIONS)}]"
+        elif how == "section":
+            lines.insert(at, f"[{draw(SECTIONS)}]")
+        elif how == "default":
+            lines[at:at] = ["[DEFAULT]", f"{draw(CONFIG_KEYS)} = {draw(CONFIG_VALUES)}"]
+        else:
+            lines.insert(at, f"{draw(CONFIG_KEYS)} = {draw(CONFIG_VALUES)}")
+    # mostly UTF-8, so that most examples reach the checks past the decoder
+    encoding = draw(st.sampled_from(["utf-8"] * 3 + ["utf-8-sig", "latin-1", "utf-16"]))
+    return "\n".join(lines).encode(encoding, errors="replace")
+
+
+class TestConfigFuzz:
+    """A mutated config file ends correlate, in a directory with no tables,
+    in an exit code and one error line: exit 1 naming the config, or exit 2
+    naming the missing table; nothing is written."""
+
+    @settings(max_examples=150)
+    @given(raw=config_mutations())
+    def test_mutated_config(self, tmp_path_factory, raw):
+        workdir = tmp_path_factory.mktemp("config-fuzz")
+        ini = workdir / "run.ini"
+        ini.write_bytes(raw)
+        stderr = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(stderr):
+            code = run_cli("correlate", "--config", ini)
+        err = stderr.getvalue()
+        missing_table = r"missing subject table .*tables[/\\][a-z]+\.csv; run analyze first"
+        assert_one_outcome(code, err, missing_table)
+        assert code in {1, 2}
+        if code == 1:
+            assert str(ini) in err
+        assert [path.name for path in workdir.iterdir()] == ["run.ini"]
+
+
 # every subcommand's options: adding or removing one is a deliberate edit here
 OPTIONS = {
     "synth": ["--config", "--out", "--seed"],
@@ -820,9 +986,10 @@ PARAMETERS = {
     threadknit.tables.read_correlations: ["out_dir", "config"],
     threadknit.tables.compare_groups: ["reports", "n_override", "confidence"],
     # the plan's one source is the config
-    threadknit.ingest.read_fixture: ["path"],
     threadknit.pipeline.read_iteration: ["path", "config"],
     threadknit.ingest.parse_fixture: ["path"],
+    # perfbench/test_perfbench.py counts a batch's graph under every edge kind
+    threadknit.graph.build_graph: ["batch"],
     threadknit.pipeline.iteration_files: ["config", "kind", "subject"],
 }
 
@@ -976,7 +1143,50 @@ def fork_start():
     multiprocessing.set_start_method(previous, force=True)
 
 
+# synth, analyze --jobs 2 and export on two-worker pools under the start method
+# named by argv[1], in a fresh interpreter
+POOLED_STAGES = """\
+import multiprocessing, sys
+import threadknit.pipeline, threadknit.synth
+from threadknit.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    # a pool for every stage, whatever the tree's size and the host's cores
+    threadknit.synth._FILES_PER_WORKER = 1
+    threadknit.pipeline._EXPORT_BYTES_PER_WORKER = 1
+    threadknit.pipeline.usable_cores = lambda: 2
+    for stage in (["synth"], ["analyze", "--jobs", "2"], ["export"]):
+        if main([*stage, "--config", "run.ini"]):
+            sys.exit(1)
+"""
+
+
 class TestJobs:
+    @pytest.fixture(scope="class")
+    def in_process(self, tmp_path_factory):
+        """The fixture tree and out/ that synth, analyze and export write
+        in this process, starting no pool."""
+        workdir = tmp_path_factory.mktemp("in-process")
+        (workdir / "run.ini").write_text(CONFIG, encoding="utf-8")
+        with redirect_stdout(StringIO()):
+            for stage in ("synth", "analyze", "export"):
+                assert run_cli(stage, "--config", workdir / "run.ini") == 0
+        return tree_bytes(workdir / "fixtures"), tree_bytes(workdir / "out")
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_every_start_method_writes_the_same_bytes(self, workdir, in_process, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        done = subprocess.run(
+            [sys.executable, "-c", POOLED_STAGES, method],
+            cwd=workdir, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tree_bytes(workdir / "fixtures"), tree_bytes(workdir / "out")) == in_process
+        assert len(in_process[0]) == 24 and len(in_process[1]) == 14
+
     def analyze_processes(self, workdir):
         """(exit code, stderr lines) of analyze under --jobs 1 and --jobs 2."""
         return [

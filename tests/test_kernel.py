@@ -1,12 +1,12 @@
 """The one iteration reader against the reference graph rule.
 
-What analyze and export take from ``read_iteration``'s row must equal, for
-every iteration file, the counts, alpha and DOT of ``oracles.reference_graph``
-over ``parse_fixture``'s statuses, with ``component_summary``,
-``batch_alpha`` and ``export_dot``, under every edge-kind selection with
-isolates on and off; ``build_graph`` must equal the reference graph too.  A
-malformed file must fail with the same ``error:`` line and exit code as
-before, and export must build none of the objects.
+``read_iteration``'s row must equal, for every iteration file, the graph of
+``oracles.reference_graph`` over ``fixture_records``' records, and what
+analyze and export take from it must equal the closure counts, the mean
+score of the records' texts and the DOT of that reference graph, under every
+edge-kind selection with isolates on and off.  A malformed file must fail
+with the same ``error:`` line and exit code as before, and neither analyze
+nor export may build a status or graph object through the object view.
 """
 
 from __future__ import annotations
@@ -14,25 +14,24 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
-import threadknit.graph as graph_module
-import threadknit.ingest as ingest_module
+# loaded here, so that the guards below patch its names too
+import threadknit.graph  # noqa: F401
 import threadknit.pipeline as pipeline_module
-import threadknit.sentiment as sentiment_module
 from threadknit.cli import main
-from threadknit.components import ComponentSummary, component_counts, component_summary
-from threadknit.graph import EDGE_KINDS, ConversationGraph, Edge, build_graph, export_dot
-from threadknit.config import RunConfig, load_config
-from threadknit.ingest import parse_fixture
-from threadknit.pipeline import export_graphs, iteration_files, read_iteration
-from threadknit.sentiment import batch_alpha, mean_score
+from threadknit.components import ComponentSummary, component_counts
+from threadknit.config import EDGE_KINDS, RunConfig, load_config
+from threadknit.ingest import fixture_records
+from threadknit.pipeline import export_dot, export_graphs, iteration_files, read_iteration
+from threadknit.sentiment import mean_score
 from threadknit.synth import write_fixture_tree
 
 from conftest import CLI_GROUPS, PERFBENCH_GROUPS, tree_digest
-from oracles import reference_graph
+from oracles import closure_component_counts, reference_graph
 
 CONFIG = """\
 [run]
@@ -97,26 +96,24 @@ def write_lines(path, lines):
     )
 
 
-def reference(batch, kinds, include_isolates):
-    """The reference rule's graph of a batch, as a ConversationGraph."""
-    nodes, edges = reference_graph(batch.statuses, kinds, include_isolates)
-    return ConversationGraph(frozenset(nodes), tuple(Edge(*edge) for edge in edges))
-
-
-def object_path(path, config, lexicon):
-    """Counts and alpha of the reference graph and batch under the config's
-    edge kinds and isolates rule; build_graph must give the same graph."""
-    kinds, include_isolates = config.edge_kinds, config.include_isolates
-    batch = parse_fixture(path)
-    graph = reference(batch, kinds, include_isolates)
-    assert build_graph(batch, kinds=kinds, include_isolates=include_isolates) == graph
-    return component_summary(graph), batch_alpha(batch, lexicon)
+def reference_path(path, index, config, lexicon):
+    """The reference graph of the file's records under the config's edge
+    kinds and isolates rule, with its closure counts and the mean score of
+    the records' texts."""
+    records = list(fixture_records(path))
+    nodes, edges = reference_graph(records, config.edge_kinds, config.include_isolates)
+    counts = closure_component_counts(nodes, [(source, target) for source, target, _ in edges])
+    alpha = mean_score([fields[1] for fields in records], lexicon, path.parent.name, index)
+    return (nodes, edges), ComponentSummary(*counts), alpha
 
 
 def row_path(path, index, config, lexicon):
-    """What analyze takes from the row: counts and alpha."""
+    """The row's graph with node numbers mapped back to handles, and what
+    analyze takes from the row: counts and alpha."""
     row = read_iteration(path, config)
+    named = [(row.nodes[source], row.nodes[target], kind) for source, target, kind in row.edges]
     return (
+        (set(row.nodes), named),
         ComponentSummary(*component_counts(len(row.nodes), row.edges)),
         mean_score(row.texts, lexicon, path.parent.name, index),
     )
@@ -128,14 +125,34 @@ def selections(config):
         yield replace(config, edge_kinds=kinds, include_isolates=isolates)
 
 
-class TestAgreesWithTheObjectPath:
+# the object view, which only perfbench/test_perfbench.py still calls
+OBJECT_VIEW = (
+    "Edge", "ConversationGraph", "build_graph", "IterationBatch", "parse_fixture",
+    "component_summary", "batch_alpha",
+)
+
+
+def refuse_everywhere(monkeypatch, names):
+    """Each name, in every loaded threadknit module, replaced by a function
+    that fails the test when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage built a status or graph object, or scored text")
+
+    loaded = [module for name, module in sys.modules.items() if name.split(".")[0] == "threadknit"]
+    for module in loaded:
+        for name in names:
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
+class TestAgreesWithTheReferenceGraph:
     def test_every_synth_iteration_and_kind_selection(self, tree, lexicon):
         config = load_config(tree / "run.ini")
         checked = 0
         for kind, subject in config.subjects():
             for index, path in iteration_files(config, kind, subject):
                 for selected in selections(config):
-                    expected = object_path(path, selected, lexicon)
+                    expected = reference_path(path, index, selected, lexicon)
                     got = row_path(path, index, selected, lexicon)
                     assert got == expected, (path, selected.edge_kinds, selected.include_isolates)
                     checked += 1
@@ -147,11 +164,19 @@ class TestAgreesWithTheObjectPath:
         index, path = iteration_files(config, "topical", "Alpha")[1]
         write_lines(path, mixed_records(seed, 40))
         for selected in selections(config):
-            expected = object_path(path, selected, lexicon)
+            expected = reference_path(path, index, selected, lexicon)
             assert row_path(path, index, selected, lexicon) == expected
 
+    def test_analyze_builds_no_objects(self, tree, monkeypatch):
+        write_lines(tree / "fixtures" / "topical" / "alpha" / "iter_002", mixed_records(1, 40))
+        config = str(tree / "run.ini")
+        assert main(["analyze", "--config", config, "--out", str(tree / "plain")]) == 0
+        refuse_everywhere(monkeypatch, ("Status", *OBJECT_VIEW))
+        assert main(["analyze", "--config", config, "--jobs", "1"]) == 0
+        assert tree_digest(tree / "out") == tree_digest(tree / "plain")
 
-class TestExportAgreesWithTheObjectPath:
+
+class TestExportAgreesWithTheReferenceGraph:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_reference_kind_mixed(self, tree, seed):
         config = load_config(tree / "run.ini")
@@ -160,25 +185,11 @@ class TestExportAgreesWithTheObjectPath:
         written = tree / "out" / "graphs" / "topical" / "alpha.dot"
         for kinds, isolates in itertools.product(KIND_SUBSETS, (True, False)):
             export_graphs(replace(config, edge_kinds=kinds, include_isolates=isolates))
-            graph = reference(parse_fixture(path), kinds, isolates)
-            expected = export_dot(graph.nodes, graph.edges)
+            expected = export_dot(*reference_graph(list(fixture_records(path)), kinds, isolates))
             assert written.read_text(encoding="utf-8") == expected, (kinds, isolates)
 
     def test_export_builds_no_objects_and_scores_no_text(self, tree, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("export built a status or graph object, or scored text")
-
-        for module, name in [
-            (ingest_module, "Status"),
-            (ingest_module, "IterationBatch"),
-            (graph_module, "Edge"),
-            (graph_module, "ConversationGraph"),
-            (sentiment_module, "score_text"),
-            (sentiment_module, "batch_alpha"),
-        ]:
-            monkeypatch.setattr(module, name, refuse)
-            # stubbed in pipeline too, in case it imports one by name
-            monkeypatch.setattr(pipeline_module, name, refuse, raising=False)
+        refuse_everywhere(monkeypatch, ("Status", "score_text", *OBJECT_VIEW))
         write_lines(tree / "fixtures" / "topical" / "alpha" / "iter_002", mixed_records(1, 40))
         assert main(["export", "--config", str(tree / "run.ini")]) == 0
         assert len(list((tree / "out" / "graphs" / "topical").iterdir())) == 3

@@ -17,30 +17,51 @@ from conftest import CLI_GROUPS
 from test_cli import CONFIG
 
 SUBMODULES = (
-    "components", "config", "errors", "graph", "ingest", "pipeline", "records", "sentiment",
+    "components", "config", "errors", "ingest", "pipeline", "records", "sentiment",
     "stats", "synth", "tables",
 )
 
 EXPORTED = (
-    "ComparisonReport", "ComponentSummary", "ConfigError", "ConversationGraph",
-    "CorrelationReport", "DataError", "DegeneracyError", "Edge", "FixtureError",
-    "IterationBatch", "Lexicon", "LexiconError", "QuerySpec", "RunConfig", "Status",
+    "ComparisonReport", "ComponentSummary", "ConfigError",
+    "CorrelationReport", "DataError", "DegeneracyError", "FixtureError",
+    "Lexicon", "LexiconError", "QuerySpec", "RunConfig", "Status",
     "SubjectSummary", "SynthError", "SynthSpec", "ThreadknitError",
-    "analyze_groups", "analyze_subject", "batch_alpha", "beta_ratio", "build_graph",
+    "analyze_groups", "analyze_subject", "beta_ratio",
     "bundled_lexicon", "bundled_tables", "canonical_pairs", "clean_text", "compare_correlations",
     "compare_groups", "component_counts",
-    "component_summary", "correlate_tables", "correlation_report", "correlation_significance",
+    "correlate_tables", "correlation_report", "correlation_significance",
     "export_dot", "export_graphs", "fisher_z", "indep_groups_z_test", "infer_group_n",
     "load_config", "load_lexicon", "normal_cdf", "normal_quantile", "normalize_handle",
-    "parse_fixture", "pearson_r", "read_correlations", "read_iteration", "read_tables",
+    "pearson_r", "read_correlations", "read_iteration", "read_tables",
     "round_half_away", "score_text", "subject_slug", "summarize_subject", "t_cdf",
     "write_fixture_fields", "write_fixture_tree", "zou_interval",
 )
 
+# the object view: not exported, and kept only where perfbench/ imports it from
+PERFBENCH_ONLY = {
+    "Edge": "graph",
+    "ConversationGraph": "graph",
+    "build_graph": "graph",
+    "IterationBatch": "ingest",
+    "parse_fixture": "ingest",
+    "component_summary": "components",
+    "batch_alpha": "sentiment",
+}
+
 
 def test_all_lists_the_exported_names_and_submodules():
     assert threadknit.__all__ == sorted(EXPORTED + SUBMODULES)
+    assert len(threadknit.__all__) == 61
     assert set(threadknit.__all__) <= set(dir(threadknit))
+
+
+@pytest.mark.parametrize("name", PERFBENCH_ONLY)
+def test_object_view_is_kept_only_for_perfbench(name):
+    assert name not in threadknit.__all__ and "graph" not in threadknit.__all__
+    with pytest.raises(AttributeError):
+        getattr(threadknit, name)
+    module = import_module(f"threadknit.{PERFBENCH_ONLY[name]}")
+    assert getattr(module, name).__module__ == module.__name__
 
 
 def test_every_exported_name_is_its_submodules_object():
@@ -67,9 +88,9 @@ def test_unknown_name_is_an_attribute_error():
 
 @pytest.mark.parametrize("module", ["synth", "components", "cli", "pipeline", "config", "tables"])
 def test_module_does_not_load_the_graph_module(module):
-    """Only the object view, build_graph and its NamedTuples, needs graph;
-    synth, components, cli, config, tables and pipeline, which renders DOT,
-    reach the row, the counts and export_dot without it."""
+    """Only the object view kept for perfbench needs graph; synth,
+    components, cli, config, tables and pipeline, which renders DOT, reach
+    the row, the counts and export_dot without it."""
     code = f"import sys, threadknit.{module}; print('threadknit.graph' in sys.modules)"
     src = Path(threadknit.__file__).resolve().parent.parent
     done = subprocess.run(

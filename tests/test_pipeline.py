@@ -10,12 +10,12 @@ import pytest
 
 from threadknit.cli import main
 from threadknit.errors import ConfigError, DataError, DegeneracyError
-from threadknit.graph import build_graph, export_dot
-from threadknit.config import RunConfig, load_config
+from threadknit.config import EDGE_KINDS, RunConfig, load_config
 from threadknit.ingest import iteration_filename, iteration_index, subject_dir, write_fixture_fields
 from threadknit.pipeline import (
     analyze_groups,
     analyze_subject,
+    export_dot,
     export_graphs,
     iteration_files,
     read_iteration,
@@ -38,8 +38,8 @@ from threadknit.tables import (
     render_tables,
 )
 
-from conftest import make_batch, make_status
-from oracles import closure_component_counts, reference_score_text
+from conftest import make_status
+from oracles import closure_component_counts, reference_graph, reference_score_text
 
 # Frozen correlations of the bundled reference tables (r, p at n = 6).
 BUNDLED_EXPECTED = {
@@ -73,16 +73,11 @@ def planted_config(tmp_path, groups=None, **overrides):
     return config
 
 
-def write_batch(batch, config):
-    """A batch's Status fields through the fixture writer, at its place
-    in ``config``'s fixture tree."""
-    directory = subject_dir(config.fixtures_dir, batch.spec.kind, batch.spec.subject)
-    write_fixture_fields(directory / iteration_filename(batch.index), batch.statuses)
-
-
-def chain_batch(index, length, alpha_word, spec):
-    # a directed chain a0 -> a1 -> ... of mentions; every status scores the
-    # same word so the batch mean is that word's valence
+def write_chain(config, index, length, alpha_word, subject="A"):
+    """A directed chain a0 -> a1 -> ... of mentions through the fixture
+    writer, as iteration ``index`` of topical ``subject``; every status
+    scores the same word so the batch mean is that word's valence.  Returns
+    the statuses."""
     statuses = [
         make_status(
             f"{index}_{k}",
@@ -92,14 +87,16 @@ def chain_batch(index, length, alpha_word, spec):
         )
         for k in range(length - 1)
     ]
-    return make_batch(statuses, index=index, **spec)
+    directory = subject_dir(config.fixtures_dir, "topical", subject)
+    write_fixture_fields(directory / iteration_filename(index), statuses)
+    return statuses
 
 
 class TestAnalyzeSubject:
     def test_chain_counts_and_alpha(self, tmp_path, mini_lexicon):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=2)
         for index in range(2):
-            write_batch(chain_batch(index, 4, "great", dict(subject="A")), config)
+            write_chain(config, index, 4, "great")
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (4, 1)
         assert summary.beta == 0.25
@@ -109,8 +106,8 @@ class TestAnalyzeSubject:
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=2)
         # iteration 0: chain of 4 (strong 4, weak 1); iteration 1: chain of
         # 5 (strong 5, weak 1).  Mean strong 4.5 rounds away from zero to 5.
-        write_batch(chain_batch(0, 4, "good", dict(subject="A")), config)
-        write_batch(chain_batch(1, 5, "ok", dict(subject="A")), config)
+        write_chain(config, 0, 4, "good")
+        write_chain(config, 1, 5, "ok")
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (5, 1)
         assert summary.beta == 0.2
@@ -293,8 +290,7 @@ class TestRunPipeline:
 class TestIterationOrder:
     def write_chains(self, config, lengths):
         for index, length in lengths.items():
-            batch = chain_batch(index, length, "good", dict(subject="A"))
-            write_batch(batch, config)
+            write_chain(config, index, length, "good")
 
     def test_files_sorted_by_number_not_name(self, tmp_path):
         config = tiny_config(tmp_path, [("topical", ("A", "B", "C"))], iterations=1001)
@@ -314,10 +310,10 @@ class TestIterationOrder:
         config = tiny_config(tmp_path, [("topical", ("A",))], iterations=1001)
         # the other planned iterations are 4-node chains, which keep the means at (4, 1)
         self.write_chains(config, {**dict.fromkeys(range(998), 4), 998: 5, 999: 4, 1000: 3})
-        last = chain_batch(1000, 3, "good", dict(subject="A"))
+        last = write_chain(config, 1000, 3, "good")
         (written,) = export_graphs(config)
-        graph = build_graph(last)
-        assert written.read_text(encoding="utf-8") == export_dot(graph.nodes, graph.edges)
+        nodes, edges = reference_graph(last, EDGE_KINDS, True)
+        assert written.read_text(encoding="utf-8") == export_dot(nodes, edges)
         summary = analyze_subject(config, mini_lexicon, "topical", "A")
         assert (summary.strong_count, summary.weak_count) == (4, 1)
 

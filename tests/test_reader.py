@@ -3,7 +3,7 @@
 ``ingest._decode`` must give what ``json.loads`` gives for any line: the
 same value, or the same exception type and message.  ``read_iteration``,
 which builds its row as the records stream, must equal
-``oracles.reference_graph`` over ``read_fixture``'s records on every file
+``oracles.reference_graph`` over ``fixture_records``' records on every file
 of a tree from perfbench's paper generator and of a ``synth`` tree, and
 every ``created_at`` either generator writes must be a form the reader
 takes.
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threadknit.config import EDGE_KINDS, RunConfig
-from threadknit.ingest import _TIMESTAMP_RE, _decode, read_fixture
+from threadknit.ingest import _TIMESTAMP_RE, _decode, fixture_records
 from threadknit.pipeline import iteration_files, read_iteration
 from threadknit.synth import write_fixture_tree
 
@@ -140,7 +140,7 @@ class TestStreamedReader:
         files = list(tree_files(tree))
         assert len(files) == 48
         for path, (kinds, isolates) in itertools.product(files, selections):
-            records = read_fixture(path)
+            records = list(fixture_records(path))
             row = read_iteration(path, replace(tree, edge_kinds=kinds, include_isolates=isolates))
             named = [(row.nodes[s], row.nodes[t], kind) for s, t, kind in row.edges]
             assert (set(row.nodes), named) == reference_graph(records, kinds, isolates)

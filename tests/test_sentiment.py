@@ -11,7 +11,6 @@ import threadknit.sentiment as sentiment_module
 from threadknit.errors import DegeneracyError, LexiconError
 from threadknit.sentiment import (
     Lexicon,
-    batch_alpha,
     bundled_lexicon,
     clean_text,
     load_lexicon,
@@ -20,7 +19,7 @@ from threadknit.sentiment import (
     score_text,
 )
 
-from conftest import HAND_SCORED_TEXTS, make_batch, make_status
+from conftest import HAND_SCORED_TEXTS
 from oracles import reference_clean_text, reference_score_text
 
 # Pieces that stress the tokeniser: both apostrophes, underscores, '@',
@@ -119,21 +118,18 @@ class TestScoreText:
             assert score_text(raw, doubled) == 2 * expected
 
 
-class TestBatchAlpha:
+class TestMeanScore:
     def test_mean_over_statuses(self, mini_lexicon):
-        statuses = [
-            make_status(i, "a", text=raw) for i, (raw, _) in enumerate(HAND_SCORED_TEXTS)
-        ]
-        alpha = batch_alpha(make_batch(statuses), mini_lexicon)
+        texts = [raw for raw, _ in HAND_SCORED_TEXTS]
+        alpha = mean_score(texts, mini_lexicon, "Subject", 0)
         assert alpha == pytest.approx(0.4, abs=1e-12)
 
     def test_single_status(self, mini_lexicon):
-        alpha = batch_alpha(make_batch([make_status(0, "a", text="great")]), mini_lexicon)
-        assert alpha == 2.0
+        assert mean_score(["great"], mini_lexicon, "Subject", 0) == 2.0
 
     def test_empty_batch_rejected(self, mini_lexicon):
         with pytest.raises(DegeneracyError, match="Subject"):
-            batch_alpha(make_batch([]), mini_lexicon)
+            mean_score([], mini_lexicon, "Subject", 0)
 
     def test_mean_score_is_the_mean_text_score(self, mini_lexicon):
         texts = [raw for raw, _ in HAND_SCORED_TEXTS]

@@ -10,21 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import threadknit.ingest as ingest_module
 import threadknit.synth as synth_module
-from threadknit.components import component_counts, component_summary
+from threadknit.components import component_counts
 from threadknit.errors import DataError, SynthError
-from threadknit.graph import build_graph
-from threadknit.config import EDGE_KINDS, RunConfig
-from threadknit.ingest import (
-    IterationBatch,
-    Status,
-    iteration_filename,
-    parse_fixture,
-    read_fixture,
-    write_fixture_fields,
-)
-from threadknit.pipeline import iteration_files
+from threadknit.config import EDGE_KINDS, QUERY_KINDS, RunConfig
+from threadknit.ingest import fixture_records, iteration_filename, write_fixture_fields
+from threadknit.pipeline import iteration_files, iteration_row
 from threadknit.sentiment import score_text
 from threadknit.synth import (
+    _CORPUS_SIZE,
     SubjectPlan,
     SynthSpec,
     _batch_fields,
@@ -32,11 +25,12 @@ from threadknit.synth import (
     _corpus_texts,
     _palette,
     _planted_topology,
+    _spread_components,
     default_plan,
     write_fixture_tree,
 )
 
-from conftest import CLI_GROUPS, PERFBENCH_GROUPS, make_spec, tree_digest
+from conftest import CLI_GROUPS, PERFBENCH_GROUPS, tree_digest
 from oracles import reference_closest_valence, reference_graph
 
 
@@ -46,11 +40,16 @@ def corpus_texts(spec, lexicon):
     return _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, _palette(lexicon), rng)
 
 
-def planted_batch(spec, query_spec, index, lexicon):
-    """One planted iteration's fields as an IterationBatch, for checks
-    through the object path."""
-    fields = _batch_fields(spec, index, _palette(lexicon))
-    return IterationBatch(query_spec, index, tuple(Status(*f) for f in fields))
+def planted_fields(spec, index, lexicon):
+    """One planted iteration's Status fields, in file order."""
+    return _batch_fields(spec, index, _palette(lexicon))
+
+
+def mention_counts(records):
+    """(strong, weak) components of the records' mention graph, as analyze
+    counts an iteration row."""
+    row = iteration_row(records, ("mention",), True)
+    return component_counts(len(row.nodes), row.edges)
 
 
 size_lists = st.lists(
@@ -161,51 +160,46 @@ class TestSynthBatch:
 
     def test_graph_counts_recovered(self, lexicon):
         spec = self.batch_spec()
-        batch = planted_batch(spec, make_spec(), 0, lexicon)
-        summary = component_summary(build_graph(batch, ("mention",)))
-        assert (summary.strong_count, summary.weak_count) == (3, 2)
+        assert mention_counts(planted_fields(spec, 0, lexicon)) == (3, 2)
 
     def test_batch_size_is_corpus_size(self, lexicon):
-        batch = planted_batch(self.batch_spec(), make_spec(), 0, lexicon)
-        assert len(batch.statuses) == 30
+        assert len(planted_fields(self.batch_spec(), 0, lexicon)) == 30
 
     def test_mean_score_near_target(self, lexicon):
-        batch = planted_batch(self.batch_spec(), make_spec(), 0, lexicon)
-        scores = [score_text(s.text, lexicon) for s in batch.statuses]
+        fields = planted_fields(self.batch_spec(), 0, lexicon)
+        scores = [score_text(text, lexicon) for _, text, *_ in fields]
         assert abs(fmean(scores) - 0.25) <= 0.02 + 1e-9
 
     def test_iterations_differ_but_counts_hold(self, lexicon):
         spec = self.batch_spec()
-        qspec = make_spec()
-        batches = [planted_batch(spec, qspec, i, lexicon) for i in range(3)]
-        texts = [tuple(s.text for s in b.statuses) for b in batches]
+        batches = [planted_fields(spec, i, lexicon) for i in range(3)]
+        texts = [tuple(text for _, text, *_ in fields) for fields in batches]
         assert len(set(texts)) == 3
-        for batch in batches:
-            summary = component_summary(build_graph(batch, ("mention",)))
-            assert (summary.strong_count, summary.weak_count) == (3, 2)
+        for fields in batches:
+            assert mention_counts(fields) == (3, 2)
 
     def test_deterministic_per_index(self, lexicon):
         spec = self.batch_spec()
-        qspec = make_spec()
-        assert planted_batch(spec, qspec, 4, lexicon) == planted_batch(spec, qspec, 4, lexicon)
+        assert planted_fields(spec, 4, lexicon) == planted_fields(spec, 4, lexicon)
 
     def test_corpus_too_small_for_structure(self, lexicon):
         spec = SynthSpec(
             seed=1, weak_component_sizes=[[4, 4], [4]], corpus_size=5
         )
         with pytest.raises(SynthError, match="cannot cover"):
-            planted_batch(spec, make_spec(), 0, lexicon)
+            planted_fields(spec, 0, lexicon)
 
     def test_corpus_exceeding_iteration_budget(self, tmp_path):
-        # a plan needs at least 24 statuses per iteration, so it is refused when built
+        # a plan needs 24 statuses per iteration, so it is refused when built
         config = _tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
-        with pytest.raises(SynthError, match="per_iteration_count"):
-            default_plan(replace(config, per_iteration_count=20))
+        needs = "planted structure needs 24 statuses per iteration, more than per_iteration_count"
+        with pytest.raises(SynthError, match=f"^{needs} 23$"):
+            default_plan(replace(config, per_iteration_count=23))
+        assert len(default_plan(replace(config, per_iteration_count=24))) == 3
 
     def test_structureless_batch(self, lexicon):
         spec = SynthSpec(seed=2, corpus_size=10, target_mean=0.0, jitter=0.0)
-        batch = planted_batch(spec, make_spec(), 0, lexicon)
-        assert len(batch.statuses) == 10
+        assert len(planted_fields(spec, 0, lexicon)) == 10
 
 
 def _tiny_config(tmp_path, groups, iterations=2, per_iteration_count=50, seed=0):
@@ -263,6 +257,20 @@ class TestDefaultPlan:
             )
             assert plan.synth_spec.corpus_size >= needed
 
+    def test_every_plan_shape_fits_the_planted_corpus(self):
+        """Every shape default_plan can build: a group's strong_total is 10
+        plus its position, at most one group per kind; weak_total runs from
+        1 to strong_total; the flavour is a subject's parity.  Each needs at
+        most _CORPUS_SIZE statuses, 8 of them texts past the structure."""
+        shapes = {
+            _spread_components(10 + group, weak, flavor)
+            for group in range(len(QUERY_KINDS))
+            for weak in range(1, 10 + group + 1)
+            for flavor in (0, 1)
+        }
+        assert len(shapes) == 92
+        assert max(_needed_statuses(sizes) for sizes in shapes) + 8 <= _CORPUS_SIZE
+
 
 class TestWriteFixtureTree:
     def test_layout_and_determinism(self, tmp_path):
@@ -284,19 +292,17 @@ class TestWriteFixtureTree:
         written = write_fixture_tree(config)
         assert [path.name for path in written] == ["iter_000", "iter_001"]
         for index, path in enumerate(written):
-            batch = parse_fixture(path)
-            summary = component_summary(build_graph(batch, ("mention",)))
-            assert summary.strong_count == plan.synth_spec.strong_count
-            assert summary.weak_count == plan.synth_spec.weak_count
+            strong, weak = mention_counts(fixture_records(path))
+            assert strong == plan.synth_spec.strong_count
+            assert weak == plan.synth_spec.weak_count
 
     def test_tree_builds_no_status_objects(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("write_fixture_tree built a Status object")
 
-        # synth imports neither name; a stub there still catches a new import
+        # synth does not import the name; a stub there still catches a new import
         for module in (synth_module, ingest_module):
             monkeypatch.setattr(module, "Status", refuse, raising=False)
-            monkeypatch.setattr(module, "IterationBatch", refuse, raising=False)
         config = _tiny_config(tmp_path, [("event", ("Alpha",))], iterations=2)
         assert len(write_fixture_tree(config)) == 2
 
@@ -340,7 +346,7 @@ def _needed_statuses(sizes) -> int:
     """Statuses a planted structure needs: one per edge, one per lonely node."""
     edges = sum(s for group in sizes for s in group if s > 1)
     edges += sum(len(group) - 1 for group in sizes)
-    return edges + sum(1 for group in sizes if group == [1])
+    return edges + sum(1 for group in sizes if list(group) == [1])
 
 
 synth_specs = st.builds(
@@ -362,13 +368,11 @@ class TestFixtureFields:
     @settings(max_examples=40)
     @given(spec=synth_specs, index=st.integers(min_value=0, max_value=4))
     def test_written_file_reads_back_as_generated(self, tmp_path_factory, lexicon, spec, index):
-        qspec = make_spec()
-        fields = _batch_fields(spec, index, _palette(lexicon))
-        directory = tmp_path_factory.mktemp("fields") / qspec.kind / qspec.subject
+        fields = planted_fields(spec, index, lexicon)
+        directory = tmp_path_factory.mktemp("fields") / "topical" / "subject"
         path = directory / iteration_filename(index)
         write_fixture_fields(path, fields)
-        assert read_fixture(path) == fields
-        assert parse_fixture(path) == planted_batch(spec, qspec, index, lexicon)
+        assert list(fixture_records(path)) == fields == planted_fields(spec, index, lexicon)
 
 
 @st.composite
