@@ -6,6 +6,7 @@ atomically, so an interrupted write never leaves a truncated artifact.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -34,11 +35,23 @@ def write_atomic(path: str | Path, serialise: Callable[[TextIO], object]) -> Pat
     temporary file, which replaces ``path`` only once complete; on failure
     the temporary file is removed and ``path`` is left as it was."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # what open(path, "w") asks of the system, less its text layer
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
     try:
-        with open(temporary, "w", encoding="utf-8", newline="") as handle:
-            serialise(handle)
+        descriptor = os.open(temporary, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        descriptor = os.open(temporary, flags, 0o666)
+    try:
+        try:
+            text = io.StringIO()
+            serialise(text)
+            data = memoryview(text.getvalue().encode("utf-8"))
+            while data:
+                data = data[os.write(descriptor, data) :]
+        finally:
+            os.close(descriptor)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

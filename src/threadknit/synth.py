@@ -102,9 +102,9 @@ def _planted_topology(
 
 
 # what corpus steering draws from a lexicon: (valence, tokens) pairs in
-# ascending order, tokens by valence, the positive valences whose negation
-# is present too, and the FILLER_WORDS the lexicon does not score
-_Palette = tuple[list[tuple[float, list[str]]], dict[float, list[str]], list[float], list[str]]
+# ascending order, the (tokens, negated tokens) of each positive valence
+# whose negation is present too, and the FILLER_WORDS the lexicon does not score
+_Palette = tuple[list[tuple[float, list[str]]], list[tuple[list[str], list[str]]], list[str]]
 
 
 def _palette(lexicon: Lexicon) -> _Palette:
@@ -114,8 +114,8 @@ def _palette(lexicon: Lexicon) -> _Palette:
             groups.setdefault(valence, []).append(token)
     valences = sorted((v, sorted(tokens)) for v, tokens in groups.items())
     by_valence = dict(valences)
-    pairable = sorted(v for v in by_valence if v > 0 and -v in by_valence)
-    return valences, by_valence, pairable, [w for w in FILLER_WORDS if w not in lexicon.entries]
+    pairs = [(tokens, by_valence[-v]) for v, tokens in valences if v > 0 and -v in by_valence]
+    return valences, pairs, [w for w in FILLER_WORDS if w not in lexicon.entries]
 
 
 def _closest_valence(remaining: float, valences: list) -> tuple[float, list[str]] | None:
@@ -135,49 +135,45 @@ def _closest_valence(remaining: float, valences: list) -> tuple[float, list[str]
     return best
 
 
-def _corpus_texts(
-    count: int,
-    target_mean: float,
-    jitter: float,
-    palette: _Palette,
-    rng: random.Random,
-) -> list[str]:
-    """Texts whose mean lexicon score lands within jitter of the target.
+def _steering(spec: SynthSpec, palette: _Palette) -> list[list[list[str]]]:
+    """For each of ``spec``'s texts, the token lists its sentiment words are
+    drawn from; no draw decides it, so one plan serves every iteration.
 
     Each text corrects the running total toward ``target_mean * (i + 1)``,
-    greedily adding the lexicon word that best shrinks the residual; the
-    residual therefore never accumulates across texts.  Raises SynthError
-    for no texts (analyze cannot score an empty iteration) and when the
-    target cannot be approached with the available valences.
+    greedily taking the valence that best shrinks the residual, so the
+    residual never accumulates across texts.  Raises SynthError, in this
+    order, when the corpus cannot cover the planted edges and isolated nodes,
+    for no texts (analyze cannot score an empty iteration), when the lexicon
+    scores every filler word and when the target is out of reach.
     """
-    valences, by_valence, pairable, filler = palette
+    valences, _, filler = palette
+    count, target_mean, jitter = spec.corpus_size, spec.target_mean, spec.jitter
+    groups = spec.weak_component_sizes
+    edges = sum(len(sizes) - 1 + sum(s for s in sizes if s > 1) for sizes in groups)
+    lonely = sum(sizes == (1,) for sizes in groups)
+    if count < edges + lonely:
+        raise SynthError(
+            f"corpus_size {count} cannot cover {edges} edges and {lonely} isolated nodes"
+        )
     if count < 1:
         raise SynthError("corpus_size must be at least 1")
     if not filler:
         raise SynthError("lexicon swallowed every filler word")
-    choice = rng.choice
-    texts: list[str] = []
+    plan: list[list[list[str]]] = []
     running = 0.0
     for i in range(count):
         remaining = target_mean * (i + 1) - running
-        words: list[str] = []
+        sources: list[list[str]] = []
         achieved = 0.0
         for _ in range(_MAX_SENTIMENT_WORDS):
             best = _closest_valence(remaining, valences)
             if best is None:
                 break
             valence, tokens = best
-            words.append(choice(tokens))
+            sources.append(tokens)
             remaining -= valence
             achieved += valence
-        if pairable and rng.random() < 0.35:
-            # a canceling pair adds texture without moving the score
-            positive = choice(pairable)
-            words.append(choice(by_valence[positive]))
-            words.append(choice(by_valence[-positive]))
-        words += [choice(filler) for _ in range(rng.randint(3, 6))]
-        rng.shuffle(words)
-        texts.append(" ".join(words))
+        plan.append(sources)
         running += achieved
     mean = running / count
     if abs(mean - target_mean) > jitter + 1e-12:
@@ -185,10 +181,51 @@ def _corpus_texts(
             f"target mean {target_mean} unreachable with this lexicon: "
             f"achieved {mean:.6f} over {count} texts (jitter {jitter})"
         )
+    return plan
+
+
+def _picks(sequences, bits) -> list:
+    """``rng.choice(s)`` for each ``s`` of ``sequences``, from ``bits`` (``rng.getrandbits``) by
+    random._randbelow's rejection rule, which a later Python's choice need not keep."""
+    picked = []
+    for sequence in sequences:
+        n = len(sequence)
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        picked.append(sequence[r])
+    return picked
+
+
+def _shuffle(items: list, bits) -> None:
+    """``rng.shuffle(items)``, drawn from ``bits`` as ``_picks`` draws."""
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        items[i], items[j] = items[j], items[i]
+
+
+def _corpus_texts(steering: list, palette: _Palette, rng: random.Random) -> list[str]:
+    """One iteration's texts by its ``_steering`` plan: sentiment words, 35% of
+    the time a score-neutral canceling pair, then 3-6 fillers, shuffled."""
+    _, pairs, filler = palette
+    bits = rng.getrandbits
+    texts: list[str] = []
+    for sources in steering:
+        words = _picks(sources, bits)
+        if pairs and rng.random() < 0.35:
+            words += _picks(_picks((pairs,), bits)[0], bits)
+        # randint(3, 6) draws as choice(range(3, 7)) does
+        words += _picks((filler,) * _picks((range(3, 7),), bits)[0], bits)
+        _shuffle(words, bits)
+        texts.append(" ".join(words))
     return texts
 
 
-def _batch_fields(spec: SynthSpec, index: int, palette: _Palette) -> list[tuple]:
+def _batch_fields(spec: SynthSpec, index: int, palette: _Palette, steering: list) -> list[tuple]:
     """Status fields of one planted iteration, in file order.
 
     Every edge becomes a status by the edge's source mentioning its target;
@@ -200,12 +237,7 @@ def _batch_fields(spec: SynthSpec, index: int, palette: _Palette) -> list[tuple]
     names, pairs = _planted_topology(spec, rng)
     incident = {node for pair in pairs for node in pair}
     lonely = [n for n in names if n not in incident]
-    if spec.corpus_size < len(pairs) + len(lonely):
-        raise SynthError(
-            f"corpus_size {spec.corpus_size} cannot cover {len(pairs)} edges "
-            f"and {len(lonely)} isolated nodes"
-        )
-    texts = _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, palette, rng)
+    texts = _corpus_texts(steering, palette, rng)
     # (author, mention, text)
     drafts = [(src, dst, text) for (src, dst), text in zip(pairs, texts)]
     drafts += [(node, None, text) for node, text in zip(lonely, texts[len(pairs) :])]
@@ -214,7 +246,7 @@ def _batch_fields(spec: SynthSpec, index: int, palette: _Palette) -> list[tuple]
         (anchors[k % len(anchors)] if anchors else f"w{k:05d}", None, text)
         for k, text in enumerate(texts[len(drafts) :])
     ]
-    rng.shuffle(drafts)
+    _shuffle(drafts, rng.getrandbits)
     start = _BASE_TIME + timedelta(minutes=index)
     return [
         (
@@ -302,15 +334,16 @@ def _spread_components(
 def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) -> list:
     """Write one planned subject's iterations; returns the files written."""
     directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
+    steering = _steering(plan.synth_spec, palette)
     written = []
     for index in range(iterations):
-        fields = _batch_fields(plan.synth_spec, index, palette)
+        fields = _batch_fields(plan.synth_spec, index, palette, steering)
         written.append(write_fixture_fields(directory / iteration_filename(index), fields))
     return written
 
 
 # one synth worker per this many planned files: a 2-worker pool on 2 vCPUs broke even
-# near 200-240 files (48 files: 0.20 -> 0.27 s; 288: 0.50 -> 0.39 s; 2,400: 2.99 -> 1.78 s)
+# between 288 and 336 files (48: 0.14 -> 0.19 s; 336: 0.33 -> 0.28 s; 2,400: 1.35 -> 0.88 s)
 _FILES_PER_WORKER = 150
 
 

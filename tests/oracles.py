@@ -5,11 +5,13 @@ the interaction graph is collected as sets of handles instead of numbering
 handles as they are met, component counts come from a transitive-closure
 matrix instead of Tarjan or union-find, text is cleaned character by
 character instead of by one token regex, the synth valence pick scans every
-valence instead of stopping early, fixture lines come from json.dumps of a record dict instead
-of quoting each field, the Pearson coefficient is accumulated in exact rational
-arithmetic, the t-distribution tail is numerically integrated rather than
-evaluated through the incomplete beta function, and the interval formulas
-are recomputed in mpmath at high precision.
+valence instead of stopping early, synth's text draws go through
+random.Random's own choice, randint and shuffle, fixture lines come from
+json.dumps of a record dict instead of quoting each field, the Pearson
+coefficient is accumulated in exact rational arithmetic, the t-distribution
+tail is numerically integrated rather than evaluated through the incomplete
+beta function, and the interval formulas are recomputed in mpmath at high
+precision.
 """
 
 from __future__ import annotations
@@ -150,6 +152,23 @@ def reference_closest_valence(
             best = (valence, tokens)
             best_gap = gap
     return best
+
+
+def reference_corpus_texts(steering, palette, rng) -> list[str]:
+    """synth's texts for a steering plan, drawn through ``rng``'s own
+    ``choice``, ``random``, ``randint`` and ``shuffle``: each plan's
+    sentiment words, the canceling pair, 3-6 fillers, then the shuffle."""
+    _, pairs, filler = palette
+    texts = []
+    for sources in steering:
+        words = [rng.choice(tokens) for tokens in sources]
+        if pairs and rng.random() < 0.35:
+            positive, negative = rng.choice(pairs)
+            words += [rng.choice(positive), rng.choice(negative)]
+        words += [rng.choice(filler) for _ in range(rng.randint(3, 6))]
+        rng.shuffle(words)
+        texts.append(" ".join(words))
+    return texts
 
 
 def rational_pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

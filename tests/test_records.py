@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -37,6 +38,32 @@ class TestWriteAtomic:
         with pytest.raises(KeyboardInterrupt):
             write_atomic(tmp_path / "sub" / "new.json", serialise)
         assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_existing_directory_is_not_made_again(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("write_atomic called mkdir")
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        write_atomic(tmp_path / "report.csv", lambda handle: handle.write("a,b\n"))
+        assert (tmp_path / "report.csv").read_bytes() == b"a,b\n"
+
+    def test_missing_directories_are_made(self, tmp_path):
+        target = tmp_path / "out" / "tables" / "topical.csv"
+        write_atomic(target, lambda handle: handle.write("caf\u00e9\r\n\n"))
+        assert target.read_bytes() == "caf\u00e9\r\n\n".encode("utf-8")
+        assert [p.name for p in target.parent.iterdir()] == ["topical.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_that_of_open_for_writing(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "opened", "w") as handle:
+                handle.write("x")
+            write_atomic(tmp_path / "written", lambda handle: handle.write("x"))
+        finally:
+            os.umask(previous)
+        opened, written = (os.stat(tmp_path / name).st_mode for name in ("opened", "written"))
+        assert written == opened
 
 
 def accepted_subject(subject):

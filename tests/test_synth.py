@@ -20,29 +20,34 @@ from threadknit.synth import (
     _CORPUS_SIZE,
     SubjectPlan,
     SynthSpec,
+    FILLER_WORDS,
     _batch_fields,
     _closest_valence,
     _corpus_texts,
     _palette,
+    _picks,
     _planted_topology,
+    _shuffle,
     _spread_components,
+    _steering,
     default_plan,
     write_fixture_tree,
 )
 
 from conftest import CLI_GROUPS, PERFBENCH_GROUPS, tree_digest
-from oracles import reference_closest_valence, reference_graph
+from oracles import reference_closest_valence, reference_corpus_texts, reference_graph
 
 
 def corpus_texts(spec, lexicon):
     """The texts steered toward ``spec``'s target mean, alone."""
-    rng = random.Random(spec.seed)
-    return _corpus_texts(spec.corpus_size, spec.target_mean, spec.jitter, _palette(lexicon), rng)
+    palette = _palette(lexicon)
+    return _corpus_texts(_steering(spec, palette), palette, random.Random(spec.seed))
 
 
 def planted_fields(spec, index, lexicon):
     """One planted iteration's Status fields, in file order."""
-    return _batch_fields(spec, index, _palette(lexicon))
+    palette = _palette(lexicon)
+    return _batch_fields(spec, index, palette, _steering(spec, palette))
 
 
 def mention_counts(records):
@@ -135,7 +140,7 @@ class TestSynthCorpus:
         # analyze cannot score an iteration without statuses
         spec = SynthSpec(seed=5, corpus_size=0)
         with pytest.raises(SynthError, match="corpus_size must be at least 1"):
-            _batch_fields(spec, 0, _palette(lexicon))
+            planted_fields(spec, 0, lexicon)
 
     def test_deterministic(self, lexicon):
         spec = SynthSpec(seed=11, corpus_size=25, target_mean=0.3, jitter=0.02)
@@ -143,7 +148,7 @@ class TestSynthCorpus:
 
     def test_statuses_have_no_references(self, lexicon):
         spec = SynthSpec(seed=6, corpus_size=15, target_mean=0.2, jitter=0.05)
-        fields = _batch_fields(spec, 0, _palette(lexicon))
+        fields = planted_fields(spec, 0, lexicon)
         assert len(fields) == 15
         assert reference_graph(fields, EDGE_KINDS, True)[1] == []
 
@@ -187,6 +192,16 @@ class TestSynthBatch:
             seed=1, weak_component_sizes=[[4, 4], [4]], corpus_size=5
         )
         with pytest.raises(SynthError, match="cannot cover"):
+            planted_fields(spec, 0, lexicon)
+
+    @given(size_lists)
+    @settings(max_examples=60)
+    def test_cover_error_counts_the_planted_topology(self, lexicon, sizes):
+        spec = SynthSpec(seed=0, weak_component_sizes=sizes, corpus_size=0)
+        names, pairs = planted(spec)
+        lonely = set(names) - {node for pair in pairs for node in pair}
+        line = f"corpus_size 0 cannot cover {len(pairs)} edges and {len(lonely)} isolated nodes"
+        with pytest.raises(SynthError, match=f"^{line}$"):
             planted_fields(spec, 0, lexicon)
 
     def test_corpus_exceeding_iteration_budget(self, tmp_path):
@@ -325,6 +340,35 @@ class TestWriteFixtureTree:
         with pytest.raises(DataError, match="iter_0001 and .*iter_001 are both iteration 1"):
             iteration_files(config, "topical", "Beta Co")
 
+    def test_each_subject_is_planned_once(self, tmp_path, monkeypatch):
+        planned = []
+
+        def counted(spec, palette):
+            planned.append(spec.seed)
+            return _steering(spec, palette)
+
+        monkeypatch.setattr(synth_module, "_steering", counted)
+        groups = [("topical", ("A", "B", "C")), ("event", ("D", "E"))]
+        config = _tiny_config(tmp_path, groups, iterations=4)
+        # 20 files, so the tree is written in-process
+        assert len(write_fixture_tree(config)) == 20
+        assert planned == [plan.synth_spec.seed for plan in default_plan(config)]
+
+    def test_lexicon_of_filler_words_is_refused_for_any_jobs(
+        self, tmp_path, two_cores, monkeypatch
+    ):
+        lexicon = tmp_path / "filler.tsv"
+        entries = [f"{word}\t1.0\n" for word in FILLER_WORDS] + ["grim\t-1.0\n"]
+        lexicon.write_text("".join(entries), encoding="utf-8")
+        config = _tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
+        config = replace(config, lexicon_path=lexicon)
+        # the 6-file tree in-process, then on a pool
+        for files_per_worker in (synth_module._FILES_PER_WORKER, 1):
+            monkeypatch.setattr(synth_module, "_FILES_PER_WORKER", files_per_worker)
+            with pytest.raises(SynthError, match="^lexicon swallowed every filler word$"):
+                write_fixture_tree(config)
+            assert not (tmp_path / "fixtures").exists()
+
     def test_first_failing_plan_raises_for_any_jobs(self, tmp_path, two_cores, monkeypatch):
         config = _tiny_config(tmp_path, [("topical", tuple("ABCDE"))], iterations=2)
         plans = default_plan(config)
@@ -373,6 +417,47 @@ class TestFixtureFields:
         path = directory / iteration_filename(index)
         write_fixture_fields(path, fields)
         assert list(fixture_records(path)) == fields == planted_fields(spec, index, lexicon)
+
+
+def draw_palette(n):
+    """A palette whose token lists, pairs and fillers all hold ``n`` entries;
+    for odd ``n`` it has no pairs, so a text draws no random()."""
+    tokens = [f"w{i}" for i in range(n)]
+    return [], ([] if n % 2 else [(tokens, tokens[::-1])] * n), tokens
+
+
+class TestDraws:
+    """synth's draws equal random.Random's own calls on the same seed, and
+    leave it in the same state.  Lengths 1-600 lie on both sides of each
+    power of two up to 512, where the rejection rule draws again."""
+
+    def test_picks_are_choices(self):
+        sequences = [range(n) for n in range(1, 601)]
+        for seed in range(200):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            assert _picks(sequences, ours.getrandbits) == [stdlib.choice(s) for s in sequences]
+            assert ours.getstate() == stdlib.getstate()
+
+    def test_shuffle_is_random_shuffle(self):
+        for seed in range(200):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            for n in range(3 * seed + 1, 3 * seed + 4):
+                drawn, expected = list(range(n)), list(range(n))
+                _shuffle(drawn, ours.getrandbits)
+                stdlib.shuffle(expected)
+                assert drawn == expected
+            assert ours.getstate() == stdlib.getstate()
+
+    def test_texts_draw_as_the_generator_calls_do(self):
+        palettes = {n: draw_palette(n) for n in range(1, 601)}
+        for seed in range(200):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            for n in range(1 + seed % 8, 601, 8):
+                palette = palettes[n]
+                steering = [[palette[2]] * words for words in (0, 1, 3)]
+                texts = _corpus_texts(steering, palette, ours)
+                assert texts == reference_corpus_texts(steering, palette, stdlib)
+            assert ours.getstate() == stdlib.getstate()
 
 
 @st.composite
