@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegeneracyError
 
@@ -20,19 +20,16 @@ if TYPE_CHECKING:
     from .graph import ConversationGraph
 
 
-def _strong_labels(successors: Sequence[Sequence[int]]) -> list[int]:
-    """Strong component label of every node 0..n-1 (Tarjan, iterative).
-
-    Roots are taken in node order and children in list order; labels
-    number the components as they complete, which is reverse topological
-    order of the condensation.
-    """
+def _strong_count(successors: Sequence[Sequence[int]]) -> int:
+    """Number of strong components of the graph on nodes 0..n-1: the roots
+    an iterative Tarjan finds.  A finished node's index is set to n, past
+    every index given out, so that an edge into a finished component lowers
+    no lowlink, and no component label is kept."""
     count = len(successors)
     index = [-1] * count
     lowlink = [0] * count
-    label = [-1] * count
     stack: list[int] = []
-    counter = labels = 0
+    counter = roots = 0
     for root in range(count):
         if index[root] >= 0:
             continue
@@ -49,50 +46,42 @@ def _strong_labels(successors: Sequence[Sequence[int]]) -> list[int]:
                     stack.append(child)
                     work.append((child, iter(successors[child])))
                     break
-                # visited and not yet labelled means still on the stack
-                if label[child] < 0 and index[child] < lowlink[node]:
+                if index[child] < lowlink[node]:
                     lowlink[node] = index[child]
             else:
                 work.pop()
                 if lowlink[node] == index[node]:
+                    roots += 1
                     while True:
                         top = stack.pop()
-                        label[top] = labels
+                        index[top] = count
                         if top == node:
                             break
-                    labels += 1
                 if work:
                     parent = work[-1][0]
                     if lowlink[node] < lowlink[parent]:
                         lowlink[parent] = lowlink[node]
-    return label
-
-
-def _weak_labels(count: int, edges: Iterable[Sequence[int]]) -> list[int]:
-    """Weak component label (a member node) of every node 0..n-1, by
-    union-find with path halving; edge direction is ignored.  ``edges``
-    are (source, target, ...) tuples."""
-    parent = list(range(count))
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = node = parent[parent[node]]
-        return node
-
-    for edge in edges:
-        parent[find(edge[0])] = find(edge[1])
-    return [find(node) for node in range(count)]
+    return roots
 
 
 def component_counts(count: int, edges: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(strong, weak) component counts of a graph on nodes 0..count-1 with
-    (source, target, ...) ``edges``."""
+    (source, target, ...) ``edges``.  One pass over the edges fills the successor
+    lists and counts union-find merges (path halving): weak is count - merges."""
     successors: list[list[int]] = [[] for _ in range(count)]
+    parent = list(range(count))
+    merges = 0
     for edge in edges:
-        successors[edge[0]].append(edge[1])
-    strong = len(set(_strong_labels(successors)))
-    weak = len(set(_weak_labels(count, edges)))
-    return strong, weak
+        source, target = edge[0], edge[1]
+        successors[source].append(target)
+        while parent[source] != source:
+            parent[source] = source = parent[parent[source]]
+        while parent[target] != target:
+            parent[target] = target = parent[parent[target]]
+        if source != target:
+            parent[source] = target
+            merges += 1
+    return _strong_count(successors), count - merges
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,11 @@ def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
 
 def nonempty_path(value: str | Path, name: str) -> Path:
     """``value`` as a Path; ConfigError when it is blank text, which Path
-    would take for the current directory."""
+    would take for the current directory, or holds NUL, as no path can."""
     if not str(value).strip():
         raise ConfigError(f"{name} must be a nonempty path")
+    if "\0" in str(value):
+        raise ConfigError(f"{name} holds a NUL character")
     return Path(value)
 
 
@@ -204,7 +206,8 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except (OSError, UnicodeDecodeError) as err:
+    # a UnicodeDecodeError, or a path holding NUL, is a ValueError
+    except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err

@@ -76,29 +76,27 @@ class SynthSpec:
         return sum(sum(sizes) for sizes in self.weak_component_sizes)
 
 
-def _planted_topology(
-    spec: SynthSpec, rng: random.Random
-) -> tuple[list[str], list[tuple[str, str]]]:
-    """Concrete nodes and directed edges realizing the planted structure."""
-    total = spec.node_count
-    names = [f"u{n:08d}" for n in rng.sample(range(10**8), total)]
+def _planted_shape(spec: SynthSpec) -> tuple[list[tuple[int, int]], list[int]]:
+    """The planted edges between node positions 0..node_count-1, in the order
+    their statuses are drafted, and the positions no edge touches, ascending;
+    no draw decides them, so one shape serves every iteration."""
+    edges: list[tuple[int, int]] = []
+    lonely: list[int] = []
     cursor = 0
-    edges: list[tuple[str, str]] = []
     for sizes in spec.weak_component_sizes:
-        anchors: list[str] = []
+        anchors: list[int] = []
         for size in sizes:
-            members = names[cursor : cursor + size]
-            cursor += size
             if size > 1:
                 # a directed cycle keeps the members mutually reachable
-                for i in range(size):
-                    edges.append((members[i], members[(i + 1) % size]))
-            anchors.append(members[0])
+                edges += [(cursor + i, cursor + (i + 1) % size) for i in range(size)]
+            anchors.append(cursor)
+            cursor += size
         # chain the strong components one way so the weak component holds
         # together without merging them
-        for left, right in zip(anchors, anchors[1:]):
-            edges.append((left, right))
-    return names, edges
+        edges += zip(anchors, anchors[1:])
+        if sizes == (1,):
+            lonely.append(cursor - 1)
+    return edges, lonely
 
 
 # what corpus steering draws from a lexicon: (valence, tokens) pairs in
@@ -129,28 +127,23 @@ def _closest_valence(remaining: float, valences: list) -> tuple[float, list[str]
         if gap < best_gap - 1e-15:
             best = (valence, tokens)
             best_gap = gap
-        if valence > remaining:
-            # rounding is monotone, so no later valence has a smaller gap
-            break
     return best
 
 
-def _steering(spec: SynthSpec, palette: _Palette) -> list[list[list[str]]]:
+def _steering(spec: SynthSpec, shape: tuple, palette: _Palette) -> list[list[list[str]]]:
     """For each of ``spec``'s texts, the token lists its sentiment words are
     drawn from; no draw decides it, so one plan serves every iteration.
 
     Each text corrects the running total toward ``target_mean * (i + 1)``,
     greedily taking the valence that best shrinks the residual, so the
     residual never accumulates across texts.  Raises SynthError, in this
-    order, when the corpus cannot cover the planted edges and isolated nodes,
+    order, when the corpus cannot cover ``shape``'s edges and isolated nodes,
     for no texts (analyze cannot score an empty iteration), when the lexicon
     scores every filler word and when the target is out of reach.
     """
     valences, _, filler = palette
     count, target_mean, jitter = spec.corpus_size, spec.target_mean, spec.jitter
-    groups = spec.weak_component_sizes
-    edges = sum(len(sizes) - 1 + sum(s for s in sizes if s > 1) for sizes in groups)
-    lonely = sum(sizes == (1,) for sizes in groups)
+    edges, lonely = map(len, shape)
     if count < edges + lonely:
         raise SynthError(
             f"corpus_size {count} cannot cover {edges} edges and {lonely} isolated nodes"
@@ -225,22 +218,23 @@ def _corpus_texts(steering: list, palette: _Palette, rng: random.Random) -> list
     return texts
 
 
-def _batch_fields(spec: SynthSpec, index: int, palette: _Palette, steering: list) -> list[tuple]:
+def _batch_fields(
+    spec: SynthSpec, index: int, palette: _Palette, shape: tuple, steering: list
+) -> list[tuple]:
     """Status fields of one planted iteration, in file order.
 
-    Every edge becomes a status by the edge's source mentioning its target;
-    nodes with no incident edge get a reference-free status so they survive
-    graph construction; leftover corpus texts are attributed to existing
-    nodes.  Handles (``u%08d``, ``w%05d``) are already normalized.
+    Every edge of ``shape`` becomes a status by the edge's source mentioning
+    its target; nodes with no incident edge get a reference-free status so
+    they survive graph construction; leftover corpus texts are attributed to
+    existing nodes.  Handles (``u%08d``, ``w%05d``) are already normalized.
     """
     rng = random.Random(spec.seed * 1_000_003 + index)
-    names, pairs = _planted_topology(spec, rng)
-    incident = {node for pair in pairs for node in pair}
-    lonely = [n for n in names if n not in incident]
+    names = [f"u{n:08d}" for n in rng.sample(range(10**8), spec.node_count)]
+    edges, lonely = shape
     texts = _corpus_texts(steering, palette, rng)
     # (author, mention, text)
-    drafts = [(src, dst, text) for (src, dst), text in zip(pairs, texts)]
-    drafts += [(node, None, text) for node, text in zip(lonely, texts[len(pairs) :])]
+    drafts = [(names[src], names[dst], text) for (src, dst), text in zip(edges, texts)]
+    drafts += [(names[node], None, text) for node, text in zip(lonely, texts[len(edges) :])]
     anchors = sorted(names)
     drafts += [
         (anchors[k % len(anchors)] if anchors else f"w{k:05d}", None, text)
@@ -334,10 +328,11 @@ def _spread_components(
 def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) -> list:
     """Write one planned subject's iterations; returns the files written."""
     directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
-    steering = _steering(plan.synth_spec, palette)
+    shape = _planted_shape(plan.synth_spec)
+    steering = _steering(plan.synth_spec, shape, palette)
     written = []
     for index in range(iterations):
-        fields = _batch_fields(plan.synth_spec, index, palette, steering)
+        fields = _batch_fields(plan.synth_spec, index, palette, shape, steering)
         written.append(write_fixture_fields(directory / iteration_filename(index), fields))
     return written
 

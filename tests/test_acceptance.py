@@ -32,7 +32,7 @@ from threadknit.stats import (
     t_sf,
     zou_interval,
 )
-from threadknit.synth import SynthSpec, _planted_topology, default_plan, write_fixture_tree
+from threadknit.synth import SynthSpec, _planted_shape, default_plan, write_fixture_tree
 
 from conftest import HAND_SCORED_TEXTS
 from oracles import closure_component_counts, integrated_two_sided_p
@@ -225,10 +225,8 @@ def test_criterion_9_planted_structure_recovery(tmp_path):
         for k in range(spare):
             sizes[k % weak_count].append(1)
         spec = SynthSpec(seed=90 + weak_count, weak_component_sizes=sizes)
-        names, pairs = _planted_topology(spec, random.Random(spec.seed))
-        number = {name: position for position, name in enumerate(names)}
-        edges = [(number[a], number[b]) for a, b in pairs]
-        assert component_counts(len(names), edges) == (10, weak_count)
+        edges, _ = _planted_shape(spec)
+        assert component_counts(spec.node_count, edges) == (10, weak_count)
 
     # pipeline recovery on a planted six-subject group
     config = RunConfig(

@@ -582,6 +582,32 @@ class TestErrorHandling:
         assert len(err) == 1 and err[0].startswith("error: ") and "nonempty path" in err[0]
         assert tree_bytes(workdir) == before
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("analyze", "output"),
+            ("export", "output"),
+            ("correlate", "output"),
+            ("synth", "fixtures"),
+            ("synth", "lexicon"),
+            ("analyze", "lexicon"),
+        ],
+    )
+    def test_path_holding_nul_is_one_error_line_exit_1(self, workdir, capsys, command, key):
+        """Only a config file can hand a stage NUL, which no path can hold."""
+        for stage in ("synth", "analyze", "correlate"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        lines = [line for line in CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        (workdir / "nul.ini").write_text(
+            "\n".join([lines[0], f"{key} = {key}\x00", *lines[1:]]), encoding="utf-8"
+        )
+        before = tree_bytes(workdir)
+        capsys.readouterr()
+        assert run_cli(command, "--config", workdir / "nul.ini") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {workdir / 'nul.ini'}: {key} holds a NUL character\n"
+        assert tree_bytes(workdir) == before
+
     @pytest.mark.parametrize("command", ["analyze", "correlate", "export"])
     def test_group_flag_is_one_error_line_exit_1(self, workdir, command):
         """[groups] alone decides which groups a stage covers."""
@@ -967,6 +993,90 @@ class TestConfigFuzz:
         assert [path.name for path in workdir.iterdir()] == ["run.ini"]
 
 
+def parser_options():
+    """Each subcommand of build_parser() with its options, each paired with
+    whether it takes a value."""
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: [
+            (option, action.nargs != 0)
+            for action in command._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        for name, command in commands.choices.items()
+    }
+
+
+# a flag's value: numbers, near-numbers, signs, whitespace, non-ASCII digits,
+# long digit runs, paths and empty text, then any short text
+FLAG_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            "0", "1", "2", "-1", "+3", "007", "1.0", "0.95", "0.9999999999999999", "1e3", "1e309",
+            "-5e-324", "nan", "-inf", "0x10", "1_0", " 2 ", "\t3\n", "\u0661", "\uff11", "\u00b2",
+            "9" * 20, "9" * 5000, "", " ", "-", "--", "run.ini", "out", "alt", "fixtures",
+            "out/tables", "run.ini/x", "sub/dir", ".", "..",
+        ]
+    ),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def flag_lines(draw):
+    """A subcommand and some of its options, each option that takes a value
+    with one drawn; ``--config`` is mostly the tree's config.  Paths are made
+    relative, so that no example writes outside its own directory."""
+    command, options = draw(st.sampled_from(sorted(parser_options().items())))
+    argv = [command]
+    for option, takes_value in draw(st.permutations(options)):
+        if not draw(st.integers(0, 2)):
+            continue
+        argv.append(option)
+        if option == "--config" and draw(st.integers(0, 4)):
+            argv.append("run.ini")
+        elif takes_value:
+            value = draw(FLAG_VALUES)
+            argv.append(value.lstrip("/") if option in ("--config", "--out") else value)
+    return argv
+
+
+class TestFlagFuzz:
+    """Any subcommand with any of its flags, on the CLI config's tree after
+    synth, analyze, correlate and compare, ends in an exit code and, on
+    failure, one error line, with nothing written.  No --jobs starts a worker."""
+
+    @pytest.fixture(scope="class")
+    def tree(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("flag-fuzz") / "tree"
+        workdir.mkdir()
+        (workdir / "run.ini").write_text(CONFIG, encoding="utf-8")
+        for stage in ("synth", "analyze", "correlate", "compare"):
+            assert run_cli(stage, "--config", workdir / "run.ini") == 0
+        return workdir
+
+    @settings(max_examples=100)
+    @given(argv=flag_lines())
+    def test_flags(self, tree, tmp_path_factory, argv):
+        # two levels deep, so that a relative path's ".." stays in the example's directory
+        workdir = tmp_path_factory.mktemp("flags") / "a" / "b"
+        shutil.copytree(tree, workdir)
+        before = tree_bytes(workdir.parent.parent)
+        stderr = StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(threadknit.pipeline, "usable_cores", lambda: 1)
+            patch.chdir(workdir)
+            with redirect_stdout(StringIO()), redirect_stderr(stderr):
+                code = run_cli(*argv)
+        assert_one_outcome(code, stderr.getvalue(), "")
+        if code:
+            assert tree_bytes(workdir.parent.parent) == before
+
+
 # every subcommand's options: adding or removing one is a deliberate edit here
 OPTIONS = {
     "synth": ["--config", "--out", "--seed"],
@@ -996,16 +1106,8 @@ PARAMETERS = {
 
 class TestInventory:
     def test_options_are_pinned(self):
-        (commands,) = [
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
         found = {
-            name: [
-                option for action in command._actions for option in action.option_strings
-                if option not in ("-h", "--help")
-            ]
-            for name, command in commands.choices.items()
+            name: [option for option, _ in options] for name, options in parser_options().items()
         }
         assert found == OPTIONS
         assert sum(map(len, found.values())) == 15

@@ -407,6 +407,10 @@ BAD_CONFIGS = [
     ("[run]\noutput =\n[groups]\ntopical = A\n", "nonempty path", {"output_dir": ""}),
     ("[run]\nfixtures = \n[groups]\ntopical = A\n", "nonempty path", {"fixtures_dir": " "}),
     ("[run]\nlexicon =\n[groups]\ntopical = A\n", "nonempty path", {"lexicon_path": ""}),
+    # no file name can hold NUL, which open() and os.stat() refuse with a ValueError
+    ("[run]\noutput = a\x00b\n[groups]\ntopical = A\n", "output.* NUL", {"output_dir": "a\x00b"}),
+    ("[run]\nfixtures = \x00\n[groups]\ntopical = A\n", "fixture.* NUL", {"fixtures_dir": "\x00"}),
+    ("[run]\nlexicon = l\x00\n[groups]\ntopical = A\n", "lexicon.* NUL", {"lexicon_path": "l\x00"}),
     (
         "[groups]\ngeographic = NYC, !!!\n",
         "no ASCII letter or digit",
@@ -517,6 +521,10 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    def test_path_holding_nul(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config .*embedded null byte"):
+            load_config(tmp_path / "run\x00.ini")
 
     def test_plain_numbers_with_whitespace_are_read(self, tmp_path):
         path = tmp_path / "run.ini"

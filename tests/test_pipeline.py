@@ -419,6 +419,20 @@ class TestWriters:
             + render_comparisons(compare_groups(reports), out_dir)
         )
 
+    def test_output_directory_holding_nul_is_a_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tables = bundled_tables()
+        reports = correlate_tables(tables)
+        for write in (
+            lambda: render_tables(tables, "a\x00b"),
+            lambda: render_correlations(reports, "a\x00b"),
+            lambda: render_comparisons(compare_groups(reports), "a\x00b"),
+            lambda: read_correlations("a\x00b"),
+        ):
+            with pytest.raises(ConfigError, match="^output directory holds a NUL character$"):
+                write()
+        assert list(tmp_path.iterdir()) == []
+
     def test_correlations_csv_round_trip(self, tmp_path):
         reports = correlate_tables(bundled_tables())
         path = write_csv(CORRELATIONS, reports, tmp_path / "c.csv")

@@ -26,7 +26,7 @@ from threadknit.synth import (
     _corpus_texts,
     _palette,
     _picks,
-    _planted_topology,
+    _planted_shape,
     _shuffle,
     _spread_components,
     _steering,
@@ -41,13 +41,14 @@ from oracles import reference_closest_valence, reference_corpus_texts, reference
 def corpus_texts(spec, lexicon):
     """The texts steered toward ``spec``'s target mean, alone."""
     palette = _palette(lexicon)
-    return _corpus_texts(_steering(spec, palette), palette, random.Random(spec.seed))
+    steering = _steering(spec, _planted_shape(spec), palette)
+    return _corpus_texts(steering, palette, random.Random(spec.seed))
 
 
 def planted_fields(spec, index, lexicon):
     """One planted iteration's Status fields, in file order."""
-    palette = _palette(lexicon)
-    return _batch_fields(spec, index, palette, _steering(spec, palette))
+    palette, shape = _palette(lexicon), _planted_shape(spec)
+    return _batch_fields(spec, index, palette, shape, _steering(spec, shape, palette))
 
 
 def mention_counts(records):
@@ -65,8 +66,12 @@ size_lists = st.lists(
 
 
 def planted(spec):
-    """The node names and (source, target) pairs planted for ``spec``."""
-    return _planted_topology(spec, random.Random(spec.seed))
+    """The node names and (source, target) pairs planted for ``spec``: its
+    shape mapped onto names drawn as an iteration file draws them."""
+    rng = random.Random(spec.seed)
+    names = [f"u{n:08d}" for n in rng.sample(range(10**8), spec.node_count)]
+    edges, _ = _planted_shape(spec)
+    return names, [(names[source], names[target]) for source, target in edges]
 
 
 def planted_counts(spec):
@@ -343,9 +348,9 @@ class TestWriteFixtureTree:
     def test_each_subject_is_planned_once(self, tmp_path, monkeypatch):
         planned = []
 
-        def counted(spec, palette):
+        def counted(spec, shape, palette):
             planned.append(spec.seed)
-            return _steering(spec, palette)
+            return _steering(spec, shape, palette)
 
         monkeypatch.setattr(synth_module, "_steering", counted)
         groups = [("topical", ("A", "B", "C")), ("event", ("D", "E"))]
@@ -481,7 +486,7 @@ def valence_scans(draw):
 class TestClosestValence:
     @settings(max_examples=500)
     @given(valence_scans())
-    def test_early_exit_matches_full_scan(self, case):
+    def test_matches_the_reference_scan(self, case):
         remaining, valences = case
         assert _closest_valence(remaining, valences) == reference_closest_valence(
             remaining, valences
