@@ -147,30 +147,24 @@ class SubjectSummary:
 
 
 def summarize_subject(
-    subject: str,
-    summaries: Sequence[ComponentSummary],
-    alphas: Sequence[float],
+    subject: str, iterations: Sequence[tuple[int, int, float]]
 ) -> SubjectSummary:
-    """One subject's row from its iterations' component counts and alphas:
-    the one statement of the row rule.
+    """One subject's row from its iterations' ``(strong, weak, alpha)``
+    records: the one statement of the row rule.
 
     Each count is the exact mean over iterations, rounded half away from
     zero, and beta divides the rounded counts; alpha is the mean of the
     iteration alphas, unrounded.  A subject whose mean weak count rounds
     to 0 has no beta: DegeneracyError.
     """
-    if not summaries or not alphas:
+    if not iterations:
         raise DegeneracyError(f"subject {subject!r}: nothing to summarize")
-    if len(summaries) != len(alphas):
-        raise ValueError(
-            f"subject {subject!r}: {len(summaries)} component summaries "
-            f"vs {len(alphas)} sentiment values"
-        )
     from fractions import Fraction
 
-    n = len(summaries)
-    strong = round_half_away(Fraction(sum(s.strong_count for s in summaries), n))
-    weak = round_half_away(Fraction(sum(s.weak_count for s in summaries), n))
+    strongs, weaks, alphas = zip(*iterations)
+    n = len(iterations)
+    strong = round_half_away(Fraction(sum(strongs), n))
+    weak = round_half_away(Fraction(sum(weaks), n))
     if weak == 0:
         raise DegeneracyError(
             f"subject {subject!r}: mean counts round to {strong} strong and 0 weak "

@@ -46,9 +46,9 @@ def edge_kind_set(kinds: Iterable[str]) -> frozenset[str]:
 
 
 def nonempty_path(value: str | Path, name: str) -> Path:
-    """``value`` as a Path; ConfigError when it is blank text, which Path
-    would take for the current directory, or holds NUL, as no path can."""
-    if not str(value).strip():
+    """``value`` as a Path; ConfigError when it is empty (what Path takes for
+    the current directory) or ASCII whitespace only, or holds NUL, as no path can."""
+    if not str(value).strip(" \t\n\r\f\v"):
         raise ConfigError(f"{name} must be a nonempty path")
     if "\0" in str(value):
         raise ConfigError(f"{name} holds a NUL character")

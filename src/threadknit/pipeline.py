@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .components import ComponentSummary, SubjectSummary, component_counts, summarize_subject
+from .components import SubjectSummary, component_counts, summarize_subject
 from .config import EDGE_KINDS, RunConfig, edge_kind_set, subject_slug
 from .errors import ConfigError, DataError, DegeneracyError, FixtureError, ThreadknitError
 from .ingest import fixture_records, iteration_filename, iteration_index, subject_dir
@@ -121,15 +121,15 @@ def analyze_subject(
     config: RunConfig, lexicon: Lexicon, kind: str, subject: str
 ) -> SubjectSummary:
     """Average one subject's per-iteration component counts and sentiment."""
-    summaries, alphas = [], []
+    iterations = []
     for index, path in iteration_files(config, kind, subject):
         row = read_iteration(path, config)
-        summaries.append(ComponentSummary(*component_counts(len(row.nodes), row.edges)))
         try:
-            alphas.append(mean_score(row.texts, lexicon, subject, index))
+            alpha = mean_score(row.texts, lexicon)
         except DegeneracyError as err:
-            raise DataError(f"{path}: {err}") from err
-    return summarize_subject(subject, summaries, alphas)
+            raise DataError(f"{path}: subject {subject!r} iteration {index}: {err}") from err
+        iterations.append((*component_counts(len(row.nodes), row.edges), alpha))
+    return summarize_subject(subject, iterations)
 
 
 def usable_cores() -> int | None:

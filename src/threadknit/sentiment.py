@@ -145,18 +145,15 @@ def score_text(text: str, lexicon: Lexicon) -> float:
     return fsum([entries.get(token, 0.0) for token in _tokens(text)])
 
 
-def mean_score(texts: Iterable[str], lexicon: Lexicon, subject: str, index: int) -> float:
+def mean_score(texts: Iterable[str], lexicon: Lexicon) -> float:
     """Alpha of one iteration: the mean score_text of its texts.  Undefined
     for an iteration with no texts."""
     scores = [score_text(text, lexicon) for text in texts]
     if not scores:
-        raise DegeneracyError(
-            f"subject {subject!r} iteration {index}: "
-            "sentiment undefined for an empty batch"
-        )
+        raise DegeneracyError("sentiment undefined for an empty batch")
     return fsum(scores) / len(scores)
 
 
 def batch_alpha(batch: IterationBatch, lexicon: Lexicon) -> float:
     """The mean_score of one batch's statuses; kept for ``perfbench/test_perfbench.py``."""
-    return mean_score([s.text for s in batch.statuses], lexicon, batch.spec.subject, batch.index)
+    return mean_score([s.text for s in batch.statuses], lexicon)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import ClassVar
 
 from .errors import SynthError
 from .config import RunConfig
@@ -34,34 +35,29 @@ FILLER_WORDS = (
 ).split()
 
 
+# statuses planted per iteration: every shape default_plan builds needs at
+# most this many, one per edge, one per isolated node and 8 more
+_CORPUS_SIZE = 24
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for one synthetic iteration.
+    """Recipe for one synthetic iteration: what default_plan varies per subject.
 
     ``weak_component_sizes`` lists, per weak component, the sizes of the
     strong components planted inside it; ``corpus_size`` texts are steered
-    toward a mean score of ``target_mean`` within ``jitter``.
+    toward a mean score of ``target_mean`` within ``jitter``, both the same
+    for every spec.
     """
 
     seed: int
-    weak_component_sizes: tuple[tuple[int, ...], ...] = ()
-    corpus_size: int = 0
-    target_mean: float = 0.0
-    jitter: float = 0.0
+    weak_component_sizes: tuple[tuple[int, ...], ...]
+    target_mean: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "weak_component_sizes",
-            tuple(tuple(sizes) for sizes in self.weak_component_sizes),
-        )
-        for sizes in self.weak_component_sizes:
-            if not sizes or any(s < 1 for s in sizes):
-                raise ValueError(f"bad strong-component sizes: {sizes!r}")
-        if self.corpus_size < 0:
-            raise ValueError("corpus_size must be nonnegative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
+    corpus_size: ClassVar[int] = _CORPUS_SIZE
+    # achievable means sit on a grid of step 0.5/corpus_size, so the
+    # tolerance must at least cover half a grid step
+    jitter: ClassVar[float] = max(0.01, 0.3 / _CORPUS_SIZE)
 
     @property
     def strong_count(self) -> int:
@@ -130,26 +126,18 @@ def _closest_valence(remaining: float, valences: list) -> tuple[float, list[str]
     return best
 
 
-def _steering(spec: SynthSpec, shape: tuple, palette: _Palette) -> list[list[list[str]]]:
+def _steering(spec: SynthSpec, palette: _Palette) -> list[list[list[str]]]:
     """For each of ``spec``'s texts, the token lists its sentiment words are
     drawn from; no draw decides it, so one plan serves every iteration.
 
     Each text corrects the running total toward ``target_mean * (i + 1)``,
     greedily taking the valence that best shrinks the residual, so the
     residual never accumulates across texts.  Raises SynthError, in this
-    order, when the corpus cannot cover ``shape``'s edges and isolated nodes,
-    for no texts (analyze cannot score an empty iteration), when the lexicon
-    scores every filler word and when the target is out of reach.
+    order, when the lexicon scores every filler word and when the target is
+    out of reach.
     """
     valences, _, filler = palette
     count, target_mean, jitter = spec.corpus_size, spec.target_mean, spec.jitter
-    edges, lonely = map(len, shape)
-    if count < edges + lonely:
-        raise SynthError(
-            f"corpus_size {count} cannot cover {edges} edges and {lonely} isolated nodes"
-        )
-    if count < 1:
-        raise SynthError("corpus_size must be at least 1")
     if not filler:
         raise SynthError("lexicon swallowed every filler word")
     plan: list[list[list[str]]] = []
@@ -226,7 +214,7 @@ def _batch_fields(
     Every edge of ``shape`` becomes a status by the edge's source mentioning
     its target; nodes with no incident edge get a reference-free status so
     they survive graph construction; leftover corpus texts are attributed to
-    existing nodes.  Handles (``u%08d``, ``w%05d``) are already normalized.
+    existing nodes.  Handles (``u%08d``) are already normalized.
     """
     rng = random.Random(spec.seed * 1_000_003 + index)
     names = [f"u{n:08d}" for n in rng.sample(range(10**8), spec.node_count)]
@@ -237,7 +225,7 @@ def _batch_fields(
     drafts += [(names[node], None, text) for node, text in zip(lonely, texts[len(edges) :])]
     anchors = sorted(names)
     drafts += [
-        (anchors[k % len(anchors)] if anchors else f"w{k:05d}", None, text)
+        (anchors[k % len(anchors)], None, text)
         for k, text in enumerate(texts[len(drafts) :])
     ]
     _shuffle(drafts, rng.getrandbits)
@@ -255,11 +243,6 @@ def _batch_fields(
         )
         for k, (author, mention, text) in enumerate(drafts)
     ]
-
-
-# statuses planted per iteration: every shape default_plan builds needs at
-# most this many, one per edge, one per isolated node and 8 more
-_CORPUS_SIZE = 24
 
 
 @dataclass(frozen=True)
@@ -300,11 +283,7 @@ def default_plan(config: RunConfig) -> list[SubjectPlan]:
             spec = SynthSpec(
                 seed=config.seed + 1009 * offset,
                 weak_component_sizes=sizes,
-                corpus_size=_CORPUS_SIZE,
                 target_mean=round(0.9 - 1.1 * (weak_total / strong_total) + wobble, 4),
-                # achievable means sit on a grid of step 0.5/corpus_size, so
-                # the tolerance must at least cover half a grid step
-                jitter=max(0.01, 0.3 / _CORPUS_SIZE),
             )
             plans.append(SubjectPlan(QuerySpec(kind, subject), spec))
             offset += 1
@@ -329,7 +308,7 @@ def _write_subject(root, iterations: int, palette: _Palette, plan: SubjectPlan) 
     """Write one planned subject's iterations; returns the files written."""
     directory = subject_dir(root, plan.query_spec.kind, plan.query_spec.subject)
     shape = _planted_shape(plan.synth_spec)
-    steering = _steering(plan.synth_spec, shape, palette)
+    steering = _steering(plan.synth_spec, palette)
     written = []
     for index in range(iterations):
         fields = _batch_fields(plan.synth_spec, index, palette, shape, steering)

@@ -224,7 +224,8 @@ def test_criterion_9_planted_structure_recovery(tmp_path):
         spare = 10 - sum(len(s) for s in sizes)
         for k in range(spare):
             sizes[k % weak_count].append(1)
-        spec = SynthSpec(seed=90 + weak_count, weak_component_sizes=sizes)
+        sizes = tuple(map(tuple, sizes))
+        spec = SynthSpec(seed=90 + weak_count, weak_component_sizes=sizes, target_mean=0.0)
         edges, _ = _planted_shape(spec)
         assert component_counts(spec.node_count, edges) == (10, weak_count)
 

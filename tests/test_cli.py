@@ -582,6 +582,16 @@ class TestErrorHandling:
         assert len(err) == 1 and err[0].startswith("error: ") and "nonempty path" in err[0]
         assert tree_bytes(workdir) == before
 
+    @pytest.mark.parametrize("name", ["\x1c", "\xa0", "\u3000"], ids=["U+001C", "U+00A0", "U+3000"])
+    def test_out_of_one_unicode_space_is_a_directory(self, workdir, monkeypatch, name):
+        """str.strip() takes these legal file names for blank; only empty
+        text and ASCII whitespace are refused."""
+        for stage in ("synth", "analyze"):
+            assert run_cli(stage, "--config", config_arg(workdir)) == 0
+        monkeypatch.chdir(workdir)
+        assert run_cli("analyze", "--config", "run.ini", "--out", name) == 0
+        assert tree_bytes(workdir / name) == tree_bytes(workdir / "out")
+
     @pytest.mark.parametrize(
         "command, key",
         [

@@ -192,20 +192,14 @@ class TestBetaRatio:
 
 class TestSummarize:
     def test_single_iteration_passthrough(self):
-        summary = summarize_subject(
-            "Christianity", [ComponentSummary(336, 245)], [-0.0065]
-        )
+        summary = summarize_subject("Christianity", [(336, 245, -0.0065)])
         assert summary == SubjectSummary(
             "Christianity", 336, 245, pytest.approx(0.7291666667, rel=1e-9), -0.0065
         )
 
     def test_counts_rounded_before_division(self):
         # means: strong 10.5 -> 11, weak 3.5 -> 4; beta uses the rounded ints
-        summary = summarize_subject(
-            "x",
-            [ComponentSummary(10, 3), ComponentSummary(11, 4)],
-            [0.0, 1.0],
-        )
+        summary = summarize_subject("x", [(10, 3, 0.0), (11, 4, 1.0)])
         assert (summary.strong_count, summary.weak_count) == (11, 4)
         assert summary.beta == 4 / 11
         assert summary.alpha == 0.5
@@ -216,45 +210,37 @@ class TestSummarize:
         ids=["336", "507.5", "1.5"],
     )
     def test_count_means_rounded_half_away(self, counts, mean):
-        summaries = [ComponentSummary(count, count) for count in counts]
-        summary = summarize_subject("x", summaries, [0.0] * len(counts))
+        summary = summarize_subject("x", [(count, count, 0.0) for count in counts])
         assert (summary.strong_count, summary.weak_count) == (mean, mean)
 
     def test_alpha_is_the_mean_of_the_iteration_alphas(self):
         def alpha(alphas):
-            return summarize_subject("x", [ComponentSummary(1, 1)] * len(alphas), alphas).alpha
+            return summarize_subject("x", [(1, 1, alpha) for alpha in alphas]).alpha
 
         assert alpha([0.1, 0.2, 0.3]) == pytest.approx(0.2, abs=1e-15)
         assert alpha([1.5]) == 1.5
         with pytest.raises(DegeneracyError):
-            summarize_subject("x", [ComponentSummary(1, 1)], [])
+            summarize_subject("x", [])
 
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=40))
     def test_alpha_bounded_by_extremes(self, alphas):
-        summary = summarize_subject("x", [ComponentSummary(1, 1)] * len(alphas), alphas)
+        summary = summarize_subject("x", [(1, 1, alpha) for alpha in alphas])
         assert min(alphas) - 1e-9 <= summary.alpha <= max(alphas) + 1e-9
 
     def test_alpha_mean_unrounded(self):
-        summary = summarize_subject(
-            "x", [ComponentSummary(2, 1)] * 3, [0.1, 0.2, 0.4]
-        )
+        summary = summarize_subject("x", [(2, 1, 0.1), (2, 1, 0.2), (2, 1, 0.4)])
         assert summary.alpha == pytest.approx(0.7 / 3, abs=1e-15)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_subject("x", [ComponentSummary(1, 1)], [0.1, 0.2])
 
     def test_empty_rejected(self):
         with pytest.raises(DegeneracyError):
-            summarize_subject("x", [], [])
+            summarize_subject("x", [])
 
     @pytest.mark.parametrize(
         "counts", [[(4, 1), (0, 0), (0, 0)], [(0, 0), (0, 0)]], ids=["weak-rounds-to-0", "all-empty"]
     )
     def test_no_weak_component_after_rounding_rejected(self, counts):
-        summaries = [ComponentSummary(*pair) for pair in counts]
         with pytest.raises(DegeneracyError, match="subject 'x'.* 0 weak"):
-            summarize_subject("x", summaries, [0.0] * len(counts))
+            summarize_subject("x", [(*pair, 0.0) for pair in counts])
 
 
 class TestTables:

@@ -407,6 +407,7 @@ BAD_CONFIGS = [
     ("[run]\noutput =\n[groups]\ntopical = A\n", "nonempty path", {"output_dir": ""}),
     ("[run]\nfixtures = \n[groups]\ntopical = A\n", "nonempty path", {"fixtures_dir": " "}),
     ("[run]\nlexicon =\n[groups]\ntopical = A\n", "nonempty path", {"lexicon_path": ""}),
+    ("[run]\noutput = \t\n[groups]\ntopical = A\n", "nonempty path", {"output_dir": "\t"}),
     # no file name can hold NUL, which open() and os.stat() refuse with a ValueError
     ("[run]\noutput = a\x00b\n[groups]\ntopical = A\n", "output.* NUL", {"output_dir": "a\x00b"}),
     ("[run]\nfixtures = \x00\n[groups]\ntopical = A\n", "fixture.* NUL", {"fixtures_dir": "\x00"}),
@@ -459,6 +460,13 @@ class TestRunConfig:
         groups = [("topical", (subject, "B"))]
         with pytest.raises(ConfigError, match=f"group 'topical' subject {re.escape(repr(subject))}"):
             RunConfig(**{**GOOD_SETTINGS, "groups": groups})
+
+    @pytest.mark.parametrize("name", ["\x1c", "\x1f", "\x85", "\xa0", "\u3000"])
+    def test_path_of_one_unicode_space_is_kept(self, name):
+        """Each is a legal file name that str.strip() would take for blank."""
+        paths = dict(fixtures_dir=name, output_dir=name, lexicon_path=name)
+        config = RunConfig(**{**GOOD_SETTINGS, **paths})
+        assert config.fixtures_dir == config.output_dir == config.lexicon_path == Path(name)
 
     def test_replace_reruns_the_checks(self):
         config = RunConfig(**GOOD_SETTINGS)

@@ -23,7 +23,7 @@ import pytest
 import threadknit.graph  # noqa: F401
 import threadknit.pipeline as pipeline_module
 from threadknit.cli import main
-from threadknit.components import ComponentSummary, component_counts
+from threadknit.components import component_counts
 from threadknit.config import EDGE_KINDS, RunConfig, load_config
 from threadknit.ingest import fixture_records
 from threadknit.pipeline import export_dot, export_graphs, iteration_files, read_iteration
@@ -96,26 +96,25 @@ def write_lines(path, lines):
     )
 
 
-def reference_path(path, index, config, lexicon):
+def reference_path(path, config, lexicon):
     """The reference graph of the file's records under the config's edge
     kinds and isolates rule, with its closure counts and the mean score of
-    the records' texts."""
+    the records' texts as one (strong, weak, alpha) record."""
     records = list(fixture_records(path))
     nodes, edges = reference_graph(records, config.edge_kinds, config.include_isolates)
     counts = closure_component_counts(nodes, [(source, target) for source, target, _ in edges])
-    alpha = mean_score([fields[1] for fields in records], lexicon, path.parent.name, index)
-    return (nodes, edges), ComponentSummary(*counts), alpha
+    alpha = mean_score([fields[1] for fields in records], lexicon)
+    return (nodes, edges), (*counts, alpha)
 
 
-def row_path(path, index, config, lexicon):
+def row_path(path, config, lexicon):
     """The row's graph with node numbers mapped back to handles, and what
-    analyze takes from the row: counts and alpha."""
+    analyze takes from the row: its (strong, weak, alpha) record."""
     row = read_iteration(path, config)
     named = [(row.nodes[source], row.nodes[target], kind) for source, target, kind in row.edges]
     return (
         (set(row.nodes), named),
-        ComponentSummary(*component_counts(len(row.nodes), row.edges)),
-        mean_score(row.texts, lexicon, path.parent.name, index),
+        (*component_counts(len(row.nodes), row.edges), mean_score(row.texts, lexicon)),
     )
 
 
@@ -150,10 +149,10 @@ class TestAgreesWithTheReferenceGraph:
         config = load_config(tree / "run.ini")
         checked = 0
         for kind, subject in config.subjects():
-            for index, path in iteration_files(config, kind, subject):
+            for _, path in iteration_files(config, kind, subject):
                 for selected in selections(config):
-                    expected = reference_path(path, index, selected, lexicon)
-                    got = row_path(path, index, selected, lexicon)
+                    expected = reference_path(path, selected, lexicon)
+                    got = row_path(path, selected, lexicon)
                     assert got == expected, (path, selected.edge_kinds, selected.include_isolates)
                     checked += 1
         assert checked == 3 * 3 * len(KIND_SUBSETS) * 2
@@ -161,11 +160,11 @@ class TestAgreesWithTheReferenceGraph:
     @pytest.mark.parametrize("seed", range(6))
     def test_every_reference_kind_mixed(self, tree, lexicon, seed):
         config = load_config(tree / "run.ini")
-        index, path = iteration_files(config, "topical", "Alpha")[1]
+        _, path = iteration_files(config, "topical", "Alpha")[1]
         write_lines(path, mixed_records(seed, 40))
         for selected in selections(config):
-            expected = reference_path(path, index, selected, lexicon)
-            assert row_path(path, index, selected, lexicon) == expected
+            expected = reference_path(path, selected, lexicon)
+            assert row_path(path, selected, lexicon) == expected
 
     def test_analyze_builds_no_objects(self, tree, monkeypatch):
         write_lines(tree / "fixtures" / "topical" / "alpha" / "iter_002", mixed_records(1, 40))

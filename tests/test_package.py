@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 from types import ModuleType
@@ -12,6 +13,8 @@ from types import ModuleType
 import pytest
 
 import threadknit
+from threadknit.config import load_config
+from threadknit.synth import _CORPUS_SIZE, SynthSpec, _planted_shape, default_plan
 
 from conftest import CLI_GROUPS
 from test_cli import CONFIG
@@ -103,7 +106,8 @@ def test_module_does_not_load_the_graph_module(module):
 def test_perfbench_plan_truth_reads_the_config(tmp_path):
     """perfbench/plantruth.py imports load_config and subject_slug from
     threadknit.ingest and calls dataclasses.replace on the config: the
-    synth-default workload's setup fails unless that still works."""
+    synth-default workload's setup fails unless that still works.  Each row
+    is the program's plan, and its edge formula counts the planted shape."""
     (tmp_path / "run.ini").write_text(CONFIG, encoding="utf-8")
     src = Path(threadknit.__file__).resolve().parent.parent
     done = subprocess.run(
@@ -116,6 +120,15 @@ def test_perfbench_plan_truth_reads_the_config(tmp_path):
     assert truth["iterations"] == 3
     subjects = [(kind, name) for kind, names in CLI_GROUPS for name in names]
     assert [(row["kind"], row["subject"]) for row in truth["subjects"]] == subjects
+    plans = default_plan(replace(load_config(tmp_path / "run.ini"), seed=5))
+    assert len(plans) == len(truth["subjects"])
+    for row, plan in zip(truth["subjects"], plans):
+        spec = plan.synth_spec
+        assert row["statuses"] == _CORPUS_SIZE
+        assert row["jitter"] == SynthSpec.jitter
+        assert row["alpha"] == spec.target_mean
+        assert row["nodes"] == spec.node_count
+        assert row["edges"] == len(_planted_shape(spec)[0])
 
 
 def _relative_imports(path: Path) -> set[str]:

@@ -121,23 +121,23 @@ class TestScoreText:
 class TestMeanScore:
     def test_mean_over_statuses(self, mini_lexicon):
         texts = [raw for raw, _ in HAND_SCORED_TEXTS]
-        alpha = mean_score(texts, mini_lexicon, "Subject", 0)
+        alpha = mean_score(texts, mini_lexicon)
         assert alpha == pytest.approx(0.4, abs=1e-12)
 
     def test_single_status(self, mini_lexicon):
-        assert mean_score(["great"], mini_lexicon, "Subject", 0) == 2.0
+        assert mean_score(["great"], mini_lexicon) == 2.0
 
     def test_empty_batch_rejected(self, mini_lexicon):
-        with pytest.raises(DegeneracyError, match="Subject"):
-            mean_score([], mini_lexicon, "Subject", 0)
+        with pytest.raises(DegeneracyError, match="empty batch"):
+            mean_score([], mini_lexicon)
 
     def test_mean_score_is_the_mean_text_score(self, mini_lexicon):
         texts = [raw for raw, _ in HAND_SCORED_TEXTS]
         expected = fsum(score_text(text, mini_lexicon) for text in texts) / len(texts)
-        assert mean_score(texts, mini_lexicon, "s", 0) == expected
-        assert mean_score(iter(texts), mini_lexicon, "s", 0) == expected
-        with pytest.raises(DegeneracyError, match="subject 's' iteration 3: .*empty batch"):
-            mean_score([], mini_lexicon, "s", 3)
+        assert mean_score(texts, mini_lexicon) == expected
+        assert mean_score(iter(texts), mini_lexicon) == expected
+        with pytest.raises(DegeneracyError, match="^sentiment undefined for an empty batch$"):
+            mean_score([], mini_lexicon)
 
 
 class TestLexiconParsing:

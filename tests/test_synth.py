@@ -41,14 +41,14 @@ from oracles import reference_closest_valence, reference_corpus_texts, reference
 def corpus_texts(spec, lexicon):
     """The texts steered toward ``spec``'s target mean, alone."""
     palette = _palette(lexicon)
-    steering = _steering(spec, _planted_shape(spec), palette)
+    steering = _steering(spec, palette)
     return _corpus_texts(steering, palette, random.Random(spec.seed))
 
 
 def planted_fields(spec, index, lexicon):
     """One planted iteration's Status fields, in file order."""
     palette, shape = _palette(lexicon), _planted_shape(spec)
-    return _batch_fields(spec, index, palette, shape, _steering(spec, shape, palette))
+    return _batch_fields(spec, index, palette, shape, _steering(spec, palette))
 
 
 def mention_counts(records):
@@ -59,10 +59,10 @@ def mention_counts(records):
 
 
 size_lists = st.lists(
-    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(tuple),
     min_size=1,
     max_size=4,
-)
+).map(tuple)
 
 
 def planted(spec):
@@ -83,102 +83,85 @@ def planted_counts(spec):
 
 class TestSynthGraph:
     def test_single_node(self):
-        spec = SynthSpec(seed=1, weak_component_sizes=[[1]])
+        spec = SynthSpec(seed=1, weak_component_sizes=((1,),), target_mean=0.0)
         assert planted_counts(spec) == (1, 1)
         assert len(planted(spec)[0]) == 1
 
     def test_mixed_structure(self):
-        spec = SynthSpec(seed=2, weak_component_sizes=[[3, 1], [2]])
+        spec = SynthSpec(seed=2, weak_component_sizes=((3, 1), (2,)), target_mean=0.0)
         assert planted_counts(spec) == (3, 2)
         assert len(planted(spec)[0]) == 6
 
     def test_spec_counts_match_measurement(self):
-        spec = SynthSpec(seed=9, weak_component_sizes=[[2, 2, 1], [5], [1, 1]])
+        spec = SynthSpec(seed=9, weak_component_sizes=((2, 2, 1), (5,), (1, 1)), target_mean=0.0)
         assert planted_counts(spec) == (spec.strong_count, spec.weak_count) == (6, 3)
 
     @given(st.integers(min_value=0, max_value=2**32), size_lists)
     @settings(max_examples=60)
     def test_planted_counts_recovered(self, seed, sizes):
-        spec = SynthSpec(seed=seed, weak_component_sizes=sizes)
+        spec = SynthSpec(seed=seed, weak_component_sizes=sizes, target_mean=0.0)
         assert planted_counts(spec) == (spec.strong_count, spec.weak_count)
 
     def test_deterministic(self):
-        spec = SynthSpec(seed=7, weak_component_sizes=[[2, 3], [1]])
+        spec = SynthSpec(seed=7, weak_component_sizes=((2, 3), (1,)), target_mean=0.0)
         assert planted(spec) == planted(spec)
 
     def test_seed_changes_node_names(self):
-        sizes = [[2, 3], [1]]
-        a = planted(SynthSpec(seed=1, weak_component_sizes=sizes))
-        b = planted(SynthSpec(seed=2, weak_component_sizes=sizes))
+        sizes = ((2, 3), (1,))
+        a = planted(SynthSpec(seed=1, weak_component_sizes=sizes, target_mean=0.0))
+        b = planted(SynthSpec(seed=2, weak_component_sizes=sizes, target_mean=0.0))
         assert set(a[0]) != set(b[0])
-
-    def test_bad_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            SynthSpec(seed=0, weak_component_sizes=[[0]])
-        with pytest.raises(ValueError):
-            SynthSpec(seed=0, weak_component_sizes=[[]])
 
 
 class TestSynthCorpus:
     def test_exact_zero_mean_with_zero_jitter(self, lexicon):
-        spec = SynthSpec(seed=3, corpus_size=40, target_mean=0.0, jitter=0.0)
+        spec = SynthSpec(seed=3, weak_component_sizes=(), target_mean=0.0)
         texts = corpus_texts(spec, lexicon)
-        assert len(texts) == 40
+        assert len(texts) == _CORPUS_SIZE
         scores = [score_text(text, lexicon) for text in texts]
         assert fmean(scores) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("target", [0.5, -0.8, 1.1844, 0.0429])
     def test_target_within_jitter(self, lexicon, target):
-        spec = SynthSpec(seed=4, corpus_size=60, target_mean=target, jitter=0.05)
+        spec = SynthSpec(seed=4, weak_component_sizes=(), target_mean=target)
         scores = [score_text(text, lexicon) for text in corpus_texts(spec, lexicon)]
-        assert abs(fmean(scores) - target) <= 0.05 + 1e-9
+        assert abs(fmean(scores) - target) <= spec.jitter + 1e-9
 
     def test_unreachable_target_rejected(self, lexicon):
         max_valence = max(lexicon.entries.values())
         too_high = SynthSpec(
-            seed=5, corpus_size=10, target_mean=max_valence * 12 + 5, jitter=0.01
+            seed=5, weak_component_sizes=(), target_mean=max_valence * 12 + 5
         )
         with pytest.raises(SynthError):
             corpus_texts(too_high, lexicon)
 
-    def test_empty_corpus_rejected(self, lexicon):
-        # analyze cannot score an iteration without statuses
-        spec = SynthSpec(seed=5, corpus_size=0)
-        with pytest.raises(SynthError, match="corpus_size must be at least 1"):
-            planted_fields(spec, 0, lexicon)
-
     def test_deterministic(self, lexicon):
-        spec = SynthSpec(seed=11, corpus_size=25, target_mean=0.3, jitter=0.02)
+        spec = SynthSpec(seed=11, weak_component_sizes=(), target_mean=0.3)
         assert corpus_texts(spec, lexicon) == corpus_texts(spec, lexicon)
 
     def test_statuses_have_no_references(self, lexicon):
-        spec = SynthSpec(seed=6, corpus_size=15, target_mean=0.2, jitter=0.05)
+        # one isolated node authors every status
+        spec = SynthSpec(seed=6, weak_component_sizes=((1,),), target_mean=0.2)
         fields = planted_fields(spec, 0, lexicon)
-        assert len(fields) == 15
+        assert len(fields) == _CORPUS_SIZE
         assert reference_graph(fields, EDGE_KINDS, True)[1] == []
 
 
 class TestSynthBatch:
     def batch_spec(self):
-        return SynthSpec(
-            seed=21,
-            weak_component_sizes=[[3, 1], [2]],
-            corpus_size=30,
-            target_mean=0.25,
-            jitter=0.02,
-        )
+        return SynthSpec(seed=21, weak_component_sizes=((3, 1), (2,)), target_mean=0.25)
 
     def test_graph_counts_recovered(self, lexicon):
         spec = self.batch_spec()
         assert mention_counts(planted_fields(spec, 0, lexicon)) == (3, 2)
 
     def test_batch_size_is_corpus_size(self, lexicon):
-        assert len(planted_fields(self.batch_spec(), 0, lexicon)) == 30
+        assert len(planted_fields(self.batch_spec(), 0, lexicon)) == _CORPUS_SIZE
 
     def test_mean_score_near_target(self, lexicon):
-        fields = planted_fields(self.batch_spec(), 0, lexicon)
-        scores = [score_text(text, lexicon) for _, text, *_ in fields]
-        assert abs(fmean(scores) - 0.25) <= 0.02 + 1e-9
+        spec = self.batch_spec()
+        scores = [score_text(text, lexicon) for _, text, *_ in planted_fields(spec, 0, lexicon)]
+        assert abs(fmean(scores) - 0.25) <= spec.jitter + 1e-9
 
     def test_iterations_differ_but_counts_hold(self, lexicon):
         spec = self.batch_spec()
@@ -192,23 +175,6 @@ class TestSynthBatch:
         spec = self.batch_spec()
         assert planted_fields(spec, 4, lexicon) == planted_fields(spec, 4, lexicon)
 
-    def test_corpus_too_small_for_structure(self, lexicon):
-        spec = SynthSpec(
-            seed=1, weak_component_sizes=[[4, 4], [4]], corpus_size=5
-        )
-        with pytest.raises(SynthError, match="cannot cover"):
-            planted_fields(spec, 0, lexicon)
-
-    @given(size_lists)
-    @settings(max_examples=60)
-    def test_cover_error_counts_the_planted_topology(self, lexicon, sizes):
-        spec = SynthSpec(seed=0, weak_component_sizes=sizes, corpus_size=0)
-        names, pairs = planted(spec)
-        lonely = set(names) - {node for pair in pairs for node in pair}
-        line = f"corpus_size 0 cannot cover {len(pairs)} edges and {len(lonely)} isolated nodes"
-        with pytest.raises(SynthError, match=f"^{line}$"):
-            planted_fields(spec, 0, lexicon)
-
     def test_corpus_exceeding_iteration_budget(self, tmp_path):
         # a plan needs 24 statuses per iteration, so it is refused when built
         config = _tiny_config(tmp_path, [("topical", ("A", "B", "C"))])
@@ -216,10 +182,6 @@ class TestSynthBatch:
         with pytest.raises(SynthError, match=f"^{needs} 23$"):
             default_plan(replace(config, per_iteration_count=23))
         assert len(default_plan(replace(config, per_iteration_count=24))) == 3
-
-    def test_structureless_batch(self, lexicon):
-        spec = SynthSpec(seed=2, corpus_size=10, target_mean=0.0, jitter=0.0)
-        assert len(planted_fields(spec, 0, lexicon)) == 10
 
 
 def _tiny_config(tmp_path, groups, iterations=2, per_iteration_count=50, seed=0):
@@ -291,6 +253,15 @@ class TestDefaultPlan:
         assert len(shapes) == 92
         assert max(_needed_statuses(sizes) for sizes in shapes) + 8 <= _CORPUS_SIZE
 
+    def test_every_planned_target_is_reachable(self, lexicon):
+        """The bundled lexicon steers every spec default_plan can plan to its
+        target within jitter, so only a user lexicon makes _steering raise."""
+        palette = _palette(lexicon)
+        specs = planned_specs()
+        assert len(specs) == 92 and len({spec.target_mean for spec in specs}) == 74
+        for spec in specs:
+            assert len(_steering(spec, palette)) == _CORPUS_SIZE
+
 
 class TestWriteFixtureTree:
     def test_layout_and_determinism(self, tmp_path):
@@ -348,9 +319,9 @@ class TestWriteFixtureTree:
     def test_each_subject_is_planned_once(self, tmp_path, monkeypatch):
         planned = []
 
-        def counted(spec, shape, palette):
+        def counted(spec, palette):
             planned.append(spec.seed)
-            return _steering(spec, shape, palette)
+            return _steering(spec, palette)
 
         monkeypatch.setattr(synth_module, "_steering", counted)
         groups = [("topical", ("A", "B", "C")), ("event", ("D", "E"))]
@@ -377,9 +348,9 @@ class TestWriteFixtureTree:
     def test_first_failing_plan_raises_for_any_jobs(self, tmp_path, two_cores, monkeypatch):
         config = _tiny_config(tmp_path, [("topical", tuple("ABCDE"))], iterations=2)
         plans = default_plan(config)
-        for position, corpus_size in ((1, 1), (3, 2)):
+        for position, target_mean in ((1, 100.0), (3, 200.0)):
             plan = plans[position]
-            plans[position] = replace(plan, synth_spec=replace(plan.synth_spec, corpus_size=corpus_size))
+            plans[position] = replace(plan, synth_spec=replace(plan.synth_spec, target_mean=target_mean))
         monkeypatch.setattr(synth_module, "default_plan", lambda _: plans)
         raised = []
         # the 10-file tree in-process, then on a pool
@@ -388,7 +359,7 @@ class TestWriteFixtureTree:
             with pytest.raises(SynthError) as caught:
                 write_fixture_tree(config)
             raised.append(str(caught.value))
-        assert raised[0] == raised[1] and raised[0].startswith("corpus_size 1 cannot cover")
+        assert raised[0] == raised[1] and raised[0].startswith("target mean 100.0 unreachable")
 
 
 def _needed_statuses(sizes) -> int:
@@ -398,17 +369,27 @@ def _needed_statuses(sizes) -> int:
     return edges + sum(1 for group in sizes if list(group) == [1])
 
 
+def planned_specs():
+    """A spec for every (strong_total, weak_total, parity) default_plan can
+    plan: a group's strong_total is 10 plus its position, at most one group
+    per kind; weak_total runs from 1 to strong_total; a subject's parity sets
+    its flavour and the wobble of its target."""
+    return [
+        SynthSpec(
+            seed=100 * strong + 2 * weak + parity,
+            weak_component_sizes=_spread_components(strong, weak, parity),
+            target_mean=round(0.9 - 1.1 * (weak / strong) + (-0.05 if parity else 0.05), 4),
+        )
+        for strong in range(10, 10 + len(QUERY_KINDS))
+        for weak in range(1, strong + 1)
+        for parity in (0, 1)
+    ]
+
+
 synth_specs = st.builds(
-    lambda seed, sizes, extra, target: SynthSpec(
-        seed=seed,
-        weak_component_sizes=sizes,
-        corpus_size=_needed_statuses(sizes) + extra,
-        target_mean=target,
-        jitter=max(0.01, 0.3 / (_needed_statuses(sizes) + extra)),
-    ),
+    SynthSpec,
     st.integers(min_value=0, max_value=10**6),
-    size_lists,
-    st.integers(min_value=10, max_value=20),
+    st.sampled_from(sorted({spec.weak_component_sizes for spec in planned_specs()})),
     st.floats(min_value=-1.0, max_value=1.0),
 )
 
